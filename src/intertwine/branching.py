@@ -28,7 +28,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .chamber import Partition
-from .kernels import KernelParams, density_lambda_plus
+# density_lambda_plus stays bound here for perfbench/spans.py, which wraps it by this path
+from .kernels import density_lambda_plus, density_lambda_plus_rows  # noqa: F401
 
 __all__ = [
     "JacobiParams",
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 _MIN_GAP = 1e-6
+# absolute tolerance of the continuous CDF (scipy quad's default epsabs)
+_CDF_TOL = 1.49e-8
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,6 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
     if len(set(lam.parts)) != lam.length or min(lam.parts) < 1:
         raise ValueError("lambda needs distinct positive parts")
     scaled = lam.scaled(kappa)
-    kp = KernelParams(params.alpha, n)
     x_sq = np.sort(np.asarray(lam.parts, dtype=float) ** 2)
 
     if n == 1:
@@ -309,7 +311,7 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
         mass = float(probs.sum())
         disc_cdf = np.cumsum(probs)
         grid = (nus + 0.5) / kappa
-        cont_cdf = _cdf_1d_on_grid(kp, x_sq, grid)
+        cont_cdf = _cdf_1d_on_grid(params.alpha, x_sq, grid)
         sup = float(np.max(np.abs(disc_cdf - cont_cdf)))
         return {"sup_discrepancy": sup, "row_mass": mass, "kappa": kappa, "n": n}
 
@@ -317,17 +319,9 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
     mass = float(probs.sum())
     pts = np.array([t.padded(n)[::-1] for t in targets], dtype=float)  # ascending pairs
     # continuous joint CDF from a cumulative midpoint table in the squared
-    # coordinates (the adaptive-quadrature alternative is far too slow on a
-    # grid of CDF queries, and midpoint resolution ~ 1e-3 is ample here)
+    # coordinates (midpoint resolution ~ 1e-3 is ample on this grid of CDF queries)
     m_cells = 400
-    y_max = float(x_sq[-1])
-    step = y_max / m_cells
-    mids = (np.arange(m_cells) + 0.5) * step
-    dens = np.zeros((m_cells, m_cells))
-    for i, y1 in enumerate(mids):
-        for j in range(i, m_cells):
-            dens[i, j] = density_lambda_plus(kp, x_sq, (y1, mids[j]))
-    cum = dens.cumsum(axis=0).cumsum(axis=1) * step * step
+    cum, step = _cum_density_table(params.alpha, x_sq, m_cells)
     grid1 = np.linspace(0.0, lam.parts[0], 13)[1:] - 0.5 / kappa
     sup = 0.0
     for a_v in grid1:
@@ -340,18 +334,24 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
     return {"sup_discrepancy": float(sup), "row_mass": mass, "kappa": kappa, "n": n}
 
 
-def _cdf_1d_on_grid(kp: KernelParams, x_sq: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """CDF of sqrt(Y), Y ~ continuous link at x_sq, at the grid points."""
-    from scipy.integrate import quad
+def _cum_density_table(alpha: float, x_sq: np.ndarray, m_cells: int):
+    """Cumulative midpoint sums of the (3 -> 2) link density at x_sq on an
+    m_cells x m_cells grid over [0, max x_sq]^2; returns (table, cell side)."""
+    step = float(x_sq[-1]) / m_cells
+    mids = (np.arange(m_cells) + 0.5) * step
+    i, j = np.triu_indices(m_cells)
+    dens = np.zeros((m_cells, m_cells))
+    dens[i, j] = density_lambda_plus_rows(alpha, x_sq, np.column_stack([mids[i], mids[j]]))
+    return dens.cumsum(axis=0).cumsum(axis=1) * step * step, step
 
-    edges = np.concatenate([[0.0], np.minimum(grid, math.sqrt(x_sq[-1])) ** 2])
-    cdf = np.zeros(grid.size)
-    acc = 0.0
-    for k in range(grid.size):
-        a_e, b_e = edges[k], edges[k + 1]
-        if b_e > a_e:
-            val, _ = quad(lambda y: density_lambda_plus(kp, x_sq, (y,)), a_e, b_e,
-                          points=[p for p in x_sq if a_e < p < b_e], limit=200)
-            acc += val
-        cdf[k] = acc
-    return cdf
+
+def _cdf_1d_on_grid(alpha: float, x_sq: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """CDF of sqrt(Y), Y ~ continuous link at x_sq, at the grid points."""
+    from .verify import quad_intervals
+
+    ends = np.minimum(grid, math.sqrt(x_sq[-1])) ** 2
+    edges = np.unique(np.concatenate([[0.0], ends, x_sq]))
+    parts, _ = quad_intervals(lambda ys: density_lambda_plus_rows(alpha, x_sq, ys), edges,
+                              _CDF_TOL, alpha)
+    cum = np.concatenate([[0.0], np.cumsum(parts)])
+    return cum[np.searchsorted(edges, ends)]

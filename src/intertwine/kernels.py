@@ -6,6 +6,8 @@ alpha-deformed links on the non-negative chamber are ``density_lambda_eq``
 (dimension N to N, lower-interlacing cell) and ``density_lambda_plus``
 (dimension N+1 to N), whose per-coordinate weight integrates y^alpha/z^(alpha+1)
 over the overlap interval, with the conventions x_0 = 0 and y_{N+1} = inf.
+Each density is evaluated row-wise (``density_*_rows``: one source point x,
+many points y); the scalar ``density_*`` are its one-point form.
 
 Samplers draw exactly from these densities by rejection with product
 envelopes; acceptance degrades with dimension, which is fine at the desk
@@ -26,6 +28,9 @@ __all__ = [
     "density_L",
     "density_lambda_eq",
     "density_lambda_plus",
+    "density_L_rows",
+    "density_lambda_eq_rows",
+    "density_lambda_plus_rows",
     "sample_L",
     "sample_lambda_eq",
     "sample_lambda_plus",
@@ -72,69 +77,114 @@ def _require_strict(x, nonneg: bool) -> np.ndarray:
     return arr
 
 
-def density_L(x, y) -> float:
-    """N! Vandermonde(y)/Vandermonde(x) on the interlacing cell, else 0."""
+def _require_alpha(alpha) -> None:
+    if not alpha > -1:
+        raise ValueError(f"alpha={alpha} must be > -1")
+
+
+def _as_rows(Y, n: int) -> np.ndarray:
+    rows = np.asarray(Y, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"dimension mismatch: expected rows of length {n}, "
+                         f"got shape {rows.shape}")
+    return rows
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of the ``math`` module over a 1-D array.  numpy's SIMD log,
+    expm1 and pow can round differently from the C library in the last bit;
+    the link weights keep the C library's values."""
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
+
+
+def density_L_rows(x, Y) -> np.ndarray:
+    """N! Vandermonde(y)/Vandermonde(x) per row y of Y on the interlacing
+    cell of x, else 0."""
     xa = _require_strict(x, nonneg=False)
-    ya = as_coords(y, expected_dim=xa.size - 1)
-    n = ya.size
-    if np.any(np.diff(ya) < 0):
-        return 0.0
-    if not (np.all(xa[:-1] <= ya) and np.all(ya <= xa[1:])):
-        return 0.0
-    num = float(vandermonde_rows(ya[None, :])[0])
+    n = xa.size - 1
+    ya = _as_rows(Y, n)
+    ok = (np.all(np.diff(ya, axis=1) >= 0, axis=1)
+          & np.all(xa[:-1] <= ya, axis=1) & np.all(ya <= xa[1:], axis=1))
+    num = vandermonde_rows(ya)
     den = float(vandermonde_rows(xa[None, :])[0])
-    return math.factorial(n) * num / den
+    return np.where(ok, math.factorial(n) * num / den, 0.0)
+
+
+def density_lambda_eq_rows(alpha: float, x, Y) -> np.ndarray:
+    """(alpha+1)_N prod(y_k^a / x_k^(a+1)) Vdm(y)/Vdm(x) per row y of Y on
+    the lower cell of x, else 0; inf at y_1 = 0 when alpha < 0."""
+    _require_alpha(alpha)
+    xa = _require_strict(x, nonneg=True)
+    n = xa.size
+    ya = _as_rows(Y, n)
+    ok = (np.all(np.diff(ya, axis=1) >= 0, axis=1) & (ya[:, 0] >= 0)
+          & np.all(ya <= xa, axis=1) & np.all(xa[:-1] <= ya[:, 1:], axis=1))
+    with np.errstate(all="ignore"):
+        ratio = np.prod(ya**alpha / xa ** (alpha + 1), axis=1)
+        num = vandermonde_rows(ya)
+        den = float(vandermonde_rows(xa[None, :])[0])
+        out = shifted_factorial(alpha + 1, n) * ratio * num / den
+    out[(ya[:, 0] == 0.0) & (alpha < 0)] = math.inf
+    return np.where(ok, out, 0.0)
+
+
+def _interval_weight_rows(alpha: float, y: np.ndarray, a: np.ndarray,
+                          b: np.ndarray) -> np.ndarray:
+    """int_a^b y^alpha z^(-alpha-1) dz in closed form per entry; 0 unless
+    0 < a < b, inf at y = 0 when alpha < 0."""
+    out = np.zeros(y.shape)
+    ok = (a > 0) & (a < b)
+    log_ratio = _libm(math.log, b[ok] / a[ok])
+    if abs(alpha) < _ALPHA_LOG_BRANCH:
+        out[ok] = log_ratio
+        return out
+    # (y/a)^alpha (1 - (a/b)^alpha)/alpha, written to avoid cancellation;
+    # the C library's pow, as for Python floats, with 0^alpha = inf for alpha < 0
+    base = y[ok] / a[ok]
+    power = np.full(base.shape, 0.0 if alpha > 0 else math.inf)
+    pos = base > 0
+    power[pos] = _libm(lambda v: math.pow(v, alpha), base[pos])
+    out[ok] = power * -_libm(math.expm1, -alpha * log_ratio) / alpha
+    return out
+
+
+def density_lambda_plus_rows(alpha: float, x, Y) -> np.ndarray:
+    """Density of the (N+1 -> N) alpha-link per row y of Y, with x strictly
+    interior; inf at y_1 = 0 when alpha < 0."""
+    _require_alpha(alpha)
+    xa = _require_strict(x, nonneg=True)
+    n = xa.size - 1
+    ya = _as_rows(Y, n)
+    ok = np.all(np.diff(ya, axis=1) >= 0, axis=1) & (ya[:, 0] >= 0)
+    lo_ind = np.concatenate([[0.0], xa[:-2]])
+    ok &= np.all((lo_ind <= ya) & (ya <= xa[1:]), axis=1)
+    upper = np.concatenate([np.minimum(xa[1:-1], ya[:, 1:]), np.full((ya.shape[0], 1), xa[-1])],
+                           axis=1)
+    factors = _interval_weight_rows(alpha, ya, np.maximum(xa[:-1], ya), upper)
+    ok &= np.all(factors != 0.0, axis=1)
+    num = vandermonde_rows(ya)
+    den = float(vandermonde_rows(xa[None, :])[0])
+    with np.errstate(all="ignore"):
+        weight = np.ones(ya.shape[0])
+        for k in range(n):
+            weight *= factors[:, k]
+        out = math.factorial(n) * shifted_factorial(alpha + 1, n) * num / den * weight
+    return np.where(ok, out, 0.0)
+
+
+def density_L(x, y) -> float:
+    """Scalar form of :func:`density_L_rows` at one point y."""
+    return float(density_L_rows(x, as_coords(y)[None, :])[0])
 
 
 def density_lambda_eq(params: KernelParams, x, y) -> float:
-    """(alpha+1)_N prod(y_k^a / x_k^(a+1)) Vdm(y)/Vdm(x) on the lower cell."""
-    a = params.alpha
-    xa = _require_strict(x, nonneg=True)
-    n = xa.size
-    ya = as_coords(y, expected_dim=n)
-    if np.any(np.diff(ya) < 0) or ya[0] < 0:
-        return 0.0
-    if not (np.all(ya <= xa) and np.all(xa[:-1] <= ya[1:])):
-        return 0.0
-    if ya[0] == 0.0 and a < 0:
-        return math.inf
-    with np.errstate(divide="ignore"):
-        ratio = float(np.prod(ya**a / xa ** (a + 1)))
-    num = float(vandermonde_rows(ya[None, :])[0])
-    den = float(vandermonde_rows(xa[None, :])[0])
-    return shifted_factorial(a + 1, n) * ratio * num / den
-
-
-def _interval_weight(alpha: float, y: float, a: float, b: float) -> float:
-    """int_a^b y^alpha z^(-alpha-1) dz in closed form; 0 unless 0 < a < b."""
-    if a <= 0 or a >= b:
-        return 0.0
-    if abs(alpha) < _ALPHA_LOG_BRANCH:
-        return math.log(b / a)
-    # (y/a)^alpha (1 - (a/b)^alpha)/alpha, written to avoid cancellation
-    return (y / a) ** alpha * (-math.expm1(-alpha * math.log(b / a))) / alpha
+    """Scalar form of :func:`density_lambda_eq_rows` at one point y."""
+    return float(density_lambda_eq_rows(params.alpha, x, as_coords(y)[None, :])[0])
 
 
 def density_lambda_plus(params: KernelParams, x, y) -> float:
-    """Density of the (N+1 -> N) alpha-link at y, with x strictly interior."""
-    a = params.alpha
-    xa = _require_strict(x, nonneg=True)
-    n = xa.size - 1
-    ya = as_coords(y, expected_dim=n)
-    if np.any(np.diff(ya) < 0) or ya[0] < 0:
-        return 0.0
-    weight = 1.0
-    for k in range(n):
-        lo_ind = xa[k - 1] if k >= 1 else 0.0
-        if not (lo_ind <= ya[k] <= xa[k + 1]):
-            return 0.0
-        upper = xa[k + 1] if k == n - 1 else min(xa[k + 1], ya[k + 1])
-        weight *= _interval_weight(a, ya[k], max(xa[k], ya[k]), upper)
-        if weight == 0.0:
-            return 0.0
-    num = float(vandermonde_rows(ya[None, :])[0])
-    den = float(vandermonde_rows(xa[None, :])[0])
-    return math.factorial(n) * shifted_factorial(a + 1, n) * num / den * weight
+    """Scalar form of :func:`density_lambda_plus_rows` at one point y."""
+    return float(density_lambda_plus_rows(params.alpha, x, as_coords(y)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ Distribution-level identities (intertwinings, invariance, consistency,
 boundary coherence) are certified by two-path Monte Carlo and an energy
 distance permutation test; analytic identities (eigenfunctions, conjugation
 identities, drift forms, kernel normalizations) are checked by exact
-calculus and adaptive quadrature.  Every check returns a TestReport whose
-metadata records seeds and sizes, and all randomness flows from named
-streams derived from one master seed, so reruns are bit-identical.
+calculus and a Gauss panel cubature: fixed-order tensor Gauss rules on
+panels cut at the interlacing cell's break points (Gauss-Jacobi for the
+y^alpha factor at y = 0), with an error estimate from a rerun at doubled
+order that must meet the check's tolerance.  Every check returns a
+TestReport whose metadata records seeds and sizes, and all randomness flows
+from named streams derived from one master seed, so reruns are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -14,10 +18,14 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
+from scipy.special import roots_jacobi, roots_legendre
 from scipy.spatial.distance import cdist
 
 from .chamber import BoundaryPoint, as_coords, embed_boundary, gamma_bar
@@ -25,8 +33,10 @@ from .diffusion import (PickrellParams, Scheme, SdeConfig, boundary_flow,
                         simulate_laguerre_matrix_paths, simulate_laguerre_paths,
                         simulate_pickrell_paths)
 from .ensembles import EnsembleParams, sample_pickrell
-from .kernels import (KernelParams, density_L, density_lambda_eq,
-                      density_lambda_plus, sample_L_each, sample_L_many,
+# density_L stays bound here for perfbench/spans.py, which wraps it by this path
+from .kernels import (KernelParams, density_L, density_L_rows,  # noqa: F401
+                      density_lambda_eq, density_lambda_eq_rows, density_lambda_plus,
+                      density_lambda_plus_rows, sample_L_each, sample_L_many,
                       sample_lambda_eq_each, sample_lambda_eq_many,
                       sample_lambda_plus_each, sample_lambda_plus_many)
 from .rng import generator, named_seed
@@ -35,6 +45,8 @@ __all__ = [
     "TestReport",
     "quad_1d",
     "quad_cell",
+    "quad_intervals",
+    "Quadrature",
     "energy_perm_test",
     "ks_cdf_test",
     "check_intertwine_laguerre",
@@ -119,28 +131,137 @@ def quad_1d(f, a: float, b: float, tol: float = 1e-10, points=None) -> float:
     return float(val)
 
 
-def quad_cell(f, bounds, tol: float = 1e-8) -> float:
-    """Iterated quadrature over up to two coordinates.
+QUAD_ORDER = 16  # Gauss points per panel and coordinate; the error estimate doubles it
+QUAD_BLOCK = 2048  # integrand rows per call of a 1-D rule, bounding temporary memory
 
+
+class Quadrature(NamedTuple):
+    """A cubature result: value, error estimate and integrand evaluations."""
+
+    value: float
+    err: float
+    n_eval: int
+
+
+@lru_cache(maxsize=None)
+def _reference_rule(k: int, alpha: float) -> tuple:
+    """k-point Gauss rule on [-1, 1]; for alpha != 0 the Gauss-Jacobi rule of
+    the weight (1+t)^alpha, with that weight divided back out of the weights
+    so the rule applies to integrands that carry it."""
+    if alpha == 0.0:
+        t, w = roots_legendre(k)
+    else:
+        t, w = roots_jacobi(k, 0.0, alpha)
+        w = w / (1.0 + t) ** alpha
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def _panel_nodes(lo, hi, k: int, alpha: float):
+    """Nodes and weights, shape lo.shape + (k,), of the k-point rule on each
+    panel [lo, hi] (empty when hi < lo); panels starting at 0 get the
+    Gauss-Jacobi rule for y^alpha unless alpha is a non-negative integer
+    (then y^alpha is a polynomial)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = (np.maximum(hi, lo) - lo)[..., None] / 2.0
+    t, w = _reference_rule(k, 0.0)
+    y = lo[..., None] + half * (t + 1.0)
+    wt = half * w
+    at0 = lo == 0.0
+    if at0.any() and not (alpha >= 0 and float(alpha).is_integer()):
+        tj, wj = _reference_rule(k, float(alpha))
+        y[at0] = half[at0] * (tj + 1.0)
+        wt[at0] = half[at0] * wj
+    return y, wt
+
+
+def _split(lo: float, hi: float, points) -> np.ndarray:
+    """[lo, hi] cut at the points strictly inside it, as sorted panel edges."""
+    inner = [p for p in points if lo < p < hi]
+    return np.array(sorted({lo, hi, *inner}), dtype=float)
+
+
+def _crossings(fns, lo: float, hi: float) -> list:
+    """Points in (lo, hi) where one of the functions changes sign."""
+    out = []
+    for fn in fns:
+        if fn(lo) * fn(hi) < 0:
+            out.append(brentq(fn, lo, hi))
+    return out
+
+
+def quad_cell(f, bounds, tol: float = 1e-8, breaks=(), alpha: float = 0.0) -> Quadrature:
+    """Gauss panel cubature over up to two coordinates, with an error estimate.
+
+    ``f`` is row-wise: it maps an (m, d) array of points to m values.
     ``bounds`` is a list of (lo, hi) pairs, one per coordinate; entries of
-    the inner pair may be callables of the first coordinate (interlacing
-    cells have such staircase bounds).
+    the inner pair may be vectorized callables of the first coordinate
+    (interlacing cells have such staircase bounds).  Every coordinate range
+    is cut into panels at the ``breaks`` inside it, where the integrand or
+    an inner bound is not smooth; the first coordinate is also cut where an
+    inner bound crosses a break or the two inner bounds meet.  Each panel
+    gets a tensor Gauss-Legendre rule, Gauss-Jacobi on panels starting at 0
+    when the integrand carries a factor y^alpha there.  The rule runs at
+    orders QUAD_ORDER and 2 QUAD_ORDER; the larger gives the value, and the
+    panel-wise sum of |difference| the error estimate, which must not exceed
+    ``tol``.
     """
-    if len(bounds) == 1:
-        lo, hi = bounds[0]
-        return quad_1d(lambda y: f(y), lo, hi, tol)
-    if len(bounds) != 2:
+    if len(bounds) not in (1, 2):
         raise ValueError("quad_cell supports dimensions 1 and 2")
-    (lo1, hi1), (lo2, hi2) = bounds
+    lo1, hi1 = bounds[0]
+    if not lo1 < hi1:
+        raise ValueError(f"need lo < hi, got [{lo1}, {hi1}]")
+    if len(bounds) == 1:
+        return quad_intervals(f, _split(lo1, hi1, breaks), tol, alpha)[1]
+    lo2, hi2 = (b if callable(b) else (lambda y1, c=b: np.full(np.shape(y1), float(c)))
+                for b in bounds[1])
+    kinks = [lambda y1, c=c, g=g: g(y1) - c for c in breaks for g in (lo2, hi2)]
+    kinks.append(lambda y1: hi2(y1) - lo2(y1))
+    edges1 = _split(lo1, hi1, breaks)
+    crossings = [c for a, b in zip(edges1[:-1], edges1[1:]) for c in _crossings(kinks, a, b)]
+    edges1 = _split(lo1, hi1, [*breaks, *crossings])
+    totals = np.zeros((2, edges1.size - 1))
+    n_eval = 0
+    for p, (a, b) in enumerate(zip(edges1[:-1], edges1[1:])):
+        mid = 0.5 * (a + b)
+        inner = [c for c in breaks if lo2(mid) < c < hi2(mid)]
+        for o, k in enumerate((QUAD_ORDER, 2 * QUAD_ORDER)):
+            y1, w1 = _panel_nodes(a, b, k, alpha)
+            cuts = np.column_stack([lo2(y1), *(np.full(k, c) for c in sorted(inner)), hi2(y1)])
+            y2, w2 = _panel_nodes(cuts[:, :-1], cuts[:, 1:], k, alpha)
+            pts = np.column_stack([np.broadcast_to(y1[:, None, None], y2.shape).ravel(),
+                                   y2.ravel()])
+            totals[o, p] = np.sum((w1[:, None, None] * w2).ravel() * f(pts))
+            n_eval += pts.shape[0]
+    err = float(np.sum(np.abs(totals[1] - totals[0])))
+    return _converged(Quadrature(float(totals[1].sum()), err, n_eval), tol)
 
-    def outer(y1):
-        a = lo2(y1) if callable(lo2) else lo2
-        b = hi2(y1) if callable(hi2) else hi2
-        if not a < b:
-            return 0.0
-        return quad_1d(lambda y2: f(y1, y2), a, b, tol * 0.1)
 
-    return quad_1d(outer, lo1, hi1, tol)
+def quad_intervals(f, edges, tol: float, alpha: float = 0.0):
+    """Integrals of a row-wise 1-D integrand over each [edges[i], edges[i+1]]
+    (edges sorted, repeats allowed), all panels in one pass with the rule of
+    :func:`quad_cell`.  Returns the per-interval values and their Quadrature
+    total; the error estimate bounds every partial sum and must not exceed
+    ``tol``."""
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    vals = np.zeros((2, lo.size))
+    n_eval = 0
+    for o, k in enumerate((QUAD_ORDER, 2 * QUAD_ORDER)):
+        step = max(1, QUAD_BLOCK // k)
+        for i in range(0, lo.size, step):
+            y, w = _panel_nodes(lo[i:i + step], hi[i:i + step], k, alpha)
+            vals[o, i:i + step] = np.sum(w * f(y.reshape(-1, 1)).reshape(y.shape), axis=1)
+            n_eval += y.size
+    err = float(np.sum(np.abs(vals[1] - vals[0])))
+    return vals[1], _converged(Quadrature(float(vals[1].sum()), err, n_eval), tol)
+
+
+def _converged(q: Quadrature, tol: float) -> Quadrature:
+    if not q.err <= tol:
+        raise RuntimeError(f"cubature did not converge: value={q.value}, err={q.err} > tol={tol}")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -523,31 +644,33 @@ def check_kernel_normalization(kind, alpha, x, tol: float = 1e-6, name=None) -> 
     if kind == "L":
         n = xa.size - 1
         bounds = [(xa[k], xa[k + 1]) for k in range(n)]
-        f = (lambda *ys: density_L(xa, ys))
+        f = (lambda ys: density_L_rows(xa, ys))
+        singular = 0.0
     elif kind == "lambda_eq":
         n = xa.size
-        params = KernelParams(alpha, n)
         lows = np.concatenate([[0.0], xa[:-1]])
         bounds = [(lows[k], xa[k]) for k in range(n)]
-        f = (lambda *ys: density_lambda_eq(params, xa, ys))
+        f = (lambda ys: density_lambda_eq_rows(alpha, xa, ys))
+        singular = alpha
     elif kind == "lambda_plus":
         n = xa.size - 1
-        params = KernelParams(alpha, n)
         if n == 1:
             bounds = [(0.0, xa[1])]
         else:
             # y1 in [0, x_2]; y2 in [x_1, x_3] and above y1
-            bounds = [(0.0, xa[1]), (lambda y1: max(y1, xa[0]), xa[2])]
-        f = (lambda *ys: density_lambda_plus(params, xa, ys))
+            bounds = [(0.0, xa[1]), (lambda y1: np.maximum(y1, xa[0]), xa[2])]
+        f = (lambda ys: density_lambda_plus_rows(alpha, xa, ys))
+        singular = alpha
     else:
         raise ValueError(f"unknown kernel {kind!r}")
     if len(bounds) > 2:
         raise ValueError("normalization quadrature supports N <= 2")
-    mass = quad_cell(f, bounds, tol=tol * 0.1)
+    q = quad_cell(f, bounds, tol=tol * 0.1, breaks=tuple(xa), alpha=singular)
     x_list = [float(v) for v in xa]
     return TestReport.deterministic(name or f"normalization-{kind}[alpha={alpha},x={x_list}]",
-                                    abs(mass - 1.0), tol,
-                                    {"alpha": alpha, "x": x_list, "mass": mass})
+                                    abs(q.value - 1.0), tol,
+                                    {"alpha": alpha, "x": x_list, "mass": q.value,
+                                     "quad_err": q.err, "n_eval": q.n_eval})
 
 
 def check_decomposition(alpha, x=(1.0, 2.0), n_grid: int = 20, tol: float = 1e-6,
@@ -557,18 +680,21 @@ def check_decomposition(alpha, x=(1.0, 2.0), n_grid: int = 20, tol: float = 1e-6
     xa = as_coords(x, expected_dim=2)
     params = KernelParams(alpha, 1)
     ys = np.linspace(xa[1] * 0.02, xa[1] * 0.98, n_grid)
-    worst = 0.0
+    worst = quad_err = 0.0
+    n_eval = 0
     for y in ys:
         direct = density_lambda_plus(params, xa, (y,))
         lo = max(xa[0], y)
         composed = 0.0
         if lo < xa[1]:
-            composed = quad_1d(
-                lambda z: density_L(xa, (z,)) * density_lambda_eq(params, (z,), (y,)),
-                lo, xa[1], tol=tol * 1e-2)
+            # the source point of the second link is the integration variable
+            q = quad_cell(lambda zs: density_L_rows(xa, zs) * np.array(
+                [density_lambda_eq(params, z, (y,)) for z in zs]), [(lo, xa[1])], tol=tol * 1e-2)
+            composed, quad_err, n_eval = q.value, max(quad_err, q.err), n_eval + q.n_eval
         worst = max(worst, abs(direct - composed))
     return TestReport.deterministic(name or f"decomposition[alpha={alpha}]", worst, tol,
-                                    {"alpha": alpha, "x": list(xa), "n_grid": n_grid})
+                                    {"alpha": alpha, "x": list(xa), "n_grid": n_grid,
+                                     "quad_err": quad_err, "n_eval": n_eval})
 
 
 # ---------------------------------------------------------------------------

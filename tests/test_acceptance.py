@@ -37,7 +37,7 @@ def report(num, passed, desc):
 
 def test_criterion_01_kernel_normalization():
     failures = []
-    for alpha in (0.0, 0.5, 2.0):
+    for alpha in (0.0, 0.5, 2.0, -0.5):
         cases = [("L", (1.0, 2.0)), ("L", (0.5, 1.5, 3.0)),
                  ("lambda_eq", (2.0,)), ("lambda_eq", (1.0, 2.0)),
                  ("lambda_plus", (1.0, 2.0)), ("lambda_plus", (0.5, 1.5, 3.0))]
@@ -46,7 +46,7 @@ def test_criterion_01_kernel_normalization():
             if not rep.passed:
                 failures.append(rep.to_dict())
     ok = report(1, not failures,
-                "kernel normalization = 1 within 1e-6 for N <= 2, alpha in {0, 0.5, 2}")
+                "kernel normalization = 1 within 1e-6 for N <= 2, alpha in {-0.5, 0, 0.5, 2}")
     assert ok, failures
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from intertwine.branching import (JacobiParams, coef_A, coef_B, coef_c,
+from intertwine.branching import (JacobiParams, _cum_density_table, coef_A, coef_B, coef_c,
                                   compare_scaling_limit, discrete_kernel,
                                   jacobi_p, jacobi_p_at_one, kernel_row,
                                   leading_k, log_mv_jacobi_at_one, mv_jacobi,
@@ -15,7 +15,7 @@ from intertwine.branching import (JacobiParams, coef_A, coef_B, coef_c,
 from intertwine.chamber import Partition
 from intertwine.rng import generator
 
-from helpers import partitions_up_to
+from helpers import partitions_up_to, ref_density_lambda_plus
 
 P00 = JacobiParams(0.0, 0.0)
 
@@ -218,6 +218,20 @@ def test_scaling_limit_two_dimensional():
     res = compare_scaling_limit(Partition((3, 2, 1)), 25, P00)
     assert abs(res["row_mass"] - 1.0) < 1e-9
     assert res["sup_discrepancy"] < 0.1
+
+
+def test_cum_density_table_matches_scalar_loop():
+    # the midpoint table behind the N = 2 comparison, against the per-point loop
+    x_sq = np.array([1.0, 4.0, 9.0])
+    m_cells = 120
+    for alpha in (0.0, 0.5):
+        cum, step = _cum_density_table(alpha, x_sq, m_cells)
+        mids = (np.arange(m_cells) + 0.5) * (float(x_sq[-1]) / m_cells)
+        dens = np.zeros((m_cells, m_cells))
+        for i, y1 in enumerate(mids):
+            for j in range(i, m_cells):
+                dens[i, j] = ref_density_lambda_plus(alpha, x_sq, (y1, mids[j]))
+        assert np.array_equal(cum, dens.cumsum(axis=0).cumsum(axis=1) * step * step)
 
 
 def test_jacobi_params_validation():

@@ -1,17 +1,21 @@
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy import stats
 
 from intertwine.chamber import interlace_eq, interlace_plus
-from intertwine.kernels import (KernelParams, density_L, density_lambda_eq,
-                                density_lambda_plus, sample_L, sample_L_many,
+from intertwine.kernels import (KernelParams, density_L, density_L_rows, density_lambda_eq,
+                                density_lambda_eq_rows, density_lambda_plus,
+                                density_lambda_plus_rows, sample_L, sample_L_many,
                                 sample_lambda_eq, sample_lambda_eq_many,
                                 sample_lambda_plus, sample_lambda_plus_many)
 from intertwine.rng import generator
 from intertwine.verify import quad_1d
-from helpers import lambda_plus_cdf_12
+from helpers import (lambda_plus_cdf_12, ref_density_L, ref_density_lambda_eq,
+                     ref_density_lambda_plus)
 
 
 def test_density_L_examples():
@@ -47,6 +51,65 @@ def test_density_lambda_plus_normalizes_analytically():
     mass = quad_1d(lambda y: density_lambda_plus(p, (1.0, 2.0), (y,)), 0.0, 2.0,
                    tol=1e-10, points=[1.0])
     assert mass == pytest.approx(1.0, abs=1e-8)
+
+
+@st.composite
+def _link_inputs(draw):
+    """A link kind, alpha, a strictly increasing x > 0 for N in {1, 2, 3}, and
+    points inside the cell, outside it, on its edges and at y_1 = 0."""
+    kind = draw(st.sampled_from(["L", "lambda_eq", "lambda_plus"]))
+    n = draw(st.integers(1, 3))
+    alpha = draw(st.one_of(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0]),
+                           st.floats(-0.95, 3.0)))
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n + 1, max_size=n + 1))
+    x = np.cumsum(gaps)
+    if kind == "lambda_eq":
+        x = x[:n]
+    coord = st.one_of(st.sampled_from([0.0, *x.tolist()]), st.floats(0.0, float(x[-1]) + 0.5))
+    pts = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=8))
+    pts = np.sort(np.array(pts), axis=1)
+    if draw(st.booleans()):  # an unsorted row lies outside every cell
+        pts[0] = pts[0][::-1]
+    return kind, alpha, x, pts
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@hypothesis.given(_link_inputs())
+def test_density_rows_match_scalar_bit_for_bit(inputs):
+    kind, alpha, x, pts = inputs
+    params = KernelParams(alpha, pts.shape[1])
+    rows, scalar, ref = {
+        "L": (lambda: density_L_rows(x, pts), lambda y: density_L(x, y),
+              lambda y: ref_density_L(x, y)),
+        "lambda_eq": (lambda: density_lambda_eq_rows(alpha, x, pts),
+                      lambda y: density_lambda_eq(params, x, y),
+                      lambda y: ref_density_lambda_eq(alpha, x, y)),
+        "lambda_plus": (lambda: density_lambda_plus_rows(alpha, x, pts),
+                        lambda y: density_lambda_plus(params, x, y),
+                        lambda y: ref_density_lambda_plus(alpha, x, y)),
+    }[kind]
+    values = rows()
+    for y, v in zip(pts, values):
+        assert _bits(v) == _bits(scalar(y))
+        try:
+            expected = ref(y)
+        except ZeroDivisionError:  # 0^alpha for alpha < 0: the weight is infinite at y_1 = 0
+            assert v in (0.0, math.inf)
+            continue
+        assert _bits(v) == _bits(expected)
+
+
+def test_density_rows_edge_values():
+    assert density_lambda_eq_rows(-0.5, (1.0, 2.0), [[0.0, 1.5]])[0] == math.inf
+    assert density_lambda_plus_rows(-0.5, (1.0, 2.0), [[0.0]])[0] == math.inf
+    assert density_lambda_plus_rows(0.5, (1.0, 2.0), [[0.0]])[0] == 0.0
+    with pytest.raises(ValueError):
+        density_L_rows((1.0, 2.0), [[1.5, 1.7]])
+    with pytest.raises(ValueError):
+        density_lambda_plus_rows(-1.0, (1.0, 2.0), [[1.5]])
 
 
 def test_sample_L_uniform_case():

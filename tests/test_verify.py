@@ -38,8 +38,26 @@ def test_quad_1d_examples():
 
 def test_quad_cell_triangle():
     # area of {0 < y1 < y2 < 1} is 1/2
-    val = quad_cell(lambda y1, y2: 1.0, [(0.0, 1.0), (lambda y1: y1, 1.0)], tol=1e-9)
-    assert val == pytest.approx(0.5, abs=1e-8)
+    q = quad_cell(lambda ys: np.ones(len(ys)), [(0.0, 1.0), (lambda y1: y1, 1.0)], tol=1e-9)
+    assert q.value == pytest.approx(0.5, abs=1e-8)
+
+
+def test_quad_cell_raises_on_undeclared_jump():
+    def step(ys):
+        return (ys[:, 0] < 0.3).astype(float)
+
+    with pytest.raises(RuntimeError, match="did not converge"):
+        quad_cell(step, [(0.0, 1.0)], tol=1e-12)
+    q = quad_cell(step, [(0.0, 1.0)], tol=1e-12, breaks=(0.3,))
+    assert q.value == pytest.approx(0.3, abs=1e-14) and q.err <= 1e-12
+
+
+def test_quad_cell_cuts_where_inner_bound_crosses_break():
+    # {0 < y1 < 1/2, 2 y1 < y2 < 1} below y2 = 0.6: the inner bound meets the
+    # break at y1 = 0.3, which is no break of y1 itself; the area is 0.09
+    q = quad_cell(lambda ys: (ys[:, 1] < 0.6).astype(float),
+                  [(0.0, 0.5), (lambda y1: 2.0 * y1, 1.0)], tol=1e-12, breaks=(0.6,))
+    assert q.value == pytest.approx(0.09, abs=1e-14)
 
 
 def test_energy_test_identical_sets():
@@ -146,6 +164,7 @@ def test_alpha_zero_generator_coefficient_identity():
 def test_normalization_reports():
     rep = check_kernel_normalization("lambda_eq", 0.0, (1.0, 2.0))
     assert rep.passed and rep.meta["mass"] == pytest.approx(1.0, abs=1e-6)
+    assert 0 <= rep.meta["quad_err"] <= rep.threshold and rep.meta["n_eval"] > 0
     with pytest.raises(ValueError):
         check_kernel_normalization("nope", 0.0, (1.0, 2.0))
 
