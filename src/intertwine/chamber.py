@@ -172,23 +172,24 @@ def vandermonde(x) -> float:
     allowed (used by sign tests); OrderedPoint input gives the usual
     non-negative value.
     """
-    arr = as_coords(x)
-    n = arr.size
-    out = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= arr[j] - arr[i]
-    return float(out)
+    return float(vandermonde_rows(as_coords(x)[None, :])[0])
 
 
 def vandermonde_rows(rows: np.ndarray) -> np.ndarray:
     """Row-wise Vandermonde of an (m, n) array (vectorized over rows)."""
     rows = np.asarray(rows, dtype=float)
-    m, n = rows.shape
+    return gap_products(rows, rows)
+
+
+def gap_products(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Row-wise prod_{i<j} (hi_j - lo_i) of two (m, n) arrays, multiplied in
+    (i, j) order; ``hi = lo`` gives the Vandermonde, shifted copies of one
+    row bound it on an interlacing cell."""
+    m, n = hi.shape
     out = np.ones(m)
     for i in range(n):
         for j in range(i + 1, n):
-            out *= rows[:, j] - rows[:, i]
+            out *= hi[:, j] - lo[:, i]
     return out
 
 

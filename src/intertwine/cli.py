@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--config", default=None, help="JSON file of flag defaults")
-        p.add_argument("--threads", type=int, default=1, help="worker cap; never changes results")
 
     p = sub.add_parser("sample-kernel", help="draw from an interlacing link")
     common(p)
@@ -250,9 +249,9 @@ def _cmd_verify(args) -> int:
         val = getattr(args, key, None)
         if val is not None:
             sizes[key] = val
-    reports = run_suite(args.suite, args.seed, threads=args.threads, **sizes)
+    reports = run_suite(args.suite, args.seed, **sizes)
     payload = {
-        "parameters": {"suite": args.suite, "seed": args.seed, "threads": args.threads, **sizes},
+        "parameters": {"suite": args.suite, "seed": args.seed, **sizes},
         "version": version_string(),
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chamber import BoundaryPoint, Domain, OrderedPoint, as_coords
+from .chamber import BoundaryPoint, OrderedPoint, as_coords
 from .rng import path_generator
 
 __all__ = [
@@ -36,13 +36,9 @@ __all__ = [
     "laguerre_drift",
     "pickrell_drift",
     "pickrell_drift_interaction_form",
-    "simulate_laguerre",
     "simulate_laguerre_paths",
-    "simulate_laguerre_matrix",
     "simulate_laguerre_matrix_paths",
-    "simulate_pickrell_particles",
     "simulate_pickrell_paths",
-    "simulate_pickrell_matrix",
     "simulate_pickrell_matrix_paths",
     "boundary_flow",
 ]
@@ -228,7 +224,13 @@ def _snapshot_steps(snapshots_at, hs, dt, t) -> dict:
     return out
 
 
+def _require_paths(n_paths: int) -> None:
+    if n_paths < 1:
+        raise ValueError(f"n_paths={n_paths} must be >= 1")
+
+
 def _broadcast_x0(x0, n: int, n_paths: int) -> np.ndarray:
+    _require_paths(n_paths)
     arr = x0.as_array() if isinstance(x0, OrderedPoint) else np.asarray(x0, dtype=float)
     if arr.ndim == 1:
         if arr.size != n:
@@ -239,8 +241,12 @@ def _broadcast_x0(x0, n: int, n_paths: int) -> np.ndarray:
     return arr.copy()
 
 
-def _run_particle_paths(drift_rows, vol_rows, x0_rows, cfg, master_seed, snapshots_at):
-    n_paths, n = x0_rows.shape
+def _run_particle_paths(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots_at):
+    if cfg.scheme is not Scheme.EULER_GUARDED:
+        raise ValueError("particle simulation requires the EULER_GUARDED scheme")
+    x0_rows = _broadcast_x0(x0, n, n_paths)
+    if np.any(x0_rows < 0):
+        raise ValueError("x0 must be non-negative")
     hs = cfg.step_sizes()
     snap_steps = _snapshot_steps(snapshots_at, hs, cfg.dt, cfg.t)
     n_steps = len(hs)
@@ -285,60 +291,19 @@ def simulate_laguerre_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int, master_s
 
     Returns (terminal (n_paths, n) ascending rows, snapshots dict, info dict).
     """
-    if cfg.scheme is not Scheme.EULER_GUARDED:
-        raise ValueError("particle simulation requires the EULER_GUARDED scheme")
-    rows = _broadcast_x0(x0, n, n_paths)
-    if np.any(rows < 0):
-        raise ValueError("x0 must be non-negative")
     return _run_particle_paths(
-        lambda x, h: _laguerre_drift_rows(alpha, x, h), _laguerre_vol, rows, cfg,
+        lambda x, h: _laguerre_drift_rows(alpha, x, h), _laguerre_vol, x0, n, cfg, n_paths,
         master_seed, snapshots_at
     )
-
-
-def simulate_laguerre(alpha, n, x0, cfg: SdeConfig, rng) -> OrderedPoint:
-    """One guarded-Euler Laguerre path driven by the given stream."""
-    if cfg.scheme is not Scheme.EULER_GUARDED:
-        raise ValueError("particle simulation requires the EULER_GUARDED scheme")
-    rows = _broadcast_x0(x0, as_coords(x0).size, 1)
-    hs = cfg.step_sizes()
-    if not hs:
-        return OrderedPoint(tuple(rows[0]), Domain.NON_NEGATIVE)
-    noise = rng.standard_normal((len(hs), rows.shape[1]))[None, :, :]
-    term, _, _ = _euler_particle_chunk(
-        lambda x, h: _laguerre_drift_rows(alpha, x, h), _laguerre_vol, rows, noise, hs, {}
-    )
-    return OrderedPoint(tuple(term[0]), Domain.NON_NEGATIVE)
 
 
 def simulate_pickrell_paths(params: PickrellParams, x0, cfg: SdeConfig, n_paths: int,
                             master_seed: int, snapshots_at=None):
     """Terminal states of n_paths guarded-Euler Pickrell paths."""
-    if cfg.scheme is not Scheme.EULER_GUARDED:
-        raise ValueError("particle simulation requires the EULER_GUARDED scheme")
-    rows = _broadcast_x0(x0, params.n, n_paths)
-    if np.any(rows < 0):
-        raise ValueError("x0 must be non-negative")
     return _run_particle_paths(
         lambda x, h: _pickrell_drift_rows(params.s, params.alpha, x, h),
-        _pickrell_vol, rows, cfg, master_seed, snapshots_at,
+        _pickrell_vol, x0, params.n, cfg, n_paths, master_seed, snapshots_at,
     )
-
-
-def simulate_pickrell_particles(params: PickrellParams, x0, cfg: SdeConfig, rng) -> OrderedPoint:
-    """One guarded-Euler Pickrell path driven by the given stream."""
-    if cfg.scheme is not Scheme.EULER_GUARDED:
-        raise ValueError("particle simulation requires the EULER_GUARDED scheme")
-    rows = _broadcast_x0(x0, params.n, 1)
-    hs = cfg.step_sizes()
-    if not hs:
-        return OrderedPoint(tuple(rows[0]), Domain.NON_NEGATIVE)
-    noise = rng.standard_normal((len(hs), rows.shape[1]))[None, :, :]
-    term, _, _ = _euler_particle_chunk(
-        lambda x, h: _pickrell_drift_rows(params.s, params.alpha, x, h),
-        _pickrell_vol, rows, noise, hs, {},
-    )
-    return OrderedPoint(tuple(term[0]), Domain.NON_NEGATIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +316,8 @@ def _complex_noise(gen, n_steps: int, m: int, n: int) -> np.ndarray:
     return z[:, 0] + 1j * z[:, 1]
 
 
-def _check_matrix_cfg(cfg: SdeConfig):
+def _check_matrix_cfg(cfg: SdeConfig, n_paths: int):
+    _require_paths(n_paths)
     if cfg.scheme is not Scheme.MATRIX_LIFT:
         raise ValueError("matrix simulation requires the MATRIX_LIFT scheme")
 
@@ -366,7 +332,7 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
     [diag(sqrt(x0)); 0]; ``init='ginibre'`` starts from the stationary law,
     drawn from the path's own stream.  Returns (terminal, snapshots, info).
     """
-    _check_matrix_cfg(cfg)
+    _check_matrix_cfg(cfg, n_paths)
     ai = int(alpha)
     if ai != alpha or ai < 0:
         raise ValueError(f"matrix lift needs integer alpha >= 0, got {alpha}")
@@ -416,13 +382,6 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
     return terminal, snaps, info
 
 
-def simulate_laguerre_matrix(alpha, n, x0, cfg: SdeConfig, rng) -> OrderedPoint:
-    """One matrix-lift Laguerre path; the stream seeds the path stream."""
-    seed = int(rng.integers(0, 2**63 - 1))
-    term, _, _ = simulate_laguerre_matrix_paths(alpha, n, x0, cfg, 1, seed)
-    return OrderedPoint(tuple(term[0]), Domain.NON_NEGATIVE)
-
-
 def _pickrell_matrix_chunk(s, alpha, n, x0a, noise, hs):
     c = noise.shape[0]
     w = np.tile(x0a, (c, 1))
@@ -451,7 +410,7 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
     """Ascending eigenvalues at the horizon of the Hermitian matrix evolution
     dX = sqrt(X/2) dW sqrt(I+X) + sqrt(I+X) dW* sqrt(X/2) + (-s X + (N+alpha) I) dt,
     with E|dW_jk|^2 = 2 dt and projection onto the non-negative cone."""
-    _check_matrix_cfg(cfg)
+    _check_matrix_cfg(cfg, n_paths)
     n = params.n
     x0a = as_coords(x0, expected_dim=n)
     if np.any(x0a < 0):
@@ -477,13 +436,6 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
         "clip_fraction": clip_events / float(n_paths * n_steps),
     }
     return terminal, info
-
-
-def simulate_pickrell_matrix(params: PickrellParams, x0, cfg: SdeConfig, rng) -> OrderedPoint:
-    """One matrix-valued Pickrell path; the stream seeds the path stream."""
-    seed = int(rng.integers(0, 2**63 - 1))
-    term, _ = simulate_pickrell_matrix_paths(params, x0, cfg, 1, seed)
-    return OrderedPoint(tuple(term[0]), Domain.NON_NEGATIVE)
 
 
 # ---------------------------------------------------------------------------

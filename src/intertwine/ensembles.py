@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chamber import Domain, OrderedPoint, as_coords
+from .chamber import as_coords, vandermonde
 from .matrixmodel import radial_part_many, sample_ginibre
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "pickrell_log_density_rows",
     "sample_pickrell",
     "laguerre_density_unnorm",
-    "sample_laguerre",
     "sample_laguerre_many",
     "sample_laguerre_mcmc",
     "jacobi_map",
@@ -50,15 +49,6 @@ class EnsembleParams:
             raise ValueError(f"n={self.n} must be >= 1")
 
 
-def _vdm_sq_rows(rows: np.ndarray) -> np.ndarray:
-    m, n = rows.shape
-    out = np.ones(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= (rows[:, j] - rows[:, i]) ** 2
-    return out
-
-
 def pickrell_density_unnorm(params: EnsembleParams, x) -> float:
     """Vdm^2(x) prod x_k^alpha (1+x_k)^(-2N-alpha-s); 0 outside the chamber."""
     arr = as_coords(x, expected_dim=params.n)
@@ -67,11 +57,12 @@ def pickrell_density_unnorm(params: EnsembleParams, x) -> float:
     expo = -(2.0 * params.n + params.alpha + params.s)
     with np.errstate(divide="ignore"):
         weight = np.prod(arr**params.alpha * (1.0 + arr) ** expo)
-    return float(_vdm_sq_rows(arr[None, :])[0] * weight)
+    return float(vandermonde(arr) ** 2 * weight)
 
 
-def pickrell_log_density_rows(params: EnsembleParams, rows: np.ndarray) -> np.ndarray:
-    """Row-wise log of the unnormalized density; -inf outside the chamber."""
+def _log_vdm_sq_density_rows(log_weight, rows) -> np.ndarray:
+    """Row-wise log Vdm^2(x) + log_weight(x) on the open chamber, else -inf;
+    the Vandermonde sum runs over i < j in order, as the chains rely on."""
     rows = np.asarray(rows, dtype=float)
     m, n = rows.shape
     out = np.full(m, -np.inf)
@@ -79,14 +70,22 @@ def pickrell_log_density_rows(params: EnsembleParams, rows: np.ndarray) -> np.nd
     if not ok.any():
         return out
     r = rows[ok]
-    expo = -(2.0 * n + params.alpha + params.s)
-    logw = params.alpha * np.log(r).sum(axis=1) + expo * np.log1p(r).sum(axis=1)
+    logw = log_weight(r)
     logv = np.zeros(r.shape[0])
     for i in range(n):
         for j in range(i + 1, n):
             logv += 2.0 * np.log(r[:, j] - r[:, i])
     out[ok] = logv + logw
     return out
+
+
+def pickrell_log_density_rows(params: EnsembleParams, rows: np.ndarray) -> np.ndarray:
+    """Row-wise log of the unnormalized density; -inf outside the chamber."""
+    def log_weight(r):
+        expo = -(2.0 * r.shape[1] + params.alpha + params.s)
+        return params.alpha * np.log(r).sum(axis=1) + expo * np.log1p(r).sum(axis=1)
+
+    return _log_vdm_sq_density_rows(log_weight, rows)
 
 
 def _pickrell_exact_1d(params: EnsembleParams, n_samples: int, rng) -> np.ndarray:
@@ -169,24 +168,12 @@ def laguerre_density_unnorm(alpha: float, n: int, x) -> float:
         return 0.0
     with np.errstate(divide="ignore"):
         weight = np.prod(arr**alpha * np.exp(-arr))
-    return float(_vdm_sq_rows(arr[None, :])[0] * weight)
+    return float(vandermonde(arr) ** 2 * weight)
 
 
 def laguerre_log_density_rows(alpha: float, rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    m, n = rows.shape
-    out = np.full(m, -np.inf)
-    ok = np.all(rows > 0, axis=1) & np.all(np.diff(rows, axis=1) > 0, axis=1)
-    if not ok.any():
-        return out
-    r = rows[ok]
-    logw = alpha * np.log(r).sum(axis=1) - r.sum(axis=1)
-    logv = np.zeros(r.shape[0])
-    for i in range(n):
-        for j in range(i + 1, n):
-            logv += 2.0 * np.log(r[:, j] - r[:, i])
-    out[ok] = logv + logw
-    return out
+    return _log_vdm_sq_density_rows(lambda r: alpha * np.log(r).sum(axis=1) - r.sum(axis=1),
+                                    rows)
 
 
 def sample_laguerre_many(alpha, n: int, n_samples: int, rng) -> np.ndarray:
@@ -196,11 +183,6 @@ def sample_laguerre_many(alpha, n: int, n_samples: int, rng) -> np.ndarray:
         raise ValueError(f"Ginibre sampler needs integer alpha >= 0, got {alpha}")
     g = sample_ginibre(n + ai, n, rng, size=n_samples)
     return radial_part_many(g)
-
-
-def sample_laguerre(alpha, n: int, rng) -> OrderedPoint:
-    vals = sample_laguerre_many(alpha, n, 1, rng)[0]
-    return OrderedPoint(tuple(vals), Domain.NON_NEGATIVE)
 
 
 def jacobi_map(x):
@@ -224,4 +206,4 @@ def jacobi_ensemble_density_unnorm(alpha: float, beta: float, n: int, u) -> floa
         return 0.0
     with np.errstate(divide="ignore"):
         weight = np.prod(arr**alpha * (1.0 - arr) ** beta)
-    return float(_vdm_sq_rows(arr[None, :])[0] * weight)
+    return float(vandermonde(arr) ** 2 * weight)

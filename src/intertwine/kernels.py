@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chamber import Domain, OrderedPoint, as_coords, vandermonde_rows
+from .chamber import as_coords, gap_products, vandermonde_rows
 
 __all__ = [
     "KernelParams",
@@ -31,9 +31,6 @@ __all__ = [
     "density_L_rows",
     "density_lambda_eq_rows",
     "density_lambda_plus_rows",
-    "sample_L",
-    "sample_lambda_eq",
-    "sample_lambda_plus",
     "sample_L_many",
     "sample_lambda_eq_many",
     "sample_lambda_plus_many",
@@ -213,24 +210,15 @@ def _rejection_fill(propose, accept_ratio, m: int, n: int, rng) -> np.ndarray:
     return out
 
 
-def _envelope_L(xs: np.ndarray) -> np.ndarray:
-    """prod_{k<l} (x_{l+1} - x_k): bounds Vandermonde(y) on the cell."""
-    m, np1 = xs.shape
-    n = np1 - 1
-    env = np.ones(m)
-    for k in range(n):
-        for l in range(k + 1, n):
-            env *= xs[:, l + 1] - xs[:, k]
-    return env
-
-
 def sample_L_each(xs: np.ndarray, rng) -> np.ndarray:
     """One draw of the parameter-free link per row of xs (shape (m, N+1))."""
     xs = np.asarray(xs, dtype=float)
     m, np1 = xs.shape
+    if np1 < 2:
+        raise ValueError(f"the parameter-free link needs sources of dimension >= 2, got {np1}")
     n = np1 - 1
     lo, hi = xs[:, :-1], xs[:, 1:]
-    env = _envelope_L(xs)
+    env = gap_products(hi, lo)  # prod_{k<l} (x_{l+1} - x_k) bounds Vdm(y) on the cell
 
     def propose(idx, rng):
         u = rng.uniform(size=(idx.size, n))
@@ -242,21 +230,9 @@ def sample_L_each(xs: np.ndarray, rng) -> np.ndarray:
     return _rejection_fill(propose, ratio, m, n, rng)
 
 
-def _envelope_lambda_eq(xs: np.ndarray) -> np.ndarray:
-    """prod_{k<l} (x_l - x_{k-1}) with x_0 = 0: bounds Vdm(y) on the cell."""
-    m, n = xs.shape
-    env = np.ones(m)
-    for k in range(n):
-        low = xs[:, k - 1] if k >= 1 else 0.0
-        for l in range(k + 1, n):
-            env *= xs[:, l] - low
-    return env
-
-
 def sample_lambda_eq_each(alpha: float, xs: np.ndarray, rng) -> np.ndarray:
     """One draw of the (N -> N) alpha-link per row of xs (shape (m, N))."""
-    if not alpha > -1:
-        raise ValueError(f"alpha={alpha} must be > -1")
+    _require_alpha(alpha)
     xs = np.asarray(xs, dtype=float)
     if np.any(xs[:, 0] <= 0):
         raise ValueError("all rows need x_1 > 0")
@@ -264,7 +240,7 @@ def sample_lambda_eq_each(alpha: float, xs: np.ndarray, rng) -> np.ndarray:
     lo = np.concatenate([np.zeros((m, 1)), xs[:, :-1]], axis=1)
     ap1 = alpha + 1.0
     lo_p, hi_p = lo**ap1, xs**ap1
-    env = _envelope_lambda_eq(xs)
+    env = gap_products(xs, lo)  # prod_{k<l} (x_l - x_{k-1}), x_0 = 0, bounds Vdm(y)
 
     def propose(idx, rng):
         u = rng.uniform(size=(idx.size, n))
@@ -307,25 +283,3 @@ def sample_lambda_eq_many(params: KernelParams, x, n_samples: int, rng) -> np.nd
 def sample_lambda_plus_many(params: KernelParams, x, n_samples: int, rng) -> np.ndarray:
     xa = _require_strict(x, nonneg=True)
     return sample_lambda_plus_each(params.alpha, np.tile(xa, (n_samples, 1)), rng)
-
-
-def _domain_of(x) -> Domain:
-    return x.domain if isinstance(x, OrderedPoint) else Domain.WHOLE_LINE
-
-
-def sample_L(x, rng) -> OrderedPoint:
-    """Exact single draw from the parameter-free link at x."""
-    row = sample_L_many(x, 1, rng)[0]
-    return OrderedPoint(tuple(np.sort(row)), _domain_of(x))
-
-
-def sample_lambda_eq(params: KernelParams, x, rng) -> OrderedPoint:
-    """Exact single draw from the (N -> N) alpha-link at x."""
-    row = sample_lambda_eq_many(params, x, 1, rng)[0]
-    return OrderedPoint(tuple(np.sort(row)), Domain.NON_NEGATIVE)
-
-
-def sample_lambda_plus(params: KernelParams, x, rng) -> OrderedPoint:
-    """Exact single draw from the (N+1 -> N) alpha-link at x."""
-    row = sample_lambda_plus_many(params, x, 1, rng)[0]
-    return OrderedPoint(tuple(np.sort(row)), Domain.NON_NEGATIVE)

@@ -12,21 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chamber import BoundaryPoint, Domain, OrderedPoint, as_coords, gamma_bar
+from .chamber import BoundaryPoint, as_coords, gamma_bar
 
 __all__ = [
     "sample_ginibre",
     "sample_haar",
     "corner",
-    "radial_part",
     "radial_part_many",
-    "sample_lambda_plus_via_matrices",
-    "sample_lambda_eq_via_matrices",
     "sample_lambda_plus_via_matrices_many",
     "sample_lambda_eq_via_matrices_many",
     "char_F_omega",
     "sample_P_omega_corner",
-    "sample_lambda_omega",
     "sample_lambda_omega_many",
 ]
 
@@ -81,12 +77,6 @@ def radial_part_many(x: np.ndarray) -> np.ndarray:
     return vals[..., ::-1].copy()  # svd returns descending
 
 
-def radial_part(x: np.ndarray) -> OrderedPoint:
-    """Squared singular values of one matrix as a non-negative chamber point."""
-    vals = radial_part_many(np.asarray(x)[None, ...])[0]
-    return OrderedPoint(tuple(vals), Domain.NON_NEGATIVE)
-
-
 def _check_alpha_int(alpha) -> int:
     ai = int(alpha)
     if ai != alpha or ai < 0:
@@ -116,11 +106,6 @@ def sample_lambda_plus_via_matrices_many(alpha, x, n_samples: int, rng) -> np.nd
     return radial_part_many(corner(prod, n + ai, n))
 
 
-def sample_lambda_plus_via_matrices(alpha, x, rng) -> OrderedPoint:
-    vals = sample_lambda_plus_via_matrices_many(alpha, x, 1, rng)[0]
-    return OrderedPoint(tuple(vals), Domain.NON_NEGATIVE)
-
-
 def sample_lambda_eq_via_matrices_many(alpha, z, n_samples: int, rng) -> np.ndarray:
     """Radial part of (corner of Haar(N+alpha+1)) diag(sqrt(z)), batched."""
     ai = _check_alpha_int(alpha)
@@ -131,11 +116,6 @@ def sample_lambda_eq_via_matrices_many(alpha, z, n_samples: int, rng) -> np.ndar
     v = sample_haar(n + ai + 1, rng, size=n_samples)
     block = corner(v, n + ai, n)
     return radial_part_many(block * np.sqrt(za)[None, None, :])
-
-
-def sample_lambda_eq_via_matrices(alpha, z, rng) -> OrderedPoint:
-    vals = sample_lambda_eq_via_matrices_many(alpha, z, 1, rng)[0]
-    return OrderedPoint(tuple(vals), Domain.NON_NEGATIVE)
 
 
 def char_F_omega(omega: BoundaryPoint, lam: float) -> float:
@@ -176,8 +156,3 @@ def sample_lambda_omega_many(alpha, n_dim: int, omega: BoundaryPoint, rng, n_sam
     ai = _check_alpha_int(alpha)
     x = sample_P_omega_corner(omega, n_dim + ai, n_dim, rng, size=n_samples)
     return radial_part_many(x)
-
-
-def sample_lambda_omega(alpha, n_dim: int, omega: BoundaryPoint, rng) -> OrderedPoint:
-    vals = sample_lambda_omega_many(alpha, n_dim, omega, rng, 1)[0]
-    return OrderedPoint(tuple(vals), Domain.NON_NEGATIVE)

@@ -16,9 +16,8 @@ bit-identical.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +28,8 @@ from scipy.special import roots_jacobi, roots_legendre
 from scipy.spatial.distance import cdist
 
 from .chamber import BoundaryPoint, as_coords, embed_boundary, gamma_bar
-from .diffusion import (PickrellParams, Scheme, SdeConfig, boundary_flow,
+# simulate_laguerre_matrix_paths stays bound here for perfbench/spans.py
+from .diffusion import (PickrellParams, SdeConfig, boundary_flow,  # noqa: F401
                         simulate_laguerre_matrix_paths, simulate_laguerre_paths,
                         simulate_pickrell_paths)
 from .ensembles import EnsembleParams, sample_pickrell
@@ -276,6 +276,14 @@ def _as_rows(x) -> np.ndarray:
     return arr
 
 
+def _require_power(n_perm: int, threshold: float) -> None:
+    """A permutation test whose smallest p-value, 1/(n_perm+1), exceeds the
+    threshold passes whatever the samples; refuse it before any draw."""
+    if n_perm < 1 or 1.0 / (n_perm + 1.0) > threshold:
+        raise ValueError(f"n_perm={n_perm} is too small: the smallest p-value "
+                         f"1/(n_perm+1) exceeds the threshold {threshold}")
+
+
 def energy_perm_test(a, b, n_perm: int, rng, threshold: float = P_THRESHOLD,
                      max_points: int = 2048, name: str = "energy_perm_test") -> TestReport:
     """Energy-distance two-sample permutation test.
@@ -286,6 +294,7 @@ def energy_perm_test(a, b, n_perm: int, rng, threshold: float = P_THRESHOLD,
     ``max_points`` per group are subsampled (exactness of the permutation
     test is unaffected; only power changes).
     """
+    _require_power(n_perm, threshold)
     a = _as_rows(a)
     b = _as_rows(b)
     if a.shape[0] < 100 or b.shape[0] < 100:
@@ -352,6 +361,76 @@ def interiorize_rows(rows: np.ndarray, floor: float = 1e-12) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The three links of one projective system: which -> (alpha shift and extra
+# dimension of the upper level, the link, alpha shift of the lower level).
+# The upper level pushed through the link is the lower level, for the
+# Pickrell diffusions (intertwinings) and their equilibria (consistency).
+_LINKS = {
+    "alpha-link": (0.0, 1, "lambda_plus", 0.0),
+    "free-link": (0.0, 1, "L", 1.0),
+    "eq-link": (1.0, 0, "lambda_eq", 0.0),
+}
+
+
+def _push(kind, alpha, rows, rng):
+    """One draw of link ``kind`` per source row."""
+    if kind == "L":
+        return sample_L_each(rows, rng)
+    each = sample_lambda_plus_each if kind == "lambda_plus" else sample_lambda_eq_each
+    return each(alpha, rows, rng)
+
+
+def _draw(kind, alpha, n, x, m, rng):
+    """m draws of link ``kind`` from the source point x to dimension n."""
+    if kind == "L":
+        return sample_L_many(x, m, rng)
+    many = sample_lambda_plus_many if kind == "lambda_plus" else sample_lambda_eq_many
+    return many(KernelParams(alpha, n), x, m, rng)
+
+
+def _laguerre(alpha, n, *run):
+    return simulate_laguerre_paths(alpha, n, *run)[0]
+
+
+def _pickrell(s):
+    return lambda alpha, n, *run: simulate_pickrell_paths(PickrellParams(s, alpha, n), *run)[0]
+
+
+def _two_path(name, seed, n_perm, path_a, path_b, meta) -> TestReport:
+    """Energy test of path A's samples against path B's on the 'perm' stream.
+
+    Each path maps a stream namer (tag -> seed named from ``seed``) to its
+    samples; samplers are looked up as module attributes when a path runs.
+    """
+    _require_power(n_perm, P_THRESHOLD)
+    stream = partial(named_seed, seed)
+    rep = energy_perm_test(path_a(stream), path_b(stream), n_perm,
+                           generator(stream("perm")), name=name)
+    rep.meta.update({"seed": seed, **meta})
+    return rep
+
+
+def _intertwine(name, meta, which, up, down, alpha, alpha_b, n, x, t, n_samples, dt, seed,
+                n_perm) -> TestReport:
+    """Evolve the upper level from x, then push through the link (path A),
+    against drawing from the link at x, then evolving the lower level at
+    ``alpha_b`` (path B).  ``up`` and ``down`` map (alpha, dimension, start,
+    config, paths, seed) to terminal states."""
+    da, dn, kind, db = _LINKS[which]
+    xa = as_coords(x, expected_dim=n + dn)
+    cfg = SdeConfig(dt=dt, t=t)
+
+    def path_a(stream):
+        ends = up(alpha + da, n + dn, xa, cfg, n_samples, stream("pathA-evolve"))
+        return _push(kind, alpha, interiorize_rows(ends), generator(stream("pathA-kernel")))
+
+    def path_b(stream):
+        z = _draw(kind, alpha_b, n, xa, n_samples, generator(stream("pathB-kernel")))
+        return down(alpha_b + db, n, z, cfg, n_samples, stream("pathB-evolve"))
+
+    return _two_path(name, seed, n_perm, path_a, path_b, dict(meta, dt=dt, t=t, alpha=alpha))
+
+
 def check_intertwine_laguerre(alpha, n, x, t, n_samples, dt, seed, n_perm=500,
                               alpha_mismatch=0.0, name=None) -> TestReport:
     """Two-path check: evolve then project vs project then evolve.
@@ -359,42 +438,19 @@ def check_intertwine_laguerre(alpha, n, x, t, n_samples, dt, seed, n_perm=500,
     With ``alpha_mismatch`` nonzero the second path runs at a shifted
     parameter; the test is then expected to fail (sensitivity control).
     """
-    xa = as_coords(x, expected_dim=n + 1)
-    cfg = SdeConfig(dt=dt, t=t)
-    ends, _, _ = simulate_laguerre_paths(alpha, n + 1, xa, cfg, n_samples,
-                                         named_seed(seed, "pathA-evolve"))
-    y_a = sample_lambda_plus_each(alpha, interiorize_rows(ends),
-                                  generator(named_seed(seed, "pathA-kernel")))
-    alpha_b = alpha + alpha_mismatch
-    z = sample_lambda_plus_many(KernelParams(alpha_b, n), xa, n_samples,
-                                generator(named_seed(seed, "pathB-kernel")))
-    y_b, _, _ = simulate_laguerre_paths(alpha_b, n, z, cfg, n_samples,
-                                        named_seed(seed, "pathB-evolve"))
-    rep = energy_perm_test(y_a, y_b, n_perm, generator(named_seed(seed, "perm")),
-                           name=name or f"intertwine-laguerre[N={n},alpha={alpha},t={t}]")
-    rep.meta.update({"seed": seed, "dt": dt, "t": t, "alpha": alpha,
-                     "alpha_mismatch": alpha_mismatch, "x": [float(v) for v in xa]})
-    return rep
+    return _intertwine(name or f"intertwine-laguerre[N={n},alpha={alpha},t={t}]",
+                       {"alpha_mismatch": alpha_mismatch, "x": [float(v) for v in as_coords(x)]},
+                       "alpha-link", _laguerre, _laguerre, alpha, alpha + alpha_mismatch, n, x,
+                       t, n_samples, dt, seed, n_perm)
 
 
 def check_intertwine_pickrell(s, alpha, n, x, t, n_samples, dt, seed, n_perm=500,
                               s_mismatch=0.0, name=None) -> TestReport:
     """Two-path check for the Pickrell semigroup through the (N+1 -> N) link."""
-    xa = as_coords(x, expected_dim=n + 1)
-    cfg = SdeConfig(dt=dt, t=t)
-    ends, _, _ = simulate_pickrell_paths(PickrellParams(s, alpha, n + 1), xa, cfg,
-                                         n_samples, named_seed(seed, "pathA-evolve"))
-    y_a = sample_lambda_plus_each(alpha, interiorize_rows(ends),
-                                  generator(named_seed(seed, "pathA-kernel")))
-    z = sample_lambda_plus_many(KernelParams(alpha, n), xa, n_samples,
-                                generator(named_seed(seed, "pathB-kernel")))
-    y_b, _, _ = simulate_pickrell_paths(PickrellParams(s + s_mismatch, alpha, n), z, cfg,
-                                        n_samples, named_seed(seed, "pathB-evolve"))
-    rep = energy_perm_test(y_a, y_b, n_perm, generator(named_seed(seed, "perm")),
-                           name=name or f"intertwine-pickrell[N={n},s={s},alpha={alpha},t={t}]")
-    rep.meta.update({"seed": seed, "dt": dt, "t": t, "s": s, "alpha": alpha,
-                     "s_mismatch": s_mismatch, "x": [float(v) for v in xa]})
-    return rep
+    return _intertwine(name or f"intertwine-pickrell[N={n},s={s},alpha={alpha},t={t}]",
+                       {"s": s, "s_mismatch": s_mismatch, "x": [float(v) for v in as_coords(x)]},
+                       "alpha-link", _pickrell(s), _pickrell(s + s_mismatch), alpha, alpha, n, x,
+                       t, n_samples, dt, seed, n_perm)
 
 
 def check_shifted_intertwine(kind, s, alpha, n, x, t, n_samples, dt, seed,
@@ -406,49 +462,28 @@ def check_shifted_intertwine(kind, s, alpha, n, x, t, n_samples, dt, seed,
     kind='LambdaEq': evolve at alpha+1 == evolve at alpha, through the
                      equal-dimension alpha-link (x has dimension N).
     """
-    cfg = SdeConfig(dt=dt, t=t)
-    if kind == "L":
-        xa = as_coords(x, expected_dim=n + 1)
-        ends, _, _ = simulate_pickrell_paths(PickrellParams(s, alpha, n + 1), xa, cfg,
-                                             n_samples, named_seed(seed, "pathA-evolve"))
-        y_a = sample_L_each(interiorize_rows(ends), generator(named_seed(seed, "pathA-kernel")))
-        z = sample_L_many(xa, n_samples, generator(named_seed(seed, "pathB-kernel")))
-        y_b, _, _ = simulate_pickrell_paths(PickrellParams(s, alpha + 1.0, n), z, cfg,
-                                            n_samples, named_seed(seed, "pathB-evolve"))
-    elif kind == "LambdaEq":
-        xa = as_coords(x, expected_dim=n)
-        ends, _, _ = simulate_pickrell_paths(PickrellParams(s, alpha + 1.0, n), xa, cfg,
-                                             n_samples, named_seed(seed, "pathA-evolve"))
-        y_a = sample_lambda_eq_each(alpha, interiorize_rows(ends),
-                                    generator(named_seed(seed, "pathA-kernel")))
-        z = sample_lambda_eq_many(KernelParams(alpha, n), xa, n_samples,
-                                  generator(named_seed(seed, "pathB-kernel")))
-        y_b, _, _ = simulate_pickrell_paths(PickrellParams(s, alpha, n), z, cfg,
-                                            n_samples, named_seed(seed, "pathB-evolve"))
-    else:
+    which = {"L": "free-link", "LambdaEq": "eq-link"}.get(kind)
+    if which is None:
         raise ValueError(f"unknown kind {kind!r}")
-    rep = energy_perm_test(y_a, y_b, n_perm, generator(named_seed(seed, "perm")),
-                           name=name or f"shifted-intertwine-{kind}[N={n},s={s},alpha={alpha},t={t}]")
-    rep.meta.update({"seed": seed, "dt": dt, "t": t, "s": s, "alpha": alpha, "kind": kind})
-    return rep
+    return _intertwine(name or f"shifted-intertwine-{kind}[N={n},s={s},alpha={alpha},t={t}]",
+                       {"s": s, "kind": kind}, which, _pickrell(s), _pickrell(s), alpha, alpha,
+                       n, x, t, n_samples, dt, seed, n_perm)
 
 
 def check_invariance_pickrell(s, alpha, n, t, n_samples, dt, seed, n_perm=500,
                               s_mismatch=0.0, name=None) -> TestReport:
     """Evolved equilibrium samples must match fresh equilibrium samples."""
-    params = EnsembleParams(s, alpha, n)
-    pool = sample_pickrell(params, 2 * n_samples, generator(named_seed(seed, "ensemble")))
+    _require_power(n_perm, P_THRESHOLD)
+    pool = sample_pickrell(EnsembleParams(s, alpha, n), 2 * n_samples,
+                           generator(named_seed(seed, "ensemble")))
     order = generator(named_seed(seed, "split")).permutation(2 * n_samples)
     cfg = SdeConfig(dt=dt, t=t)
-    evolved, _, _ = simulate_pickrell_paths(PickrellParams(s + s_mismatch, alpha, n),
-                                            pool[order[:n_samples]], cfg, n_samples,
-                                            named_seed(seed, "evolve"))
-    rep = energy_perm_test(evolved, pool[order[n_samples:]], n_perm,
-                           generator(named_seed(seed, "perm")),
-                           name=name or f"invariance-pickrell[N={n},s={s},alpha={alpha},t={t}]")
-    rep.meta.update({"seed": seed, "dt": dt, "t": t, "s": s, "alpha": alpha,
-                     "s_mismatch": s_mismatch})
-    return rep
+    return _two_path(
+        name or f"invariance-pickrell[N={n},s={s},alpha={alpha},t={t}]", seed, n_perm,
+        lambda stream: _pickrell(s + s_mismatch)(alpha, n, pool[order[:n_samples]], cfg,
+                                                 n_samples, stream("evolve")),
+        lambda stream: pool[order[n_samples:]],
+        {"dt": dt, "t": t, "s": s, "alpha": alpha, "s_mismatch": s_mismatch})
 
 
 def check_consistency(which, s, alpha, n, n_samples, seed, n_perm=500, name=None) -> TestReport:
@@ -461,27 +496,20 @@ def check_consistency(which, s, alpha, n, n_samples, seed, n_perm=500, name=None
     which='eq-link':    dimension N ensemble at alpha+1 through the
         equal-dimension alpha-link equals the dimension N ensemble at alpha.
     """
-    rng_src = generator(named_seed(seed, "source"))
-    rng_k = generator(named_seed(seed, "kernel"))
-    rng_tgt = generator(named_seed(seed, "target"))
-    if which == "alpha-link":
-        src = sample_pickrell(EnsembleParams(s, alpha, n + 1), n_samples, rng_src)
-        pushed = sample_lambda_plus_each(alpha, interiorize_rows(src), rng_k)
-        target = sample_pickrell(EnsembleParams(s, alpha, n), n_samples, rng_tgt)
-    elif which == "free-link":
-        src = sample_pickrell(EnsembleParams(s, alpha, n + 1), n_samples, rng_src)
-        pushed = sample_L_each(interiorize_rows(src), rng_k)
-        target = sample_pickrell(EnsembleParams(s, alpha + 1.0, n), n_samples, rng_tgt)
-    elif which == "eq-link":
-        src = sample_pickrell(EnsembleParams(s, alpha + 1.0, n), n_samples, rng_src)
-        pushed = sample_lambda_eq_each(alpha, interiorize_rows(src), rng_k)
-        target = sample_pickrell(EnsembleParams(s, alpha, n), n_samples, rng_tgt)
-    else:
+    if which not in _LINKS:
         raise ValueError(f"unknown consistency identity {which!r}")
-    rep = energy_perm_test(pushed, target, n_perm, generator(named_seed(seed, "perm")),
-                           name=name or f"consistency-{which}[N={n},s={s},alpha={alpha}]")
-    rep.meta.update({"seed": seed, "s": s, "alpha": alpha, "which": which})
-    return rep
+    da, dn, kind, db = _LINKS[which]
+
+    def pushed(stream):
+        src = sample_pickrell(EnsembleParams(s, alpha + da, n + dn), n_samples,
+                              generator(stream("source")))
+        return _push(kind, alpha, interiorize_rows(src), generator(stream("kernel")))
+
+    return _two_path(
+        name or f"consistency-{which}[N={n},s={s},alpha={alpha}]", seed, n_perm, pushed,
+        lambda stream: sample_pickrell(EnsembleParams(s, alpha + db, n), n_samples,
+                                       generator(stream("target"))),
+        {"s": s, "alpha": alpha, "which": which})
 
 
 # ---------------------------------------------------------------------------
@@ -733,34 +761,19 @@ def flow_start_profile(omega: BoundaryPoint, n: int) -> np.ndarray:
 
 
 def check_flow_convergence(alpha, n, omega_start: BoundaryPoint, t_grid, n_paths,
-                           dt, seed, threshold: float = 0.15, method: str = "particles",
-                           name=None) -> TestReport:
+                           dt, seed, threshold: float = 0.15, name=None) -> TestReport:
     """Scaled Laguerre ensembles track the deterministic boundary flow.
 
     statistic = max over the time grid of |mean scaled sum - gamma flow|
     plus the top-mass deviation; the reference flow starts from the realized
     embedding of the constructed particle start.
-
-    ``method='matrix'`` evolves the collision-free matrix lift instead of
-    the guarded particle scheme; its gamma fluctuations are free of the rare
-    explicit-Euler ejection events the particle scheme shows at large N,
-    which matters when comparing fluctuation variances across N.
     """
     x0 = flow_start_profile(omega_start, n)
     omega0 = embed_boundary(x0)
     t_grid = sorted(t_grid)
-    if method == "particles":
-        cfg = SdeConfig(dt=dt, t=t_grid[-1])
-        _, snaps, info = simulate_laguerre_paths(alpha, n, x0, cfg, n_paths,
-                                                 named_seed(seed, "paths"), snapshots_at=t_grid)
-    elif method == "matrix":
-        cfg = SdeConfig(dt=dt, t=t_grid[-1], scheme=Scheme.MATRIX_LIFT)
-        _, snaps, info = simulate_laguerre_matrix_paths(alpha, n, x0, cfg, n_paths,
-                                                        named_seed(seed, "paths"),
-                                                        snapshots_at=t_grid)
-        info = dict(info, guard_fraction=0.0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    _, snaps, info = simulate_laguerre_paths(alpha, n, x0, SdeConfig(dt=dt, t=t_grid[-1]),
+                                             n_paths, named_seed(seed, "paths"),
+                                             snapshots_at=t_grid)
     worst = 0.0
     track = {}
     for ts in t_grid:
@@ -809,45 +822,29 @@ def _suite_identities(seed, sizes):
     return reports
 
 
-def _suite_intertwine(seed, sizes):
-    n_samples = sizes.get("n_samples", 4000)
-    dt = sizes.get("dt", 1e-3)
-    n_perm = sizes.get("n_perm", 300)
-    return [
-        check_intertwine_laguerre(0.0, 1, (1.0, 2.0), 0.5, n_samples, dt,
-                                  named_seed(seed, "lag-1"), n_perm),
-        check_intertwine_laguerre(1.0, 2, (0.5, 1.5, 3.0), 0.5, n_samples, dt,
-                                  named_seed(seed, "lag-2"), n_perm),
-        check_intertwine_pickrell(1.0, 0.0, 1, (1.0, 2.0), 0.5, n_samples, dt,
-                                  named_seed(seed, "pic-1"), n_perm),
-        check_shifted_intertwine("L", 1.0, 0.0, 1, (1.0, 2.0), 0.5, n_samples, dt,
-                                 named_seed(seed, "shift-L"), n_perm),
-        check_shifted_intertwine("LambdaEq", 1.0, 0.5, 2, (1.0, 2.5), 0.5, n_samples, dt,
-                                 named_seed(seed, "shift-eq"), n_perm),
-    ]
+# Monte Carlo suite -> rows of (stream tag, check, leading arguments); each
+# check is looked up when its suite runs and gets the sizes by keyword
+_MONTE_CARLO = {
+    "intertwine": [
+        ("lag-1", "check_intertwine_laguerre", (0.0, 1, (1.0, 2.0), 0.5)),
+        ("lag-2", "check_intertwine_laguerre", (1.0, 2, (0.5, 1.5, 3.0), 0.5)),
+        ("pic-1", "check_intertwine_pickrell", (1.0, 0.0, 1, (1.0, 2.0), 0.5)),
+        ("shift-L", "check_shifted_intertwine", ("L", 1.0, 0.0, 1, (1.0, 2.0), 0.5)),
+        ("shift-eq", "check_shifted_intertwine", ("LambdaEq", 1.0, 0.5, 2, (1.0, 2.5), 0.5)),
+    ],
+    "invariance": [(f"inv-{n}-{a}", "check_invariance_pickrell", (1.0, a, n, 0.5))
+                   for n in (1, 2) for a in (0.0, 1.0)],
+    "consistency": [(f"cons-{which}-{a}", "check_consistency", (which, 1.0, a, 1))
+                    for which in _LINKS for a in (0.0, 1.0)],
+}
 
 
-def _suite_invariance(seed, sizes):
-    n_samples = sizes.get("n_samples", 4000)
-    dt = sizes.get("dt", 1e-3)
-    n_perm = sizes.get("n_perm", 300)
-    reports = []
-    for n in (1, 2):
-        for a in (0.0, 1.0):
-            reports.append(check_invariance_pickrell(1.0, a, n, 0.5, n_samples, dt,
-                                                     named_seed(seed, f"inv-{n}-{a}"), n_perm))
-    return reports
-
-
-def _suite_consistency(seed, sizes):
-    n_samples = sizes.get("n_samples", 4000)
-    n_perm = sizes.get("n_perm", 300)
-    reports = []
-    for which in ("alpha-link", "free-link", "eq-link"):
-        for a in (0.0, 1.0):
-            reports.append(check_consistency(which, 1.0, a, 1, n_samples,
-                                             named_seed(seed, f"cons-{which}-{a}"), n_perm))
-    return reports
+def _suite_monte_carlo(suite, seed, sizes):
+    kw = {"n_samples": sizes.get("n_samples", 4000), "n_perm": sizes.get("n_perm", 300)}
+    if suite != "consistency":  # equilibrium draws only, no time steps
+        kw["dt"] = sizes.get("dt", 1e-3)
+    return [globals()[check](*args, seed=named_seed(seed, tag), **kw)
+            for tag, check, args in _MONTE_CARLO[suite]]
 
 
 def _suite_flow(seed, sizes):
@@ -890,31 +887,18 @@ def _suite_branching_limit(seed, sizes):
 
 SUITES = {
     "identities": _suite_identities,
-    "intertwine": _suite_intertwine,
-    "invariance": _suite_invariance,
-    "consistency": _suite_consistency,
+    **{suite: partial(_suite_monte_carlo, suite) for suite in _MONTE_CARLO},
     "flow": _suite_flow,
     "branching-limit": _suite_branching_limit,
 }
 
 
-def run_suite(suite: str, seed: int, threads: int = 1, **sizes) -> list:
-    """Run one named suite (or 'all'); reports are seed-deterministic and
-    independent of the worker count."""
+def run_suite(suite: str, seed: int, **sizes) -> list:
+    """Run one named suite (or 'all'); reports are seed-deterministic."""
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
-    if threads <= 1 or len(names) == 1:
-        out = []
-        for name in names:
-            out.extend(SUITES[name](named_seed(seed, name), sizes))
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(SUITES[name], named_seed(seed, name), sizes) for name in names]
-        out = []
-        for fut in futures:
-            out.extend(fut.result())
-        return out
+    return [rep for name in names for rep in SUITES[name](named_seed(seed, name), sizes)]

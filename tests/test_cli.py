@@ -131,6 +131,20 @@ def test_bad_value_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["sample-kernel", "--kernel", "l", "--x", "1", "--n", "5"],
+    ["simulate", "--process", "laguerre", "--x0", "1", "--t", "0.01", "--paths", "0"],
+    ["simulate", "--process", "pickrell-matrix", "--x0", "1", "--t", "0.01", "--paths", "0"],
+    ["verify", "--suite", "flow", "--n-paths", "0"],
+    ["verify", "--suite", "consistency", "--n-perm", "50"],
+])
+def test_degenerate_input_exits_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_console_entry_point_runs():
     proc = run_cli(["--version"])
     assert proc.returncode == 0

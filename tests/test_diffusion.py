@@ -11,9 +11,8 @@ from intertwine.chamber import BoundaryPoint
 from intertwine.diffusion import (PickrellParams, Scheme, SdeConfig,
                                   boundary_flow, laguerre_drift, pickrell_drift,
                                   pickrell_drift_interaction_form,
-                                  simulate_laguerre, simulate_laguerre_matrix_paths,
-                                  simulate_laguerre_paths, simulate_pickrell_matrix_paths,
-                                  simulate_pickrell_particles, simulate_pickrell_paths)
+                                  simulate_laguerre_matrix_paths, simulate_laguerre_paths,
+                                  simulate_pickrell_matrix_paths, simulate_pickrell_paths)
 from intertwine.ensembles import sample_laguerre_many
 from intertwine.rng import generator
 
@@ -78,7 +77,7 @@ def test_pickrell_drift_forms_agree_at_random_points():
 
 def test_simulate_laguerre_t0_and_mean():
     cfg0 = SdeConfig(1e-3, 0.0)
-    assert simulate_laguerre(0.0, 1, (3.0,), cfg0, generator(0)).coords == (3.0,)
+    assert tuple(simulate_laguerre_paths(0.0, 1, (3.0,), cfg0, 1, 0)[0][0]) == (3.0,)
     term, _, info = simulate_laguerre_paths(0.0, 1, (3.0,), SdeConfig(1e-3, math.log(2)),
                                             20_000, 302)
     target = 3.0 * 0.5 + 1.0 * 0.5  # x0 e^-t + (alpha+1)(1 - e^-t)
@@ -133,7 +132,7 @@ def test_matrix_lift_stationary_start():
 
 def test_simulate_pickrell_t0_and_mean():
     p = PickrellParams(1.0, 0.0, 1)
-    assert simulate_pickrell_particles(p, (1.0,), SdeConfig(1e-3, 0.0), generator(0)).coords == (1.0,)
+    assert tuple(simulate_pickrell_paths(p, (1.0,), SdeConfig(1e-3, 0.0), 1, 0)[0][0]) == (1.0,)
     term, _, _ = simulate_pickrell_paths(p, (1.0,), SdeConfig(1e-3, 1.0), 20_000, 310)
     se = term.std() / math.sqrt(term.shape[0])
     assert abs(term.mean() - 1.0) < 3 * se + 5e-3
@@ -170,13 +169,23 @@ def test_pickrell_matrix_vs_particles_n2():
     assert rep.passed, rep.to_dict()
 
 
-def test_single_path_matrix_wrappers():
-    from intertwine.diffusion import simulate_laguerre_matrix, simulate_pickrell_matrix
+def test_matrix_paths_single_path():
     cfg = SdeConfig(5e-3, 0.1, Scheme.MATRIX_LIFT)
-    pt = simulate_laguerre_matrix(1, 2, (1.0, 2.0), cfg, generator(317))
-    assert pt.dim == 2 and pt.coords[0] >= 0
-    pt2 = simulate_pickrell_matrix(PickrellParams(1.0, 0.5, 2), (1.0, 2.0), cfg, generator(318))
-    assert pt2.dim == 2 and pt2.coords[0] >= 0
+    pt = simulate_laguerre_matrix_paths(1, 2, (1.0, 2.0), cfg, 1, 317)[0][0]
+    assert pt.size == 2 and pt[0] >= 0 and pt[0] <= pt[1]
+    pt2 = simulate_pickrell_matrix_paths(PickrellParams(1.0, 0.5, 2), (1.0, 2.0), cfg, 1, 318)[0][0]
+    assert pt2.size == 2 and pt2[0] >= 0 and pt2[0] <= pt2[1]
+
+
+def test_path_simulators_reject_zero_paths():
+    p = PickrellParams(1.0, 0.0, 1)
+    euler, lift = SdeConfig(1e-3, 0.01), SdeConfig(1e-3, 0.01, Scheme.MATRIX_LIFT)
+    for run in (lambda: simulate_laguerre_paths(0.0, 1, (1.0,), euler, 0, 0),
+                lambda: simulate_pickrell_paths(p, (1.0,), euler, 0, 0),
+                lambda: simulate_laguerre_matrix_paths(0, 1, (1.0,), lift, 0, 0),
+                lambda: simulate_pickrell_matrix_paths(p, (1.0,), lift, 0, 0)):
+        with pytest.raises(ValueError, match="n_paths"):
+            run()
 
 
 def test_boundary_flow_examples():

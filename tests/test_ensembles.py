@@ -8,7 +8,7 @@ from intertwine.diffusion import SdeConfig, simulate_laguerre_paths
 from intertwine.ensembles import (EnsembleParams, jacobi_ensemble_density_unnorm,
                                   jacobi_map, jacobi_map_inverse,
                                   laguerre_density_unnorm, pickrell_density_unnorm,
-                                  sample_laguerre, sample_laguerre_many,
+                                  sample_laguerre_many,
                                   sample_laguerre_mcmc, sample_pickrell)
 from intertwine.rng import generator
 from intertwine.verify import energy_perm_test, quad_cell
@@ -113,8 +113,8 @@ def test_sample_laguerre_examples():
     assert stats.kstest(x0.ravel(), "expon").pvalue > 0.01
     x2 = sample_laguerre_many(2, 1, 10_000, rng)
     assert stats.kstest(x2.ravel(), "gamma", args=(3,)).pvalue > 0.01
-    pt = sample_laguerre(1, 3, rng)
-    assert pt.coords[0] >= 0 and list(pt.coords) == sorted(pt.coords)
+    pt = sample_laguerre_many(1, 3, 1, rng)[0]
+    assert pt[0] >= 0 and list(pt) == sorted(pt)
     with pytest.raises(ValueError):
         sample_laguerre_many(0.5, 1, 10, rng)
 

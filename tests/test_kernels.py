@@ -9,9 +9,8 @@ from scipy import stats
 from intertwine.chamber import interlace_eq, interlace_plus
 from intertwine.kernels import (KernelParams, density_L, density_L_rows, density_lambda_eq,
                                 density_lambda_eq_rows, density_lambda_plus,
-                                density_lambda_plus_rows, sample_L, sample_L_many,
-                                sample_lambda_eq, sample_lambda_eq_many,
-                                sample_lambda_plus, sample_lambda_plus_many)
+                                density_lambda_plus_rows, sample_L_each, sample_L_many,
+                                sample_lambda_eq_many, sample_lambda_plus_many)
 from intertwine.rng import generator
 from intertwine.verify import quad_1d
 from helpers import (lambda_plus_cdf_12, ref_density_L, ref_density_lambda_eq,
@@ -212,14 +211,21 @@ def test_support_scales_homogeneously():
         assert interlace_plus(x, np.sort(row) / c)
 
 
-def test_single_draw_wrappers():
+def test_many_samplers_single_draw():
     rng = generator(109)
-    y = sample_L((1.0, 3.0), rng)
-    assert y.dim == 1 and 1.0 <= y.coords[0] <= 3.0
-    z = sample_lambda_eq(KernelParams(0.5, 2), (1.0, 2.0), rng)
+    y = sample_L_many((1.0, 3.0), 1, rng)[0]
+    assert y.size == 1 and 1.0 <= y[0] <= 3.0
+    z = sample_lambda_eq_many(KernelParams(0.5, 2), (1.0, 2.0), 1, rng)[0]
     assert interlace_eq((1.0, 2.0), z)
-    w = sample_lambda_plus(KernelParams(0.5, 1), (1.0, 2.0), rng)
-    assert 0.0 <= w.coords[0] <= 2.0
+    w = sample_lambda_plus_many(KernelParams(0.5, 1), (1.0, 2.0), 1, rng)[0]
+    assert 0.0 <= w[0] <= 2.0
+
+
+def test_free_link_rejects_one_coordinate_source():
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        sample_L_many((1.0,), 5, generator(110))
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        sample_L_each(np.ones((5, 1)), generator(110))
 
 
 def test_kernel_params_validation():

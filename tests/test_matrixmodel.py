@@ -7,11 +7,10 @@ from scipy import stats
 from intertwine.chamber import BoundaryPoint
 from intertwine.kernels import (KernelParams, sample_lambda_eq_many,
                                 sample_lambda_plus_many)
-from intertwine.matrixmodel import (char_F_omega, corner, radial_part,
+from intertwine.matrixmodel import (char_F_omega, corner, radial_part_many,
                                     sample_ginibre,
                                     sample_haar, sample_lambda_eq_via_matrices_many,
-                                    sample_lambda_omega, sample_lambda_omega_many,
-                                    sample_lambda_plus_via_matrices,
+                                    sample_lambda_omega_many,
                                     sample_lambda_plus_via_matrices_many,
                                     sample_P_omega_corner)
 from intertwine.rng import generator
@@ -52,24 +51,24 @@ def test_corner_examples():
 
 
 def test_radial_part_examples():
-    assert radial_part(np.diag([2.0, 3.0])).coords == pytest.approx((4.0, 9.0))
-    assert radial_part(np.zeros((3, 2))).coords == (0.0, 0.0)
+    assert tuple(radial_part_many(np.diag([2.0, 3.0])[None])[0]) == pytest.approx((4.0, 9.0))
+    assert tuple(radial_part_many(np.zeros((1, 3, 2)))[0]) == (0.0, 0.0)
     rng = generator(203)
     x = sample_ginibre(4, 3, rng)
     u = sample_haar(3, rng)
     v = sample_haar(4, rng)
-    a = radial_part(x).as_array()
-    b = radial_part(v @ x @ u).as_array()
+    a = radial_part_many(x[None])[0]
+    b = radial_part_many((v @ x @ u)[None])[0]
     assert np.abs(a - b).max() < 1e-8
     with pytest.raises(ValueError):
-        radial_part(np.zeros((2, 3)))
+        radial_part_many(np.zeros((1, 2, 3)))
 
 
 def test_lambda_plus_via_matrices_matches_density():
     rng = generator(204)
     vals = sample_lambda_plus_via_matrices_many(0, (1.0, 2.0), 30_000, rng).ravel()
     assert stats.kstest(vals, lambda_plus_cdf_12).pvalue > 0.01
-    assert sample_lambda_plus_via_matrices(0, (0.0, 0.0), rng).coords == (0.0,)
+    assert tuple(sample_lambda_plus_via_matrices_many(0, (0.0, 0.0), 1, rng)[0]) == (0.0,)
     with pytest.raises(ValueError):
         sample_lambda_plus_via_matrices_many(0.5, (1.0, 2.0), 10, rng)
 
@@ -117,7 +116,7 @@ def test_corner_model_characteristic_function(omega):
 def test_corner_model_degenerate_omega():
     rng = generator(210)
     assert np.all(sample_P_omega_corner(BoundaryPoint((), 0.0), 3, 2, rng) == 0.0)
-    assert sample_lambda_omega(0, 2, BoundaryPoint((), 0.0), rng).coords == (0.0, 0.0)
+    assert tuple(sample_lambda_omega_many(0, 2, BoundaryPoint((), 0.0), rng, 1)[0]) == (0.0, 0.0)
 
 
 def test_boundary_kernel_coherence_through_links():

@@ -80,6 +80,17 @@ def test_energy_test_detects_shift():
 def test_energy_test_requires_min_size():
     with pytest.raises(ValueError):
         energy_perm_test(np.ones(50), np.ones(200), 99, generator(0))
+    # 1/(n_perm+1) above the threshold: the test could never fail
+    with pytest.raises(ValueError, match="n_perm=10"):
+        energy_perm_test(np.ones(200), np.zeros(200), 10, generator(0))
+    with pytest.raises(ValueError, match="n_perm=0"):
+        energy_perm_test(np.ones(200), np.zeros(200), 0, generator(0))
+    rng = generator(0)
+    with pytest.raises(ValueError, match="n_perm=10"):
+        check_intertwine_laguerre(0.0, 1, (1.0, 2.0), 0.5, 20_000, 1e-3, 1, n_perm=10,
+                                  alpha_mismatch=2.0)
+    rep = energy_perm_test(np.ones(200), np.zeros(200), 99, rng)
+    assert rep.p_value == 0.01 and not rep.passed
 
 
 def test_energy_test_subsamples_large_inputs():
