@@ -81,12 +81,19 @@ def _explicit_dests(argv) -> set:
 
 
 def _apply_config_defaults(args: argparse.Namespace, explicit: set) -> argparse.Namespace:
-    """Optional JSON config file; keys mirror flag names, flags override."""
+    """Optional JSON config file; keys mirror flag names, flags override.
+    A key that names no flag of the subcommand is a usage error."""
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+        flags = set(vars(args)) - {"command"}
+        unknown = [key for key in loaded if key.replace("-", "_") not in flags]
+        if unknown:
+            raise ValueError(f"config keys match no flag of {args.command}: {', '.join(unknown)}")
         for key, value in loaded.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in explicit:
+            if attr not in explicit:
                 setattr(args, attr, value)
     return args
 
@@ -274,8 +281,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config_defaults(args, _explicit_dests(argv))
     try:
+        args = _apply_config_defaults(args, _explicit_dests(argv))
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -102,24 +102,26 @@ class PickrellParams:
 def _pairwise_sum(x: np.ndarray, numer: np.ndarray, cap_dt: float | None = None) -> np.ndarray:
     """sum_{j != i} numer_ij / (x_i - x_j), rows assumed pairwise distinct.
 
-    With ``cap_dt`` set, each pair's term is clamped so that one Euler step
-    of size cap_dt displaces the pair by at most half its current distance.
-    Uncapped explicit Euler overshoots once gap^2 < 2 dt (x_i + x_j) and
-    ejects particles; the continuum dynamics visit that region with
-    probability vanishing in dt, so the clamp only repairs discretization
-    artifacts (it is a guard, not a model change).
+    ``numer`` (m, n, n) is owned by the kernel: the ratios are written into
+    it, so callers pass a freshly built array.  With ``cap_dt`` set, each
+    pair's term is clamped so that one Euler step of size cap_dt displaces
+    the pair by at most half its current distance.  Uncapped explicit Euler
+    overshoots once gap^2 < 2 dt (x_i + x_j) and ejects particles; the
+    continuum dynamics visit that region with probability vanishing in dt,
+    so the clamp only repairs discretization artifacts (it is a guard, not a
+    model change).
     """
     m, n = x.shape
     if n == 1:
         return np.zeros((m, 1))
-    diff = x[:, :, None] - x[:, None, :]
-    eye = np.eye(n, dtype=bool)
-    diff[:, eye] = 1.0
-    ratio = numer / diff
+    diff = np.subtract(x[:, :, None], x[:, None, :])
+    diff.reshape(m, n * n)[:, :: n + 1] = 1.0
+    ratio = np.divide(numer, diff, out=numer)
     if cap_dt is not None:
-        cap = np.abs(diff) / (2.0 * cap_dt)
-        np.clip(ratio, -cap, cap, out=ratio)
-    ratio[:, eye] = 0.0
+        cap = np.divide(np.abs(diff, out=diff), 2.0 * cap_dt, out=diff)
+        np.minimum(ratio, cap, out=ratio)
+        np.maximum(ratio, np.negative(cap, out=cap), out=ratio)
+    ratio.reshape(m, n * n)[:, :: n + 1] = 0.0
     return ratio.sum(axis=2)
 
 
@@ -132,7 +134,9 @@ def _laguerre_drift_rows(alpha: float, x: np.ndarray, cap_dt: float | None = Non
 def _pickrell_drift_rows(s: float, alpha: float, x: np.ndarray, cap_dt: float | None = None) -> np.ndarray:
     # the algebraically equivalent form -s x + N + alpha + sum (2 x_i x_j + x_i + x_j)/(x_i - x_j)
     m, n = x.shape
-    numer = 2.0 * x[:, :, None] * x[:, None, :] + x[:, :, None] + x[:, None, :]
+    numer = 2.0 * x[:, :, None] * x[:, None, :]
+    numer += x[:, :, None]
+    numer += x[:, None, :]
     return -s * x + n + alpha + _pairwise_sum(x, numer, cap_dt)
 
 
@@ -182,6 +186,8 @@ def _sanitize_rows(x: np.ndarray) -> tuple:
     guarded = neg.any(axis=1)
     np.abs(x, out=x)
     x.sort(axis=1)
+    if not (x[:, 1:] <= x[:, :-1]).any():
+        return x, guarded
     for k in range(1, x.shape[1]):
         tie = x[:, k] <= x[:, k - 1]
         if tie.any():
@@ -258,9 +264,9 @@ def _run_particle_paths(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, 
     guard_events = 0
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        noise = np.stack(
-            [path_generator(master_seed, i).standard_normal((n_steps, n)) for i in range(start, stop)]
-        )
+        noise = np.empty((stop - start, n_steps, n))
+        for k, i in enumerate(range(start, stop)):
+            path_generator(master_seed, i).standard_normal(out=noise[k])
         term, chunk_snaps, events = _euler_particle_chunk(
             drift_rows, vol_rows, x0_rows[start:stop], noise, hs, snap_steps
         )
@@ -424,9 +430,9 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
     clip_events = 0
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        noise = np.stack(
-            [_complex_noise(path_generator(master_seed, i), n_steps, n, n) for i in range(start, stop)]
-        )
+        noise = np.empty((stop - start, n_steps, n, n), dtype=complex)
+        for k, i in enumerate(range(start, stop)):
+            noise[k] = _complex_noise(path_generator(master_seed, i), n_steps, n, n)
         w, events = _pickrell_matrix_chunk(params.s, params.alpha, n, x0a, noise, hs)
         terminal[start:stop] = w
         clip_events += events

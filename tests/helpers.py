@@ -106,3 +106,21 @@ def ref_density_lambda_plus(alpha, x, y):
     for k in range(n):
         sf *= alpha + 1 + k
     return math.factorial(n) * sf * _vdm(ya) / _vdm(xa) * weight
+
+
+def ref_pairwise_sum(x, numer, cap_dt=None):
+    """Mask-and-clip reference for ``diffusion._pairwise_sum``: the same
+    operations in the same order, on fresh arrays, with boolean-mask writes
+    on the diagonal and an array-bound ``np.clip``."""
+    m, n = x.shape
+    if n == 1:
+        return np.zeros((m, 1))
+    diff = x[:, :, None] - x[:, None, :]
+    eye = np.eye(n, dtype=bool)
+    diff[:, eye] = 1.0
+    ratio = numer / diff
+    if cap_dt is not None:
+        cap = np.abs(diff) / (2.0 * cap_dt)
+        np.clip(ratio, -cap, cap, out=ratio)
+    ratio[:, eye] = 0.0
+    return ratio.sum(axis=2)

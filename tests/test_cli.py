@@ -119,6 +119,16 @@ def test_config_file_defaults_and_override(tmp_path):
     assert "gamma = 2.000000" in out2.read_text()
 
 
+def test_config_unknown_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tt": 0.69, "threads": 4, "gamma0": 2.0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary-flow", "--gamma0", "3", "--t", "0", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "tt" in err and "threads" in err and "gamma0" not in err
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli(["sample-kernel", "--kernel", "l", "--x", "0,1", "--wat", "1"])
     assert proc.returncode == 2

@@ -16,6 +16,8 @@ from intertwine.diffusion import (PickrellParams, Scheme, SdeConfig,
 from intertwine.ensembles import sample_laguerre_many
 from intertwine.rng import generator
 
+from helpers import ref_pairwise_sum
+
 
 def test_sde_config_validation():
     with pytest.raises(ValueError):
@@ -75,6 +77,36 @@ def test_pickrell_drift_forms_agree_at_random_points():
         assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-10
 
 
+@st.composite
+def _chamber_rows(draw):
+    """A few ascending, pairwise distinct rows; some gaps are tiny, so the
+    drift clamp binds on some pairs at cap_dt = 1e-3."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 50]))
+    m = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    tiny = draw(st.floats(1e-9, 1e-2))
+    rng = np.random.default_rng(seed)
+    gaps = np.where(rng.random((m, n)) < 0.3, tiny * rng.random((m, n)) + 1e-12,
+                    rng.exponential(1.0, (m, n)))
+    return np.cumsum(gaps, axis=1)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(_chamber_rows(), st.sampled_from([None, 1e-3]),
+                  st.floats(-2, 3), st.floats(-0.9, 3))
+def test_drift_rows_bit_exact_against_mask_and_clip(x, cap_dt, s, alpha):
+    m, n = x.shape
+    xi, xj = x[:, :, None], x[:, None, :]
+    want = -x + alpha + n + ref_pairwise_sum(x, xi + xj, cap_dt)
+    assert np.array_equal(diffusion._laguerre_drift_rows(alpha, x, cap_dt), want)
+    want = -s * x + n + alpha + ref_pairwise_sum(x, 2.0 * xi * xj + xi + xj, cap_dt)
+    assert np.array_equal(diffusion._pickrell_drift_rows(s, alpha, x, cap_dt), want)
+    p = PickrellParams(s, alpha, n)
+    numer = (2.0 * x[:1] * (1.0 + x[:1]))[:, :, None] * np.ones((1, 1, n))
+    want = (2.0 - 2.0 * n - s) * x[0] + alpha + 1.0 + ref_pairwise_sum(x[:1], numer)[0]
+    assert np.array_equal(pickrell_drift_interaction_form(p, x[0]), want)
+
+
 def test_simulate_laguerre_t0_and_mean():
     cfg0 = SdeConfig(1e-3, 0.0)
     assert tuple(simulate_laguerre_paths(0.0, 1, (3.0,), cfg0, 1, 0)[0][0]) == (3.0,)
@@ -99,12 +131,32 @@ def test_simulate_laguerre_ordering_and_guards():
 
 def test_paths_reproducible_and_chunk_independent(monkeypatch):
     cfg = SdeConfig(1e-3, 0.2)
-    a, _, _ = simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 500, 305)
-    b, _, _ = simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 500, 305)
-    assert np.array_equal(a, b)
+    p = PickrellParams(1.0, 0.5, 3)
+    runs = {
+        "laguerre": lambda: simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 500, 305,
+                                                    snapshots_at=(0.05, 0.2)),
+        "pickrell": lambda: simulate_pickrell_paths(p, (0.5, 1.0, 2.0), cfg, 300, 319,
+                                                    snapshots_at=(0.1,)),
+    }
+    ref = {name: run() for name, run in runs.items()}
+    again = {name: run() for name, run in runs.items()}
     monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
-    c, _, _ = simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 500, 305)
-    assert np.array_equal(a, c)  # per-path streams: chunking cannot matter
+    chunked = {name: run() for name, run in runs.items()}
+    for name, (term, snaps, info) in ref.items():
+        for other in (again[name], chunked[name]):  # per-path streams: chunking cannot matter
+            assert np.array_equal(term, other[0]) and info == other[2]
+            assert snaps.keys() == other[1].keys()
+            assert all(np.array_equal(snaps[ts], other[1][ts]) for ts in snaps)
+
+
+def test_pickrell_matrix_paths_chunk_independent(monkeypatch):
+    p = PickrellParams(1.0, 0.5, 2)
+    cfg = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)
+    term, info = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 40, 320)
+    monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 500)
+    term_c, info_c = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 40, 320)
+    assert np.array_equal(term, term_c)
+    assert info == info_c and info["clip_fraction"] > 0
 
 
 def test_matrix_lift_requires_scheme_tag():

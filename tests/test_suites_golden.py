@@ -1,7 +1,9 @@
-"""Golden reports of every two-path check at small sizes.
+"""Golden reports of every two-path check, and of the boundary-flow check at
+N = 50, at small sizes.
 
 ``data/golden_reports.json`` holds the reports these cases gave before the
-checks shared one driver.  Names, verdicts and meta must match exactly; the
+two-path checks were folded onto one routine (the flow case: before the
+Euler engine worked in place).  Names, verdicts and meta must match exactly; the
 p-value within 0.02 and the statistic within 1e-3 relative.  That tolerates
 float32 GEMM rounding on another CPU but catches a miswired stream or
 parameter.  Regenerate, only when a random stream changes on purpose, with
@@ -13,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from intertwine.verify import (check_consistency, check_intertwine_laguerre,
-                               check_intertwine_pickrell, check_invariance_pickrell,
-                               check_shifted_intertwine)
+from intertwine.chamber import BoundaryPoint
+from intertwine.verify import (check_consistency, check_flow_convergence,
+                               check_intertwine_laguerre, check_intertwine_pickrell,
+                               check_invariance_pickrell, check_shifted_intertwine)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 N, N_PERM, DT, T = 200, 99, 0.05, 0.5
@@ -37,6 +40,8 @@ CASES = {
     "consistency-alpha-link": lambda: check_consistency("alpha-link", 1.0, 0.0, 1, N, 10, N_PERM),
     "consistency-free-link": lambda: check_consistency("free-link", 1.0, 0.0, 1, N, 11, N_PERM),
     "consistency-eq-link": lambda: check_consistency("eq-link", 1.0, 0.5, 1, N, 12, N_PERM),
+    "flow": lambda: check_flow_convergence(0.0, 50, BoundaryPoint((), 3.0), (0.25, 0.5), 20, 1e-3,
+                                           13),
 }
 
 
