@@ -80,9 +80,25 @@ def _explicit_dests(argv) -> set:
     return dests
 
 
-def _apply_config_defaults(args: argparse.Namespace, explicit: set) -> argparse.Namespace:
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert a config value as argparse converts the flag's argument text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key}: {value!r} is not a flag value")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise ValueError(f"config key {key}: invalid {action.type.__name__} value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key}: {value!r} is not one of "
+                         f"{', '.join(map(str, action.choices))}")
+    return value
+
+
+def _apply_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                           explicit: set) -> argparse.Namespace:
     """Optional JSON config file; keys mirror flag names, flags override.
-    A key that names no flag of the subcommand is a usage error."""
+    A key that names no flag of the subcommand, or a value the flag would
+    reject, is a usage error."""
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
@@ -91,10 +107,12 @@ def _apply_config_defaults(args: argparse.Namespace, explicit: set) -> argparse.
         unknown = [key for key in loaded if key.replace("-", "_") not in flags]
         if unknown:
             raise ValueError(f"config keys match no flag of {args.command}: {', '.join(unknown)}")
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
         for key, value in loaded.items():
             attr = key.replace("-", "_")
             if attr not in explicit:
-                setattr(args, attr, value)
+                setattr(args, attr, _config_value(actions[attr], key, value))
     return args
 
 
@@ -282,7 +300,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_defaults(args, _explicit_dests(argv))
+        args = _apply_config_defaults(parser, args, _explicit_dests(argv))
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         parser.exit(2, f"error: {exc}\n")

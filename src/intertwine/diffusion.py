@@ -16,7 +16,10 @@ distance per step (see _pairwise_sum).
 
 Monte Carlo drivers derive one stream per path index from the master seed
 (see rng.path_generator), so an ensemble result is bit-reproducible for a
-fixed seed regardless of chunking or worker count.
+fixed seed regardless of chunking or worker count.  Particle paths run in
+chunks whose noise fits _CHUNK_FLOAT_BUDGET floats and whose two (paths, N, N)
+pair buffers, allocated once and reused by every step, fit _PAIR_FLOAT_BUDGET
+floats each, so the drift's passes stay in cache.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
 
 _TIE_EPS = 1e-12
 _CHUNK_FLOAT_BUDGET = 2.5e7
+_PAIR_FLOAT_BUDGET = 2**16
 
 
 class Scheme(enum.Enum):
@@ -99,22 +103,23 @@ class PickrellParams:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_sum(x: np.ndarray, numer: np.ndarray, cap_dt: float | None = None) -> np.ndarray:
+def _pairwise_sum(x: np.ndarray, numer: np.ndarray, cap_dt: float | None = None,
+                  diff: np.ndarray | None = None) -> np.ndarray:
     """sum_{j != i} numer_ij / (x_i - x_j), rows assumed pairwise distinct.
 
     ``numer`` (m, n, n) is owned by the kernel: the ratios are written into
-    it, so callers pass a freshly built array.  With ``cap_dt`` set, each
-    pair's term is clamped so that one Euler step of size cap_dt displaces
-    the pair by at most half its current distance.  Uncapped explicit Euler
-    overshoots once gap^2 < 2 dt (x_i + x_j) and ejects particles; the
-    continuum dynamics visit that region with probability vanishing in dt,
-    so the clamp only repairs discretization artifacts (it is a guard, not a
-    model change).
+    it, and the differences into ``diff`` (fresh when None).  With ``cap_dt``
+    set, each pair's term is clamped so that one Euler step of size cap_dt
+    displaces the pair by at most half its current distance.  Uncapped
+    explicit Euler overshoots once gap^2 < 2 dt (x_i + x_j) and ejects
+    particles; the continuum dynamics visit that region with probability
+    vanishing in dt, so the clamp only repairs discretization artifacts (it
+    is a guard, not a model change).
     """
     m, n = x.shape
     if n == 1:
         return np.zeros((m, 1))
-    diff = np.subtract(x[:, :, None], x[:, None, :])
+    diff = np.subtract(x[:, :, None], x[:, None, :], out=diff)
     diff.reshape(m, n * n)[:, :: n + 1] = 1.0
     ratio = np.divide(numer, diff, out=numer)
     if cap_dt is not None:
@@ -125,19 +130,23 @@ def _pairwise_sum(x: np.ndarray, numer: np.ndarray, cap_dt: float | None = None)
     return ratio.sum(axis=2)
 
 
-def _laguerre_drift_rows(alpha: float, x: np.ndarray, cap_dt: float | None = None) -> np.ndarray:
+def _laguerre_drift_rows(alpha: float, x: np.ndarray, cap_dt: float | None = None,
+                         work: np.ndarray | None = None) -> np.ndarray:
     m, n = x.shape
-    numer = x[:, :, None] + x[:, None, :]
-    return -x + alpha + n + _pairwise_sum(x, numer, cap_dt)
+    work = np.empty((2, m, n, n)) if work is None else work[:, :m]
+    numer = np.add(x[:, :, None], x[:, None, :], out=work[0])
+    return -x + alpha + n + _pairwise_sum(x, numer, cap_dt, work[1])
 
 
-def _pickrell_drift_rows(s: float, alpha: float, x: np.ndarray, cap_dt: float | None = None) -> np.ndarray:
+def _pickrell_drift_rows(s: float, alpha: float, x: np.ndarray, cap_dt: float | None = None,
+                         work: np.ndarray | None = None) -> np.ndarray:
     # the algebraically equivalent form -s x + N + alpha + sum (2 x_i x_j + x_i + x_j)/(x_i - x_j)
     m, n = x.shape
-    numer = 2.0 * x[:, :, None] * x[:, None, :]
+    work = np.empty((2, m, n, n)) if work is None else work[:, :m]
+    numer = np.multiply(2.0 * x[:, :, None], x[:, None, :], out=work[0])
     numer += x[:, :, None]
     numer += x[:, None, :]
-    return -s * x + n + alpha + _pairwise_sum(x, numer, cap_dt)
+    return -s * x + n + alpha + _pairwise_sum(x, numer, cap_dt, work[1])
 
 
 def _require_distinct(x) -> np.ndarray:
@@ -196,13 +205,13 @@ def _sanitize_rows(x: np.ndarray) -> tuple:
     return x, guarded
 
 
-def _euler_particle_chunk(drift_rows, vol_rows, x0, noise, hs, snap_steps):
+def _euler_particle_chunk(drift_rows, vol_rows, x0, noise, hs, snap_steps, work):
     x = x0.copy()
     x, _ = _sanitize_rows(x)
     guard_events = 0
     snaps = {}
     for i, h in enumerate(hs):
-        d = drift_rows(x, h)
+        d = drift_rows(x, h, work)
         v = vol_rows(x)
         x = x + d * h + v * np.sqrt(h) * noise[:, i, :]
         if np.isnan(x).any():
@@ -258,7 +267,9 @@ def _run_particle_paths(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, 
     n_steps = len(hs)
     if n_steps == 0:
         return x0_rows.copy(), {}, {"guard_fraction": 0.0, "n_steps": 0, "n_paths": n_paths}
-    chunk = max(1, min(n_paths, int(_CHUNK_FLOAT_BUDGET / max(1, n_steps * n))))
+    chunk = max(1, min(n_paths, int(_CHUNK_FLOAT_BUDGET / max(1, n_steps * n)),
+                       _PAIR_FLOAT_BUDGET // (n * n)))
+    work = np.empty((2, chunk, n, n))
     terminal = np.empty_like(x0_rows)
     snaps = {ts: np.empty_like(x0_rows) for ts in (snapshots_at or [])}
     guard_events = 0
@@ -268,7 +279,7 @@ def _run_particle_paths(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, 
         for k, i in enumerate(range(start, stop)):
             path_generator(master_seed, i).standard_normal(out=noise[k])
         term, chunk_snaps, events = _euler_particle_chunk(
-            drift_rows, vol_rows, x0_rows[start:stop], noise, hs, snap_steps
+            drift_rows, vol_rows, x0_rows[start:stop], noise, hs, snap_steps, work
         )
         terminal[start:stop] = term
         for ts, arr in chunk_snaps.items():
@@ -298,8 +309,8 @@ def simulate_laguerre_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int, master_s
     Returns (terminal (n_paths, n) ascending rows, snapshots dict, info dict).
     """
     return _run_particle_paths(
-        lambda x, h: _laguerre_drift_rows(alpha, x, h), _laguerre_vol, x0, n, cfg, n_paths,
-        master_seed, snapshots_at
+        lambda x, h, work: _laguerre_drift_rows(alpha, x, h, work),
+        _laguerre_vol, x0, n, cfg, n_paths, master_seed, snapshots_at,
     )
 
 
@@ -307,7 +318,7 @@ def simulate_pickrell_paths(params: PickrellParams, x0, cfg: SdeConfig, n_paths:
                             master_seed: int, snapshots_at=None):
     """Terminal states of n_paths guarded-Euler Pickrell paths."""
     return _run_particle_paths(
-        lambda x, h: _pickrell_drift_rows(params.s, params.alpha, x, h),
+        lambda x, h, work: _pickrell_drift_rows(params.s, params.alpha, x, h, work),
         _pickrell_vol, x0, params.n, cfg, n_paths, master_seed, snapshots_at,
     )
 

@@ -129,6 +129,32 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "tt" in err and "threads" in err and "gamma0" not in err
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["simulate", "--process", "laguerre", "--x0", "1", "--t", "0.1"], {"paths": "ten"},
+     "config key paths: invalid int value 'ten'"),
+    (["simulate", "--process", "laguerre", "--x0", "1", "--t", "0.1"], {"dt": [0.01]},
+     "config key dt: [0.01] is not a flag value"),
+    (["verify"], {"suite": "everything"}, "config key suite: 'everything' is not one of"),
+])
+def test_config_value_rejected_by_its_flag_exits_2(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_values_converted_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"paths": "10", "dt": "0.01"}))
+    out_cfg, out_flags = tmp_path / "cfg.csv", tmp_path / "flags.csv"
+    base = ["simulate", "--process", "laguerre", "--x0", "1", "--t", "0.1"]
+    assert main(base + ["--config", str(cfg), "--out", str(out_cfg)]) == 0
+    assert main(base + ["--paths", "10", "--dt", "0.01", "--out", str(out_flags)]) == 0
+    assert out_cfg.read_bytes() == out_flags.read_bytes()
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli(["sample-kernel", "--kernel", "l", "--x", "0,1", "--wat", "1"])
     assert proc.returncode == 2

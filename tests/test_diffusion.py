@@ -97,10 +97,16 @@ def _chamber_rows(draw):
 def test_drift_rows_bit_exact_against_mask_and_clip(x, cap_dt, s, alpha):
     m, n = x.shape
     xi, xj = x[:, :, None], x[:, None, :]
+    # the engine reuses one workspace across steps and chunks: it holds the
+    # previous step's values, and has more rows than the ragged last chunk
+    dirty = [None, np.full((2, m, n, n), np.nan),
+             np.random.default_rng(m * n).normal(0, 1e300, (2, m + 2, n, n))]
     want = -x + alpha + n + ref_pairwise_sum(x, xi + xj, cap_dt)
-    assert np.array_equal(diffusion._laguerre_drift_rows(alpha, x, cap_dt), want)
+    for work in dirty:
+        assert np.array_equal(diffusion._laguerre_drift_rows(alpha, x, cap_dt, work), want)
     want = -s * x + n + alpha + ref_pairwise_sum(x, 2.0 * xi * xj + xi + xj, cap_dt)
-    assert np.array_equal(diffusion._pickrell_drift_rows(s, alpha, x, cap_dt), want)
+    for work in dirty:
+        assert np.array_equal(diffusion._pickrell_drift_rows(s, alpha, x, cap_dt, work), want)
     p = PickrellParams(s, alpha, n)
     numer = (2.0 * x[:1] * (1.0 + x[:1]))[:, :, None] * np.ones((1, 1, n))
     want = (2.0 - 2.0 * n - s) * x[0] + alpha + 1.0 + ref_pairwise_sum(x[:1], numer)[0]
@@ -137,10 +143,14 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
                                                     snapshots_at=(0.05, 0.2)),
         "pickrell": lambda: simulate_pickrell_paths(p, (0.5, 1.0, 2.0), cfg, 300, 319,
                                                     snapshots_at=(0.1,)),
+        "laguerre-N7": lambda: simulate_laguerre_paths(1.0, 7, np.arange(1.0, 8.0), cfg, 40, 321,
+                                                       snapshots_at=(0.1,)),
     }
     ref = {name: run() for name, run in runs.items()}
     again = {name: run() for name, run in runs.items()}
     monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
+    # N = 7: chunks of 3 paths (3 * 49 pair floats), the last of the 40 ragged
+    monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 3 * 49 + 48)
     chunked = {name: run() for name, run in runs.items()}
     for name, (term, snaps, info) in ref.items():
         for other in (again[name], chunked[name]):  # per-path streams: chunking cannot matter

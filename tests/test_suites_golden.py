@@ -3,8 +3,9 @@ N = 50, at small sizes.
 
 ``data/golden_reports.json`` holds the reports these cases gave before the
 two-path checks were folded onto one routine (the flow case: before the
-Euler engine worked in place).  Names, verdicts and meta must match exactly; the
-p-value within 0.02 and the statistic within 1e-3 relative.  That tolerates
+Euler engine worked in place; the flow-chunked case: before the engine sized
+its chunks by the pair workspace).  Names, verdicts and meta must match
+exactly; the p-value within 0.02 and the statistic within 1e-3 relative.  That tolerates
 float32 GEMM rounding on another CPU but catches a miswired stream or
 parameter.  Regenerate, only when a random stream changes on purpose, with
 ``PYTHONPATH=src python tests/test_suites_golden.py``.
@@ -42,6 +43,9 @@ CASES = {
     "consistency-eq-link": lambda: check_consistency("eq-link", 1.0, 0.5, 1, N, 12, N_PERM),
     "flow": lambda: check_flow_convergence(0.0, 50, BoundaryPoint((), 3.0), (0.25, 0.5), 20, 1e-3,
                                            13),
+    # 60 paths at N = 50: three chunks under the pair-workspace budget, the last ragged
+    "flow-chunked": lambda: check_flow_convergence(0.0, 50, BoundaryPoint((), 3.0), (0.25,), 60,
+                                                   1e-3, 14),
 }
 
 
