@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .chamber import Partition
+from .chamber import Partition, gap_products
 # density_lambda_plus stays bound here for perfbench/spans.py, which wraps it by this path
 from .kernels import density_lambda_plus, density_lambda_plus_rows  # noqa: F401
 
@@ -125,16 +125,12 @@ def mv_jacobi(lam, xs, params: JacobiParams) -> float:
     xs = np.asarray(xs, dtype=float)
     n = xs.size
     parts = lam.padded(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(xs[i] - xs[j]) <= _MIN_GAP:
-                raise ValueError(f"arguments too close: |x_{i}-x_{j}| <= {_MIN_GAP}")
+    if n > 1 and np.diff(np.sort(xs)).min() <= _MIN_GAP:
+        raise ValueError(f"arguments too close: two differ by <= {_MIN_GAP}")
     mat = np.array([[jacobi_p(parts[i] + n - (i + 1), params, xs[j]) for j in range(n)]
                     for i in range(n)])
-    den = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= xs[i] - xs[j]
+    # prod_{i<j} (x_i - x_j) negates each factor of the ascending Vandermonde
+    den = (-1.0) ** (n * (n - 1) // 2) * gap_products(xs[None, :], xs[None, :])[0]
     return float(np.linalg.det(mat) / den)
 
 

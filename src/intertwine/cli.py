@@ -71,15 +71,6 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
-def _explicit_dests(argv) -> set:
-    """Flag names given on the command line (config must not override them)."""
-    dests = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            dests.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    return dests
-
-
 def _config_value(action: argparse.Action, key: str, value):
     """Convert a config value as argparse converts the flag's argument text."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
@@ -94,26 +85,24 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                           explicit: set) -> argparse.Namespace:
-    """Optional JSON config file; keys mirror flag names, flags override.
-    A key that names no flag of the subcommand, or a value the flag would
-    reject, is a usage error."""
-    if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config {args.config} must hold a JSON object")
-        flags = set(vars(args)) - {"command"}
-        unknown = [key for key in loaded if key.replace("-", "_") not in flags]
-        if unknown:
-            raise ValueError(f"config keys match no flag of {args.command}: {', '.join(unknown)}")
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
-        for key, value in loaded.items():
-            attr = key.replace("-", "_")
-            if attr not in explicit:
-                setattr(args, attr, _config_value(actions[attr], key, value))
-    return args
+def _apply_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Optional JSON config file; keys mirror flag names and become the
+    subcommand's defaults, so flags given on the command line win.  A key
+    that names no flag of the subcommand, or a value the flag would reject,
+    is a usage error."""
+    loaded = json.loads(Path(args.config).read_text())
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    flags = set(vars(args)) - {"command"}
+    dests = {key: key.replace("-", "_") for key in loaded}
+    unknown = [key for key, dest in dests.items() if dest not in flags]
+    if unknown:
+        raise ValueError(f"config keys match no flag of {args.command}: {', '.join(unknown)}")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = subparsers.choices[args.command]
+    actions = {a.dest: a for a in command._actions}
+    command.set_defaults(**{dest: _config_value(actions[dest], key, loaded[key])
+                            for key, dest in dests.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +289,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_defaults(parser, args, _explicit_dests(argv))
+        if args.config:
+            _apply_config_defaults(parser, args)
+            args = parser.parse_args(argv)  # argparse decides which flags were given
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -14,12 +14,12 @@ by absolute value, coordinates are re-sorted, exact ties are nudged apart
 by 1e-12 (1+|x|), and per-pair repulsion kicks are clamped to half the pair
 distance per step (see _pairwise_sum).
 
-Monte Carlo drivers derive one stream per path index from the master seed
-(see rng.path_generator), so an ensemble result is bit-reproducible for a
-fixed seed regardless of chunking or worker count.  Particle paths run in
-chunks whose noise fits _CHUNK_FLOAT_BUDGET floats and whose two (paths, N, N)
-pair buffers, allocated once and reused by every step, fit _PAIR_FLOAT_BUDGET
-floats each, so the drift's passes stay in cache.
+Every simulator runs its paths through _run_paths, the one place where
+per-path streams and chunk sizes are decided: path i draws only from
+rng.path_generator(master_seed, i), so an ensemble result is bit-reproducible
+for a fixed seed regardless of chunking.  A chunk's noise fits
+_CHUNK_FLOAT_BUDGET floats; Euler chunks are further capped so that their two
+(paths, N, N) pair buffers, reused by every step, fit _PAIR_FLOAT_BUDGET floats.
 """
 
 from __future__ import annotations
@@ -185,42 +185,8 @@ def pickrell_drift_interaction_form(params: PickrellParams, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# guarded Euler engine for particle systems
+# chunked path runner and guarded Euler engine for particle systems
 # ---------------------------------------------------------------------------
-
-
-def _sanitize_rows(x: np.ndarray) -> tuple:
-    """Reflect, sort and un-tie rows in place; returns (rows, guarded mask)."""
-    neg = x < 0
-    guarded = neg.any(axis=1)
-    np.abs(x, out=x)
-    x.sort(axis=1)
-    if not (x[:, 1:] <= x[:, :-1]).any():
-        return x, guarded
-    for k in range(1, x.shape[1]):
-        tie = x[:, k] <= x[:, k - 1]
-        if tie.any():
-            guarded |= tie
-            x[tie, k] = x[tie, k - 1] + _TIE_EPS * (1.0 + np.abs(x[tie, k - 1]))
-    return x, guarded
-
-
-def _euler_particle_chunk(drift_rows, vol_rows, x0, noise, hs, snap_steps, work):
-    x = x0.copy()
-    x, _ = _sanitize_rows(x)
-    guard_events = 0
-    snaps = {}
-    for i, h in enumerate(hs):
-        d = drift_rows(x, h, work)
-        v = vol_rows(x)
-        x = x + d * h + v * np.sqrt(h) * noise[:, i, :]
-        if np.isnan(x).any():
-            raise RuntimeError(f"NaN state at step {i + 1}; reduce dt")
-        x, guarded = _sanitize_rows(x)
-        guard_events += int(guarded.sum())
-        if (i + 1) in snap_steps:
-            snaps[snap_steps[i + 1]] = x.copy()
-    return x, snaps, guard_events
 
 
 def _snapshot_steps(snapshots_at, hs, dt, t) -> dict:
@@ -239,58 +205,95 @@ def _snapshot_steps(snapshots_at, hs, dt, t) -> dict:
     return out
 
 
-def _require_paths(n_paths: int) -> None:
+def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n: int,
+               noise_floats: int, start, step, observe, *, snapshots_at=None,
+               guard_key=None, max_chunk=None):
+    """Run n_paths paths in chunks; returns (terminal, snapshots, info).
+
+    Path i draws only from path_generator(master_seed, i), so the output does
+    not depend on the chunk size: noise_floats per path and step, over the
+    whole horizon, fit _CHUNK_FLOAT_BUDGET floats per chunk, and max_chunk
+    caps the chunk further.  ``start(rows, gens, n_steps)`` returns the
+    initial state of the paths in the slice ``rows`` and their
+    (paths, n_steps, ...) noise, drawn from ``gens``, one generator per path;
+    ``step(state, noise_i, h, i)`` returns the next state and its count of
+    guarded paths; ``observe(state)`` returns (paths, n) ascending rows.
+    ``info[guard_key]`` is the guarded fraction of path-steps.
+    """
     if n_paths < 1:
         raise ValueError(f"n_paths={n_paths} must be >= 1")
-
-
-def _broadcast_x0(x0, n: int, n_paths: int) -> np.ndarray:
-    _require_paths(n_paths)
-    arr = x0.as_array() if isinstance(x0, OrderedPoint) else np.asarray(x0, dtype=float)
-    if arr.ndim == 1:
-        if arr.size != n:
-            raise ValueError(f"x0 has dimension {arr.size}, expected {n}")
-        return np.tile(arr, (n_paths, 1))
-    if arr.shape != (n_paths, n):
-        raise ValueError(f"x0 has shape {arr.shape}, expected ({n_paths}, {n})")
-    return arr.copy()
-
-
-def _run_particle_paths(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots_at):
-    if cfg.scheme is not Scheme.EULER_GUARDED:
-        raise ValueError("particle simulation requires the EULER_GUARDED scheme")
-    x0_rows = _broadcast_x0(x0, n, n_paths)
-    if np.any(x0_rows < 0):
-        raise ValueError("x0 must be non-negative")
+    if cfg.scheme is not scheme:
+        raise ValueError(f"this simulation requires the {scheme.name} scheme")
     hs = cfg.step_sizes()
     snap_steps = _snapshot_steps(snapshots_at, hs, cfg.dt, cfg.t)
     n_steps = len(hs)
-    if n_steps == 0:
-        return x0_rows.copy(), {}, {"guard_fraction": 0.0, "n_steps": 0, "n_paths": n_paths}
-    chunk = max(1, min(n_paths, int(_CHUNK_FLOAT_BUDGET / max(1, n_steps * n)),
-                       _PAIR_FLOAT_BUDGET // (n * n)))
-    work = np.empty((2, chunk, n, n))
-    terminal = np.empty_like(x0_rows)
-    snaps = {ts: np.empty_like(x0_rows) for ts in (snapshots_at or [])}
-    guard_events = 0
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        noise = np.empty((stop - start, n_steps, n))
-        for k, i in enumerate(range(start, stop)):
-            path_generator(master_seed, i).standard_normal(out=noise[k])
-        term, chunk_snaps, events = _euler_particle_chunk(
-            drift_rows, vol_rows, x0_rows[start:stop], noise, hs, snap_steps, work
-        )
-        terminal[start:stop] = term
-        for ts, arr in chunk_snaps.items():
-            snaps[ts][start:stop] = arr
-        guard_events += events
-    info = {
-        "guard_fraction": guard_events / float(n_paths * n_steps),
-        "n_steps": n_steps,
-        "n_paths": n_paths,
-    }
+    chunk = max(1, min(n_paths, int(_CHUNK_FLOAT_BUDGET / max(1, n_steps * noise_floats)),
+                       n_paths if max_chunk is None else max_chunk))
+    terminal = np.empty((n_paths, n))
+    snaps = {ts: np.empty((n_paths, n)) for ts in (snapshots_at or [])}
+    guarded = 0
+    for lo in range(0, n_paths, chunk):
+        rows = slice(lo, min(lo + chunk, n_paths))
+        gens = (path_generator(master_seed, i) for i in range(rows.start, rows.stop))
+        state, noise = start(rows, gens, n_steps)
+        for i, h in enumerate(hs):
+            state, events = step(state, noise[:, i], h, i)
+            guarded += events
+            if (i + 1) in snap_steps:
+                snaps[snap_steps[i + 1]][rows] = observe(state)
+        terminal[rows] = observe(state)
+    info = {"n_steps": n_steps, "n_paths": n_paths}
+    if guard_key is not None:
+        info[guard_key] = guarded / float(n_paths * n_steps) if n_steps else 0.0
     return terminal, snaps, info
+
+
+def _sanitize_rows(x: np.ndarray) -> tuple:
+    """Reflect, sort and un-tie rows in place; returns (rows, guarded mask)."""
+    neg = x < 0
+    guarded = neg.any(axis=1)
+    np.abs(x, out=x)
+    x.sort(axis=1)
+    if not (x[:, 1:] <= x[:, :-1]).any():
+        return x, guarded
+    for k in range(1, x.shape[1]):
+        tie = x[:, k] <= x[:, k - 1]
+        if tie.any():
+            guarded |= tie
+            x[tie, k] = x[tie, k - 1] + _TIE_EPS * (1.0 + np.abs(x[tie, k - 1]))
+    return x, guarded
+
+
+def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots_at):
+    x0 = x0.as_array() if isinstance(x0, OrderedPoint) else np.asarray(x0, dtype=float)
+    if x0.shape not in ((n,), (n_paths, n)):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({n},) or ({n_paths}, {n})")
+    if np.any(x0 < 0):
+        raise ValueError("x0 must be non-negative")
+    work = None  # one (2, chunk, n, n) pair workspace, reused by every step
+
+    def start(rows, gens, n_steps):
+        nonlocal work
+        x = np.array(np.broadcast_to(x0, (n_paths, n))[rows])
+        if work is None:  # the first chunk is the largest
+            work = np.empty((2, x.shape[0], n, n))
+        noise = np.empty((x.shape[0], n_steps, n))
+        for k, gen in enumerate(gens):
+            gen.standard_normal(out=noise[k])
+        return _sanitize_rows(x)[0], noise
+
+    def step(x, noise_i, h, i):
+        d = drift_rows(x, h, work)
+        v = vol_rows(x)
+        x = x + d * h + v * np.sqrt(h) * noise_i
+        if np.isnan(x).any():
+            raise RuntimeError(f"NaN state at step {i + 1}; reduce dt")
+        x, guarded = _sanitize_rows(x)
+        return x, int(guarded.sum())
+
+    return _run_paths(Scheme.EULER_GUARDED, cfg, n_paths, master_seed, n, n, start, step,
+                      lambda x: x, snapshots_at=snapshots_at, guard_key="guard_fraction",
+                      max_chunk=_PAIR_FLOAT_BUDGET // (n * n))
 
 
 def _laguerre_vol(x: np.ndarray) -> np.ndarray:
@@ -308,19 +311,15 @@ def simulate_laguerre_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int, master_s
 
     Returns (terminal (n_paths, n) ascending rows, snapshots dict, info dict).
     """
-    return _run_particle_paths(
-        lambda x, h, work: _laguerre_drift_rows(alpha, x, h, work),
-        _laguerre_vol, x0, n, cfg, n_paths, master_seed, snapshots_at,
-    )
+    return _run_euler(lambda x, h, work: _laguerre_drift_rows(alpha, x, h, work),
+                      _laguerre_vol, x0, n, cfg, n_paths, master_seed, snapshots_at)
 
 
 def simulate_pickrell_paths(params: PickrellParams, x0, cfg: SdeConfig, n_paths: int,
                             master_seed: int, snapshots_at=None):
     """Terminal states of n_paths guarded-Euler Pickrell paths."""
-    return _run_particle_paths(
-        lambda x, h, work: _pickrell_drift_rows(params.s, params.alpha, x, h, work),
-        _pickrell_vol, x0, params.n, cfg, n_paths, master_seed, snapshots_at,
-    )
+    return _run_euler(lambda x, h, work: _pickrell_drift_rows(params.s, params.alpha, x, h, work),
+                      _pickrell_vol, x0, params.n, cfg, n_paths, master_seed, snapshots_at)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +332,6 @@ def _complex_noise(gen, n_steps: int, m: int, n: int) -> np.ndarray:
     return z[:, 0] + 1j * z[:, 1]
 
 
-def _check_matrix_cfg(cfg: SdeConfig, n_paths: int):
-    _require_paths(n_paths)
-    if cfg.scheme is not Scheme.MATRIX_LIFT:
-        raise ValueError("matrix simulation requires the MATRIX_LIFT scheme")
-
-
 def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
                                    master_seed: int, init: str = "diag",
                                    snapshots_at=None):
@@ -349,14 +342,10 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
     [diag(sqrt(x0)); 0]; ``init='ginibre'`` starts from the stationary law,
     drawn from the path's own stream.  Returns (terminal, snapshots, info).
     """
-    _check_matrix_cfg(cfg, n_paths)
     ai = int(alpha)
     if ai != alpha or ai < 0:
         raise ValueError(f"matrix lift needs integer alpha >= 0, got {alpha}")
     m = n + ai
-    hs = cfg.step_sizes()
-    n_steps = len(hs)
-    snap_steps = _snapshot_steps(snapshots_at, hs, cfg.dt, cfg.t)
     x0a = as_coords(x0, expected_dim=n) if x0 is not None else None
     h0_diag = None
     if init == "diag":
@@ -368,90 +357,68 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
         h0_diag[:n, :n] = np.diag(np.sqrt(x0a))
     elif init != "ginibre":
         raise ValueError(f"unknown init {init!r}")
-    chunk = max(1, min(n_paths, int(_CHUNK_FLOAT_BUDGET / max(1, 2 * n_steps * m * n))))
-    terminal = np.empty((n_paths, n))
-    snaps = {ts: np.empty((n_paths, n)) for ts in (snapshots_at or [])}
-    sqrt_hs = np.sqrt(np.asarray(hs) / 2.0) if n_steps else None
 
-    def spectrum(hmat):
-        s = np.linalg.svd(hmat, compute_uv=False)
-        return np.maximum(s[:, ::-1], 0.0) ** 2
-
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        c = stop - start
-        hmat = np.empty((c, m, n), dtype=complex)
-        noise = np.empty((c, n_steps, m, n), dtype=complex)
-        for k, i in enumerate(range(start, stop)):
-            gen = path_generator(master_seed, i)
-            if init == "ginibre":
+    def start(rows, gens, n_steps):
+        hmat = np.empty((rows.stop - rows.start, m, n), dtype=complex)
+        noise = np.empty((rows.stop - rows.start, n_steps, m, n), dtype=complex)
+        for k, gen in enumerate(gens):
+            if h0_diag is None:  # the stationary start comes first in the stream
                 g = gen.standard_normal((2, m, n))
                 hmat[k] = (g[0] + 1j * g[1]) / np.sqrt(2.0)
             else:
                 hmat[k] = h0_diag
             noise[k] = _complex_noise(gen, n_steps, m, n)
-        for i, h in enumerate(hs):
-            hmat = hmat * (1.0 - h / 2.0) + sqrt_hs[i] * noise[:, i]
-            if (i + 1) in snap_steps:
-                snaps[snap_steps[i + 1]][start:stop] = spectrum(hmat)
-        terminal[start:stop] = spectrum(hmat)
-    info = {"n_steps": n_steps, "n_paths": n_paths}
-    return terminal, snaps, info
+        return hmat, noise
 
+    def spectrum(hmat):
+        s = np.linalg.svd(hmat, compute_uv=False)
+        return np.maximum(s[:, ::-1], 0.0) ** 2
 
-def _pickrell_matrix_chunk(s, alpha, n, x0a, noise, hs):
-    c = noise.shape[0]
-    w = np.tile(x0a, (c, 1))
-    vecs = np.tile(np.eye(n, dtype=complex), (c, 1, 1))
-    eye = np.eye(n)
-    clip_events = 0
-    for i, h in enumerate(hs):
-        w = np.clip(w, 0.0, None)
-        vh = vecs.conj().transpose(0, 2, 1)
-        sq_a = (vecs * np.sqrt(w / 2.0)[:, None, :]) @ vh
-        sq_b = (vecs * np.sqrt(1.0 + w)[:, None, :]) @ vh
-        xc = (vecs * w[:, None, :]) @ vh
-        dw = np.sqrt(h) * noise[:, i]
-        mterm = sq_a @ dw @ sq_b
-        x = xc + mterm + mterm.conj().transpose(0, 2, 1) + (-s * xc + (n + alpha) * eye) * h
-        x = 0.5 * (x + x.conj().transpose(0, 2, 1))
-        if np.isnan(x).any():
-            raise RuntimeError(f"NaN state at step {i + 1}; reduce dt")
-        w, vecs = np.linalg.eigh(x)
-        clip_events += int((w < 0).any(axis=1).sum())
-    return np.clip(w, 0.0, None), clip_events
+    return _run_paths(Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * m * n, start,
+                      lambda hmat, noise_i, h, i: (hmat * (1.0 - h / 2.0)
+                                                   + np.sqrt(h / 2.0) * noise_i, 0),
+                      spectrum, snapshots_at=snapshots_at)
 
 
 def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
                                    n_paths: int, master_seed: int):
     """Ascending eigenvalues at the horizon of the Hermitian matrix evolution
     dX = sqrt(X/2) dW sqrt(I+X) + sqrt(I+X) dW* sqrt(X/2) + (-s X + (N+alpha) I) dt,
-    with E|dW_jk|^2 = 2 dt and projection onto the non-negative cone."""
-    _check_matrix_cfg(cfg, n_paths)
-    n = params.n
+    with E|dW_jk|^2 = 2 dt and projection onto the non-negative cone.
+    Returns (terminal, info); info["clip_fraction"] is the fraction of
+    path-steps whose spectrum left the cone."""
+    s, alpha, n = params.s, params.alpha, params.n
     x0a = as_coords(x0, expected_dim=n)
     if np.any(x0a < 0):
         raise ValueError("x0 must be non-negative")
-    hs = cfg.step_sizes()
-    n_steps = len(hs)
-    if n_steps == 0:
-        return np.tile(np.sort(x0a), (n_paths, 1)), {"n_steps": 0, "n_paths": n_paths}
-    chunk = max(1, min(n_paths, int(_CHUNK_FLOAT_BUDGET / max(1, 2 * n_steps * n * n))))
-    terminal = np.empty((n_paths, n))
-    clip_events = 0
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        noise = np.empty((stop - start, n_steps, n, n), dtype=complex)
-        for k, i in enumerate(range(start, stop)):
-            noise[k] = _complex_noise(path_generator(master_seed, i), n_steps, n, n)
-        w, events = _pickrell_matrix_chunk(params.s, params.alpha, n, x0a, noise, hs)
-        terminal[start:stop] = w
-        clip_events += events
-    info = {
-        "n_steps": n_steps,
-        "n_paths": n_paths,
-        "clip_fraction": clip_events / float(n_paths * n_steps),
-    }
+    eye = np.eye(n)
+
+    def start(rows, gens, n_steps):
+        c = rows.stop - rows.start
+        noise = np.empty((c, n_steps, n, n), dtype=complex)
+        for k, gen in enumerate(gens):
+            noise[k] = _complex_noise(gen, n_steps, n, n)
+        return (np.tile(x0a, (c, 1)), np.tile(np.eye(n, dtype=complex), (c, 1, 1))), noise
+
+    def step(state, noise_i, h, i):
+        w, vecs = state
+        w = np.clip(w, 0.0, None)
+        vh = vecs.conj().transpose(0, 2, 1)
+        sq_a = (vecs * np.sqrt(w / 2.0)[:, None, :]) @ vh
+        sq_b = (vecs * np.sqrt(1.0 + w)[:, None, :]) @ vh
+        xc = (vecs * w[:, None, :]) @ vh
+        mterm = sq_a @ (np.sqrt(h) * noise_i) @ sq_b
+        x = xc + mterm + mterm.conj().transpose(0, 2, 1) + (-s * xc + (n + alpha) * eye) * h
+        x = 0.5 * (x + x.conj().transpose(0, 2, 1))
+        if np.isnan(x).any():
+            raise RuntimeError(f"NaN state at step {i + 1}; reduce dt")
+        w, vecs = np.linalg.eigh(x)
+        return (w, vecs), int((w < 0).any(axis=1).sum())
+
+    # eigh sorts after every step; the sort orders a t = 0 start
+    terminal, _, info = _run_paths(
+        Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * n * n, start, step,
+        lambda state: np.sort(np.clip(state[0], 0.0, None), axis=1), guard_key="clip_fraction")
     return terminal, info
 
 

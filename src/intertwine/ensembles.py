@@ -31,6 +31,12 @@ __all__ = [
     "jacobi_ensemble_density_unnorm",
 ]
 
+# the log-space random-walk chain: proposal scale, burn-in, thinning, chains
+_MCMC_STEP = 2.0
+_MCMC_BURN_IN = 10_000
+_MCMC_THIN = 10
+_MCMC_CHAINS = 50
+
 
 @dataclass(frozen=True)
 class EnsembleParams:
@@ -94,17 +100,17 @@ def _pickrell_exact_1d(params: EnsembleParams, n_samples: int, rng) -> np.ndarra
     return ((1.0 - u) ** (-1.0 / (1.0 + params.s)) - 1.0)[:, None]
 
 
-def _logspace_rw_chain(log_target_rows, n: int, n_samples: int, rng, step, burn_in,
-                       thin, n_chains):
+def _logspace_rw_chain(log_target_rows, n: int, n_samples: int, rng):
     """Random-walk Metropolis in log-coordinates on sorted positive vectors.
 
-    Proposals multiply each coordinate by exp(step * normal) and re-sort;
-    the acceptance ratio carries the prod(x) Jacobian of the log map.
-    Chains run vectorized; kept states are interleaved across chains.
+    Proposals multiply each coordinate by exp(_MCMC_STEP * normal) and
+    re-sort; the acceptance ratio carries the prod(x) Jacobian of the log map.
+    _MCMC_CHAINS chains run vectorized; after _MCMC_BURN_IN steps every
+    _MCMC_THIN-th state is kept, interleaved across chains.
     """
-    n_chains = max(1, min(n_chains, n_samples))
+    n_chains = max(1, min(_MCMC_CHAINS, n_samples))
     kept_per_chain = -(-n_samples // n_chains)  # ceil
-    n_steps = burn_in + thin * kept_per_chain
+    n_steps = _MCMC_BURN_IN + _MCMC_THIN * kept_per_chain
     # spread chain starts over the bulk of the target
     x = np.sort(rng.gamma(shape=2.0, scale=1.0, size=(n_chains, n)), axis=1)
     for k in range(1, n):  # break exact float ties (probability-zero event)
@@ -115,29 +121,27 @@ def _logspace_rw_chain(log_target_rows, n: int, n_samples: int, rng, step, burn_
     accepted = 0
     proposed = 0
     for it in range(n_steps):
-        prop = np.sort(x * np.exp(step * rng.standard_normal(size=x.shape)), axis=1)
+        prop = np.sort(x * np.exp(_MCMC_STEP * rng.standard_normal(size=x.shape)), axis=1)
         log_pi_prop = log_target_rows(prop) + np.log(prop).sum(axis=1)
         acc = np.log(rng.uniform(size=n_chains)) < log_pi_prop - log_pi
         x[acc] = prop[acc]
         log_pi[acc] = log_pi_prop[acc]
         accepted += int(acc.sum())
         proposed += n_chains
-        if it >= burn_in and (it - burn_in) % thin == 0:
+        if it >= _MCMC_BURN_IN and (it - _MCMC_BURN_IN) % _MCMC_THIN == 0:
             kept.append(x.copy())
     out = np.concatenate(kept, axis=0)[:n_samples]
     info = {"method": "mcmc-logspace", "acceptance_rate": accepted / proposed,
-            "burn_in": burn_in, "thin": thin, "step": step, "n_chains": n_chains}
+            "burn_in": _MCMC_BURN_IN, "thin": _MCMC_THIN, "step": _MCMC_STEP, "n_chains": n_chains}
     return out, info
 
 
-def sample_pickrell(params: EnsembleParams, n_samples: int, rng, *, step: float = 2.0,
-                    burn_in: int = 10_000, thin: int = 10, n_chains: int = 50,
-                    return_info: bool = False):
+def sample_pickrell(params: EnsembleParams, n_samples: int, rng, *, return_info: bool = False):
     """Draws from the Pickrell ensemble as an (n_samples, N) array of
     ascending rows.
 
     N = 1 with alpha = 0 uses exact inverse-CDF sampling; otherwise the
-    log-space random-walk chain with the stated burn-in and thinning.
+    log-space random-walk chain of _logspace_rw_chain.
     """
     if not params.s > -1:
         raise ValueError(f"s={params.s} must be > -1 for a finite ensemble")
@@ -147,17 +151,16 @@ def sample_pickrell(params: EnsembleParams, n_samples: int, rng, *, step: float 
                 "burn_in": 0, "thin": 1, "step": None, "n_chains": 1}
         return (out, info) if return_info else out
     out, info = _logspace_rw_chain(lambda rows: pickrell_log_density_rows(params, rows),
-                                   params.n, n_samples, rng, step, burn_in, thin, n_chains)
+                                   params.n, n_samples, rng)
     return (out, info) if return_info else out
 
 
-def sample_laguerre_mcmc(alpha: float, n: int, n_samples: int, rng, *, step: float = 2.0,
-                         burn_in: int = 10_000, thin: int = 10, n_chains: int = 50,
+def sample_laguerre_mcmc(alpha: float, n: int, n_samples: int, rng, *,
                          return_info: bool = False):
     """MCMC route to the Laguerre ensemble, independent of the Ginibre
     radial construction (used to cross-validate it)."""
     out, info = _logspace_rw_chain(lambda rows: laguerre_log_density_rows(alpha, rows),
-                                   n, n_samples, rng, step, burn_in, thin, n_chains)
+                                   n, n_samples, rng)
     return (out, info) if return_info else out
 
 

@@ -155,6 +155,17 @@ def test_config_values_converted_like_flags(tmp_path):
     assert out_cfg.read_bytes() == out_flags.read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--paths", "--pat", "--paths=3"])
+def test_explicit_flag_beats_config_however_spelled(tmp_path, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"paths": "10"}))
+    out = tmp_path / "paths.csv"
+    value = [] if "=" in flag else ["3"]
+    assert main(["simulate", "--process", "laguerre", "--x0", "1", "--t", "0.1", flag, *value,
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3  # header plus the 3 explicit paths
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli(["sample-kernel", "--kernel", "l", "--x", "0,1", "--wat", "1"])
     assert proc.returncode == 2

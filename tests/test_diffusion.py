@@ -135,9 +135,16 @@ def test_simulate_laguerre_ordering_and_guards():
     assert info["guard_fraction"] < 0.01
 
 
+def _three(term, info):
+    """The Pickrell lift's (terminal, info) in the other simulators' shape."""
+    return term, {}, info
+
+
 def test_paths_reproducible_and_chunk_independent(monkeypatch):
     cfg = SdeConfig(1e-3, 0.2)
+    lift = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)
     p = PickrellParams(1.0, 0.5, 3)
+    p2 = PickrellParams(1.0, 0.5, 2)
     runs = {
         "laguerre": lambda: simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 500, 305,
                                                     snapshots_at=(0.05, 0.2)),
@@ -145,11 +152,19 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
                                                     snapshots_at=(0.1,)),
         "laguerre-N7": lambda: simulate_laguerre_paths(1.0, 7, np.arange(1.0, 8.0), cfg, 40, 321,
                                                        snapshots_at=(0.1,)),
+        "laguerre-lift": lambda: simulate_laguerre_matrix_paths(1, 2, (1.0, 2.0), lift, 300, 322,
+                                                                snapshots_at=(0.1, 0.3)),
+        "laguerre-lift-ginibre": lambda: simulate_laguerre_matrix_paths(
+            1, 2, None, lift, 200, 323, init="ginibre"),
+        "pickrell-lift": lambda: _three(*simulate_pickrell_matrix_paths(p2, (0.5, 1.5), lift,
+                                                                        300, 320)),
     }
     ref = {name: run() for name, run in runs.items()}
     again = {name: run() for name, run in runs.items()}
+    # every run is one chunk at the default budgets; these end each in a ragged chunk:
+    # 48, 21 and 3 particle paths (pair budget 195 floats over N^2), 138 Laguerre-lift
+    # paths (360 noise floats each) and 208 Pickrell-lift paths (240 each)
     monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
-    # N = 7: chunks of 3 paths (3 * 49 pair floats), the last of the 40 ragged
     monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 3 * 49 + 48)
     chunked = {name: run() for name, run in runs.items()}
     for name, (term, snaps, info) in ref.items():
@@ -157,16 +172,23 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
             assert np.array_equal(term, other[0]) and info == other[2]
             assert snaps.keys() == other[1].keys()
             assert all(np.array_equal(snaps[ts], other[1][ts]) for ts in snaps)
+    assert ref["pickrell-lift"][2]["clip_fraction"] > 0  # the clip count is compared too
 
 
-def test_pickrell_matrix_paths_chunk_independent(monkeypatch):
-    p = PickrellParams(1.0, 0.5, 2)
-    cfg = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)
-    term, info = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 40, 320)
-    monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 500)
-    term_c, info_c = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 40, 320)
-    assert np.array_equal(term, term_c)
-    assert info == info_c and info["clip_fraction"] > 0
+@pytest.mark.parametrize("simulate", [
+    lambda cfg, lift: simulate_laguerre_paths(1.0, 3, (2.0, 1.0, 3.0), cfg, 4, 330),
+    lambda cfg, lift: simulate_pickrell_paths(PickrellParams(1.0, 0.5, 3), (2.0, 1.0, 3.0),
+                                              cfg, 4, 331),
+    lambda cfg, lift: simulate_laguerre_matrix_paths(1, 3, (2.0, 1.0, 3.0), lift, 4, 332),
+    lambda cfg, lift: _three(*simulate_pickrell_matrix_paths(
+        PickrellParams(1.0, 0.5, 3), (2.0, 1.0, 3.0), lift, 4, 333)),
+], ids=["laguerre", "pickrell", "laguerre-lift", "pickrell-lift"])
+def test_t0_gives_ascending_rows_and_the_same_info_keys(simulate):
+    term, snaps, info = simulate(SdeConfig(1e-2, 0.0), SdeConfig(1e-2, 0.0, Scheme.MATRIX_LIFT))
+    assert term.shape == (4, 3) and snaps == {}
+    assert np.allclose(term, [1.0, 2.0, 3.0], rtol=1e-12) and np.all(np.diff(term, axis=1) > 0)
+    later = simulate(SdeConfig(1e-2, 0.02), SdeConfig(1e-2, 0.02, Scheme.MATRIX_LIFT))[2]
+    assert info.keys() == later.keys() and info["n_steps"] == 0 and info["n_paths"] == 4
 
 
 def test_matrix_lift_requires_scheme_tag():
