@@ -144,7 +144,6 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
     cfg = SdeConfig(1e-3, 0.2)
     lift = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)
     p = PickrellParams(1.0, 0.5, 3)
-    p2 = PickrellParams(1.0, 0.5, 2)
     runs = {
         "laguerre": lambda: simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 500, 305,
                                                     snapshots_at=(0.05, 0.2)),
@@ -156,14 +155,12 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
                                                                 snapshots_at=(0.1, 0.3)),
         "laguerre-lift-ginibre": lambda: simulate_laguerre_matrix_paths(
             1, 2, None, lift, 200, 323, init="ginibre"),
-        "pickrell-lift": lambda: _three(*simulate_pickrell_matrix_paths(p2, (0.5, 1.5), lift,
-                                                                        300, 320)),
     }
     ref = {name: run() for name, run in runs.items()}
     again = {name: run() for name, run in runs.items()}
     # every run is one chunk at the default budgets; these end each in a ragged chunk:
-    # 48, 21 and 3 particle paths (pair budget 195 floats over N^2), 138 Laguerre-lift
-    # paths (360 noise floats each) and 208 Pickrell-lift paths (240 each)
+    # 48, 21 and 3 particle paths (pair budget 195 floats over N^2) and 138 Laguerre-lift
+    # paths (360 noise floats each)
     monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
     monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 3 * 49 + 48)
     chunked = {name: run() for name, run in runs.items()}
@@ -172,7 +169,19 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
             assert np.array_equal(term, other[0]) and info == other[2]
             assert snaps.keys() == other[1].keys()
             assert all(np.array_equal(snaps[ts], other[1][ts]) for ts in snaps)
-    assert ref["pickrell-lift"][2]["clip_fraction"] > 0  # the clip count is compared too
+
+
+def test_pickrell_matrix_paths_chunk_independent(monkeypatch):
+    p = PickrellParams(1.0, 0.5, 2)
+    cfg = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)
+    term, info = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
+    again, info_again = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
+    # one chunk at the default budget; this one ends in a ragged chunk of 92 of the 300
+    # paths (208 paths of 240 noise floats each)
+    monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
+    term_c, info_c = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
+    assert np.array_equal(term, again) and np.array_equal(term, term_c)
+    assert info == info_again == info_c and info["clip_fraction"] > 0
 
 
 @pytest.mark.parametrize("simulate", [
