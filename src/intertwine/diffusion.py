@@ -190,18 +190,19 @@ def pickrell_drift_interaction_form(params: PickrellParams, x) -> np.ndarray:
 
 
 def _snapshot_steps(snapshots_at, hs, dt, t) -> dict:
-    """Map step index -> requested time; times must sit on the step grid."""
+    """Map step index -> every requested time on that step; times must sit
+    on the step grid."""
     if not snapshots_at:
         return {}
     out = {}
     for ts in snapshots_at:
         if ts == t and hs:
-            out[len(hs)] = ts
+            out.setdefault(len(hs), []).append(ts)
             continue
         k = int(round(ts / dt))
         if abs(k * dt - ts) > 1e-9 * max(1.0, t) or k < 1 or k > len(hs):
             raise ValueError(f"snapshot time {ts} is not on the dt grid within [0, {t}]")
-        out[k] = ts
+        out.setdefault(k, []).append(ts)
     return out
 
 
@@ -240,7 +241,9 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
             state, events = step(state, noise[:, i], h, i)
             guarded += events
             if (i + 1) in snap_steps:
-                snaps[snap_steps[i + 1]][rows] = observe(state)
+                rows_now = observe(state)
+                for ts in snap_steps[i + 1]:
+                    snaps[ts][rows] = rows_now
         terminal[rows] = observe(state)
     info = {"n_steps": n_steps, "n_paths": n_paths}
     if guard_key is not None:

@@ -21,7 +21,6 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import roots_jacobi, roots_legendre
@@ -284,6 +283,11 @@ def _require_power(n_perm: int, threshold: float) -> None:
                          f"1/(n_perm+1) exceeds the threshold {threshold}")
 
 
+# pooled-distance columns per block in d >= 2: an (n, 256) float64 block is
+# 8 MB at the default 2 x 2,048 pooled points
+_ENERGY_BLOCK = 256
+
+
 def energy_perm_test(a, b, n_perm: int, rng, threshold: float = P_THRESHOLD,
                      max_points: int = 2048, name: str = "energy_perm_test") -> TestReport:
     """Energy-distance two-sample permutation test.
@@ -293,6 +297,17 @@ def energy_perm_test(a, b, n_perm: int, rng, threshold: float = P_THRESHOLD,
     permutations with a statistic at least as large.  Inputs larger than
     ``max_points`` per group are subsampled (exactness of the permutation
     test is unaffected; only power changes).
+
+    Row 0 of one (n_perm + 1, n) label matrix is the observed split of the n
+    pooled points and rows 1.. are the permuted splits; every statistic is
+    computed in float64 from it, and no n x n array is formed.  In one
+    dimension the statistic is 2 * integral of (F_a - F_b)^2 (Szekely and
+    Rizzo, JSPI 2013): one sort of the pooled sample, then prefix sums of
+    each row's labels give its empirical CDFs on the gaps, with no distances
+    at all.  In d >= 2 the distance matrix is built ``_ENERGY_BLOCK``
+    columns at a time and multiplied by the label matrix, so memory stays
+    O(n * (n_perm + _ENERGY_BLOCK)): under 64 MB at 2 x 2,048 points and
+    n_perm = 300.
     """
     _require_power(n_perm, threshold)
     a = _as_rows(a)
@@ -309,32 +324,53 @@ def energy_perm_test(a, b, n_perm: int, rng, threshold: float = P_THRESHOLD,
     na, nb = a.shape[0], b.shape[0]
     n = na + nb
     pooled = np.vstack([a, b])
-    dist = cdist(pooled, pooled).astype(np.float32)
-    total = float(dist.sum())
-
-    def stats_from_indicators(v):
-        # with v the 0/1 label matrix, one GEMM gives all within/between sums
-        u = v @ dist
-        s_aa = np.einsum("ij,ij->i", v, u, dtype=np.float64)
-        s_ab = u.sum(axis=1, dtype=np.float64) - s_aa
-        s_bb = total - 2.0 * s_ab - s_aa
-        return 2.0 * s_ab / (na * nb) - s_aa / (na * na) - s_bb / (nb * nb)
-
-    v0 = np.zeros((1, n), dtype=np.float32)
-    v0[0, :na] = 1.0
-    observed = float(stats_from_indicators(v0)[0])
-    idx = np.stack([rng.permutation(n)[:na] for _ in range(n_perm)])
-    v = np.zeros((n_perm, n), dtype=np.float32)
-    v[np.arange(n_perm)[:, None], idx] = 1.0
-    perm_stats = stats_from_indicators(v)
-    count = int((perm_stats >= observed).sum())
+    labels = np.zeros((n_perm + 1, n), dtype=bool)
+    labels[0, :na] = True
+    for row in labels[1:]:
+        row[rng.permutation(n)[:na]] = True
+    stat = _energy_stats(pooled, labels, na, nb)
+    observed = float(stat[0])
+    count = int((stat[1:] >= observed).sum())
     p_value = (count + 1.0) / (n_perm + 1.0)
     meta = {"n_a": full_na, "n_b": full_nb, "n_a_used": na, "n_b_used": nb, "n_perm": n_perm}
     return TestReport.statistical(name, observed, p_value, threshold, meta)
 
 
+def _energy_stats(pooled, labels, na, nb) -> np.ndarray:
+    """Energy statistic of each row of the boolean ``labels`` (True: group
+    a, na of them per row) over the (n, d) ``pooled`` points, in float64."""
+    n = na + nb
+    if pooled.shape[1] == 1:
+        # 2 sum_k (F_a - F_b)^2 gap_k; after the k smallest points, c of them
+        # labelled a, na nb (F_a - F_b) = c n - k na is an integer, exact in
+        # float64 as is its square (for n max(na, nb) below 9e7): only the
+        # gaps and the sum over them round
+        x = pooled[:, 0]
+        order = np.argsort(x, kind="stable")
+        gaps = np.diff(x[order])
+        diff = np.cumsum(labels[:, order[:-1]], axis=1, dtype=np.float64)
+        diff *= n
+        diff -= np.arange(1.0, n) * na
+        diff *= diff
+        return 2.0 * (diff @ gaps) / (float(na) * nb) ** 2
+    # s_aa = v.D.v and s_ab = v.(D 1) - s_aa, over column blocks of D
+    v = labels.astype(np.float64)
+    s_aa = np.zeros(v.shape[0])
+    colsum = np.empty(n)
+    for lo in range(0, n, _ENERGY_BLOCK):
+        cols = slice(lo, lo + _ENERGY_BLOCK)
+        dist = cdist(pooled, pooled[cols])
+        colsum[cols] = dist.sum(axis=0)
+        s_aa += np.einsum("ij,ij->i", v[:, cols], v @ dist)
+    s_ab = v @ colsum - s_aa
+    s_bb = colsum.sum() - 2.0 * s_ab - s_aa
+    return 2.0 * s_ab / (na * nb) - s_aa / (na * na) - s_bb / (nb * nb)
+
+
 def ks_cdf_test(name: str, samples, cdf, threshold: float = P_THRESHOLD, meta=None) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a callable CDF."""
+    from scipy import stats  # 0.8 s of import that no suite needs
+
     res = stats.kstest(np.asarray(samples, dtype=float).ravel(), cdf)
     m = dict(meta or {})
     m["n"] = int(np.asarray(samples).shape[0])

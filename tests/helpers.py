@@ -124,3 +124,27 @@ def ref_pairwise_sum(x, numer, cap_dt=None):
         np.clip(ratio, -cap, cap, out=ratio)
     ratio[:, eye] = 0.0
     return ratio.sum(axis=2)
+
+
+def mean_distance(x, y):
+    """Mean Euclidean distance over all pairs of rows of x and y, from the
+    differences themselves: no sorting, no matrix product."""
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)
+    y = np.asarray(y, dtype=float).reshape(len(y), -1)
+    return np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)).mean()
+
+
+def energy_vstat(a, b):
+    """Float64 energy V-statistic 2 E|a-b| - E|a-a'| - E|b-b'| by brute force."""
+    return 2.0 * mean_distance(a, b) - mean_distance(a, a) - mean_distance(b, b)
+
+
+def energy_draws(na, nb, n_perm, rng, max_points):
+    """Replay the draws ``verify.energy_perm_test`` makes from ``rng``: the
+    subsample indices of a and of b (None when not subsampled), then the
+    group-a indices into the pooled sample of each permutation."""
+    sub_a = rng.choice(na, size=max_points, replace=False) if na > max_points else None
+    sub_b = rng.choice(nb, size=max_points, replace=False) if nb > max_points else None
+    na, nb = min(na, max_points), min(nb, max_points)
+    perms = [rng.permutation(na + nb)[:na] for _ in range(n_perm)]
+    return sub_a, sub_b, perms

@@ -204,3 +204,12 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gamma = 2.000000" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the import time, and only ks_cdf_test needs it
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, intertwine.cli; print('scipy.stats' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -171,6 +171,24 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
             assert all(np.array_equal(snaps[ts], other[1][ts]) for ts in snaps)
 
 
+@pytest.mark.parametrize("simulate", [
+    lambda cfg, snaps: simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 3, 1,
+                                               snapshots_at=snaps),
+    lambda cfg, snaps: simulate_laguerre_matrix_paths(
+        1, 2, (1.0, 2.0), SdeConfig(cfg.dt, cfg.t, Scheme.MATRIX_LIFT), 3, 2,
+        snapshots_at=snaps),
+], ids=["laguerre", "laguerre-lift"])
+def test_snapshot_times_on_one_step_all_get_its_state(simulate):
+    cfg = SdeConfig(1e-2, 0.2)
+    _, ref, _ = simulate(cfg, (0.1, 0.2))
+    # 0.1 + 1e-12 rounds onto the step of 0.1, and 0.2 - 1e-12 onto the last one
+    _, snaps, _ = simulate(cfg, (0.1, 0.1 + 1e-12, 0.2 - 1e-12, 0.2))
+    assert snaps.keys() == {0.1, 0.1 + 1e-12, 0.2 - 1e-12, 0.2}
+    for ts, want in ((0.1, ref[0.1]), (0.1 + 1e-12, ref[0.1]), (0.2 - 1e-12, ref[0.2]),
+                     (0.2, ref[0.2])):
+        assert np.array_equal(snaps[ts], want)
+
+
 def test_pickrell_matrix_paths_chunk_independent(monkeypatch):
     p = PickrellParams(1.0, 0.5, 2)
     cfg = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)

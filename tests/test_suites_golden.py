@@ -5,9 +5,11 @@ N = 50, at small sizes.
 two-path checks were folded onto one routine (the flow case: before the
 Euler engine worked in place; the flow-chunked case: before the engine sized
 its chunks by the pair workspace).  Names, verdicts and meta must match
-exactly; the p-value within 0.02 and the statistic within 1e-3 relative.  That tolerates
-float32 GEMM rounding on another CPU but catches a miswired stream or
-parameter.  Regenerate, only when a random stream changes on purpose, with
+exactly; the p-value within 0.02 and the statistic within 1e-3 relative.  The
+stored statistics come from the earlier energy test, whose float32 distance
+GEMM was off by up to about 1e-3 relative; the test now computes them in
+float64, and the tolerance covers that old error but still catches a
+miswired stream or parameter.  Regenerate, only when a random stream changes on purpose, with
 ``PYTHONPATH=src python tests/test_suites_golden.py``.
 """
 

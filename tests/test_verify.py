@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import intertwine.verify as verify
 from intertwine.chamber import BoundaryPoint, embed_boundary, gamma_bar
 from intertwine.rng import child_seed, generator, named_seed
 from intertwine.verify import (TestReport, apply_generator_1d, check_consistency,
@@ -14,6 +16,8 @@ from intertwine.verify import (TestReport, apply_generator_1d, check_consistency
                                energy_perm_test, flow_start_profile,
                                generator_drift_coeffs, interiorize_rows, ks_cdf_test,
                                quad_1d, quad_cell)
+
+from helpers import energy_draws, energy_vstat, mean_distance
 
 
 @hypothesis.given(st.floats(0, 1), st.floats(0.001, 0.2))
@@ -63,7 +67,7 @@ def test_quad_cell_cuts_where_inner_bound_crosses_break():
 def test_energy_test_identical_sets():
     x = np.linspace(0, 1, 200)[:, None]
     rep = energy_perm_test(x, x.copy(), 99, generator(1))
-    assert abs(rep.statistic) < 1e-6  # zero up to float32 distance rounding
+    assert abs(rep.statistic) < 1e-12
     assert rep.p_value > 0.5
     assert rep.passed
 
@@ -115,6 +119,64 @@ def test_energy_test_calibration():
     rate = rejections / n_rep
     sigma = math.sqrt(0.05 * 0.95 / n_rep)
     assert abs(rate - 0.05) <= 3 * sigma
+
+
+@hypothesis.settings(max_examples=30)
+@hypothesis.given(d=st.sampled_from([1, 2, 3]), na=st.integers(100, 220),
+                  nb=st.integers(100, 220), max_points=st.integers(100, 250),
+                  grid=st.booleans(), shift=st.sampled_from([0.0, 0.3]),
+                  seed=st.integers(0, 2**31))
+def test_energy_test_matches_brute_force_oracle(d, na, nb, max_points, grid, shift, seed):
+    data = generator(seed)
+    a = data.normal(size=(na, d))
+    b = data.normal(size=(nb, d)) + shift
+    if grid:  # half-integer values: many repeats, and zero gaps in 1-D
+        a, b = np.round(2.0 * a) / 2.0, np.round(2.0 * b) / 2.0
+    n_perm = 99
+    rep = energy_perm_test(a, b, n_perm, generator(seed + 1), max_points=max_points)
+    sub_a, sub_b, perms = energy_draws(na, nb, n_perm, generator(seed + 1), max_points)
+    a_used = a if sub_a is None else a[sub_a]
+    b_used = b if sub_b is None else b[sub_b]
+    assert (rep.meta["n_a_used"], rep.meta["n_b_used"]) == (len(a_used), len(b_used))
+    pooled = np.vstack([a_used, b_used])
+    # relative 1e-10, with a floor far below the float64 cancellation scale of
+    # the oracle's own three means for statistics that cancel to about 0
+    tol = 1e-13 * mean_distance(pooled, pooled)
+    want = energy_vstat(a_used, b_used)
+    assert rep.statistic == pytest.approx(want, rel=1e-10, abs=tol)
+    if len(pooled) > 300:
+        return
+    labels = np.zeros((n_perm + 1, len(pooled)), dtype=bool)
+    labels[0, :len(a_used)] = True
+    for row, idx in zip(labels[1:], perms):
+        row[idx] = True
+    got = verify._energy_stats(pooled, labels, len(a_used), len(b_used))
+    oracle = np.array([energy_vstat(pooled[idx], np.delete(pooled, idx, axis=0))
+                       for idx in perms])
+    assert got[0] == rep.statistic
+    assert got[1:] == pytest.approx(oracle, rel=1e-10, abs=tol)
+    # the oracle's count, up to permutations that tie the observed statistic
+    count = round(rep.p_value * (n_perm + 1)) - 1
+    assert (oracle > want + tol).sum() <= count <= (oracle >= want - tol).sum()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_energy_test_memory_and_stream(d):
+    data = generator(20 + d)
+    a = data.normal(size=(4000, d))
+    b = data.normal(size=(4000, d))
+    rng = generator(9)
+    tracemalloc.start()
+    try:
+        energy_perm_test(a, b, 300, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no n x n array: the 4,096-point float64 distance matrix alone is 134 MB
+    assert peak < 64e6
+    replay = generator(9)
+    energy_draws(4000, 4000, 300, replay, 2048)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_ks_helper():
