@@ -1,19 +1,15 @@
 """Interlacing Markov kernels, Laguerre/Pickrell particle diffusions, and a
 statistical harness certifying their intertwining and invariance identities."""
 
-from .chamber import (BoundaryPoint, Domain, OrderedPoint, Partition,
-                      embed_boundary, gamma_bar, interlace_eq, interlace_plus,
-                      vandermonde)
+from .chamber import (BoundaryPoint, Partition, embed_boundary, gamma_bar,
+                      interlace_eq, interlace_plus, vandermonde)
 from .diffusion import PickrellParams, Scheme, SdeConfig, boundary_flow
-from .ensembles import EnsembleParams
 from .kernels import KernelParams
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryPoint",
-    "Domain",
-    "OrderedPoint",
     "Partition",
     "vandermonde",
     "interlace_plus",
@@ -21,7 +17,6 @@ __all__ = [
     "embed_boundary",
     "gamma_bar",
     "KernelParams",
-    "EnsembleParams",
     "PickrellParams",
     "Scheme",
     "SdeConfig",

@@ -272,10 +272,8 @@ def _kernel_row_1d(lam, params: JacobiParams):
     lo = np.maximum(nus, l2)
     tail = cum_f[l1] - np.where(lo >= 1, cum_f[np.maximum(lo - 1, 0)], 0.0)
     log_g = _log_l_block(nus, a, b) + gammaln(nus + a + 1.0) - gammaln(nus + b + 1.0) - gammaln(nus + 1.0)
-    # for single-part partitions, log c_nu + log P_nu(1_1) = 0 term by term
-    log_c_nu = gammaln(a + 1.0) + gammaln(nus + 1.0) - gammaln(nus + a + 1.0)
-    log_p_nu = -log_c_nu
-    log_base = (log_c_nu + log_p_nu - log_coef_c(lam, 2, a) - log_mv_jacobi_at_one(lam, 2, params))
+    # for single-part partitions nu, c_nu P_nu(1_1) = 1, so only lambda's factors remain
+    log_base = -log_coef_c(lam, 2, a) - log_mv_jacobi_at_one(lam, 2, params)
     probs = np.exp(log_base + log_g) * tail
     return nus, probs
 

@@ -1,22 +1,20 @@
 """Weyl-chamber geometry.
 
-Ordered particle configurations, the interlacing cells that support the
-corner kernels, the boundary space of decreasing mass sequences, and integer
-partitions (the discrete chamber).  Everything here is an immutable value
+A particle configuration is a plain ascending float array (any sequence is
+accepted); a batch of them is an (m, N) array of ascending rows.  This
+module holds the interlacing cells that support the corner kernels, the
+boundary space of decreasing mass sequences, and integer partitions (the
+discrete chamber).  Boundary points and partitions are immutable values
 with pure-function operations.
 """
 
 from __future__ import annotations
 
-import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Domain",
-    "OrderedPoint",
     "BoundaryPoint",
     "Partition",
     "vandermonde",
@@ -27,72 +25,9 @@ __all__ = [
 ]
 
 
-class Domain(enum.Enum):
-    WHOLE_LINE = "whole_line"
-    NON_NEGATIVE = "non_negative"
-
-
-@dataclass(frozen=True)
-class OrderedPoint:
-    """A point of the closed chamber: coordinates sorted non-decreasingly.
-
-    With ``domain=NON_NEGATIVE`` the first coordinate must additionally be
-    >= 0.  Sortedness is checked exactly; samplers sort before constructing.
-    """
-
-    coords: tuple
-    domain: Domain = Domain.WHOLE_LINE
-
-    def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) == 0:
-            raise ValueError("OrderedPoint needs at least one coordinate")
-        if any(not np.isfinite(c) for c in coords):
-            raise ValueError(f"non-finite coordinate in {coords}")
-        if any(coords[i] > coords[i + 1] for i in range(len(coords) - 1)):
-            raise ValueError(f"coordinates not sorted: {coords}")
-        if self.domain is Domain.NON_NEGATIVE and coords[0] < 0.0:
-            raise ValueError(f"negative coordinate {coords[0]} in non-negative chamber")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-    def is_strictly_increasing(self) -> bool:
-        c = self.coords
-        return all(c[i] < c[i + 1] for i in range(len(c) - 1))
-
-    def is_strictly_interior(self) -> bool:
-        """Pairwise distinct and, in the non-negative chamber, min > 0."""
-        if not self.is_strictly_increasing():
-            return False
-        if self.domain is Domain.NON_NEGATIVE:
-            return self.coords[0] > 0.0
-        return True
-
-    def to_json(self) -> str:
-        return json.dumps({"coords": list(self.coords), "domain": self.domain.value})
-
-    @classmethod
-    def from_json(cls, s: str) -> "OrderedPoint":
-        d = json.loads(s)
-        return cls(tuple(d["coords"]), Domain(d["domain"]))
-
-    def to_csv_row(self) -> str:
-        return ",".join(format(c, ".9g") for c in self.coords)
-
-    @classmethod
-    def from_csv_row(cls, row: str, domain: Domain = Domain.WHOLE_LINE) -> "OrderedPoint":
-        return cls(tuple(float(tok) for tok in row.split(",")), domain)
-
-
 def as_coords(x, expected_dim: int | None = None) -> np.ndarray:
-    """Coerce an OrderedPoint or sequence to a float vector, checking dim."""
-    arr = x.as_array() if isinstance(x, OrderedPoint) else np.asarray(x, dtype=float)
+    """Coerce a sequence to a float vector, checking dim."""
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a coordinate vector, got shape {arr.shape}")
     if expected_dim is not None and arr.size != expected_dim:
@@ -105,7 +40,7 @@ class BoundaryPoint:
     """A boundary configuration: decreasing masses plus a total-mass bound.
 
     ``alphas`` is a finite non-increasing vector of non-negative reals (the
-    tail is implicitly zero) and ``gamma`` dominates their sum.
+    tail is implicitly zero) and ``gamma``, also finite, dominates their sum.
     """
 
     alphas: tuple
@@ -115,6 +50,8 @@ class BoundaryPoint:
         alphas = tuple(float(a) for a in self.alphas)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "gamma", float(self.gamma))
+        if not np.all(np.isfinite([*alphas, self.gamma])):
+            raise ValueError(f"non-finite mass or gamma in {alphas}, gamma={self.gamma}")
         if any(a < 0 for a in alphas):
             raise ValueError(f"negative mass in {alphas}")
         if any(alphas[i] < alphas[i + 1] for i in range(len(alphas) - 1)):
@@ -123,14 +60,6 @@ class BoundaryPoint:
         slack = 1e-12 * max(1.0, abs(self.gamma))
         if sum(alphas) > self.gamma + slack:
             raise ValueError(f"sum(alphas)={sum(alphas)} exceeds gamma={self.gamma}")
-
-    def to_json(self) -> str:
-        return json.dumps({"alphas": list(self.alphas), "gamma": self.gamma})
-
-    @classmethod
-    def from_json(cls, s: str) -> "BoundaryPoint":
-        d = json.loads(s)
-        return cls(tuple(d["alphas"]), d["gamma"])
 
 
 @dataclass(frozen=True)
@@ -169,7 +98,7 @@ def vandermonde(x) -> float:
     """prod_{i<j} (x_j - x_i) over the raw vector; 1 for dim <= 1.
 
     Antisymmetric under coordinate transpositions, so unsorted input is
-    allowed (used by sign tests); OrderedPoint input gives the usual
+    allowed (used by sign tests); ascending input gives the usual
     non-negative value.
     """
     return float(vandermonde_rows(as_coords(x)[None, :])[0])
@@ -221,8 +150,6 @@ def embed_boundary(x) -> BoundaryPoint:
     up to roundoff.
     """
     arr = as_coords(x)
-    if isinstance(x, OrderedPoint) and x.domain is not Domain.NON_NEGATIVE:
-        raise ValueError("boundary embedding needs a non-negative configuration")
     if arr[0] < 0:
         raise ValueError("boundary embedding needs non-negative coordinates")
     n = arr.size

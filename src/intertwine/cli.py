@@ -20,7 +20,7 @@ from .chamber import BoundaryPoint, Partition
 from .diffusion import (PickrellParams, Scheme, SdeConfig, boundary_flow,
                         simulate_laguerre_matrix_paths, simulate_laguerre_paths,
                         simulate_pickrell_matrix_paths, simulate_pickrell_paths)
-from .ensembles import EnsembleParams, sample_laguerre_many, sample_pickrell
+from .ensembles import sample_laguerre_many, sample_pickrell
 from .kernels import (KernelParams, sample_L_many, sample_lambda_eq_many,
                       sample_lambda_plus_many)
 from .rng import generator, named_seed
@@ -44,23 +44,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _write(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_floats(text: str) -> tuple:
@@ -187,7 +187,7 @@ def _cmd_sample_kernel(args) -> int:
 def _cmd_sample_ensemble(args) -> int:
     rng = generator(named_seed(args.seed, f"sample-ensemble-{args.ensemble}"))
     if args.ensemble == "pickrell":
-        params = EnsembleParams(args.s, args.alpha, args.dim)
+        params = PickrellParams(args.s, args.alpha, args.dim)
         rows, info = sample_pickrell(params, args.n, rng, return_info=True)
     else:
         rows = sample_laguerre_many(args.alpha, args.dim, args.n, rng)
@@ -230,11 +230,7 @@ def _cmd_boundary_flow(args) -> int:
     lines = [f"gamma = {flowed.gamma:.6f}"]
     if flowed.alphas:
         lines.append("alphas = " + ",".join(f"{a:.6f}" for a in flowed.alphas))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chamber import BoundaryPoint, OrderedPoint, as_coords
+from .chamber import BoundaryPoint, as_coords
+from .matrixmodel import _check_alpha_int, radial_part_many, sample_ginibre
 from .rng import path_generator
 
 __all__ = [
@@ -85,7 +86,9 @@ class SdeConfig:
 
 @dataclass(frozen=True)
 class PickrellParams:
-    """Pickrell diffusion parameters: any real s, alpha > -1, dimension n."""
+    """Pickrell parameters of the diffusion and of the ensemble it leaves
+    invariant: any real s, alpha > -1, dimension n.  Sampling the ensemble
+    additionally requires s > -1 (finite total mass)."""
 
     s: float
     alpha: float
@@ -268,7 +271,7 @@ def _sanitize_rows(x: np.ndarray) -> tuple:
 
 
 def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots_at):
-    x0 = x0.as_array() if isinstance(x0, OrderedPoint) else np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((n,), (n_paths, n)):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},) or ({n_paths}, {n})")
     if np.any(x0 < 0):
@@ -345,10 +348,7 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
     [diag(sqrt(x0)); 0]; ``init='ginibre'`` starts from the stationary law,
     drawn from the path's own stream.  Returns (terminal, snapshots, info).
     """
-    ai = int(alpha)
-    if ai != alpha or ai < 0:
-        raise ValueError(f"matrix lift needs integer alpha >= 0, got {alpha}")
-    m = n + ai
+    m = n + _check_alpha_int(alpha)
     x0a = as_coords(x0, expected_dim=n) if x0 is not None else None
     h0_diag = None
     if init == "diag":
@@ -365,22 +365,15 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
         hmat = np.empty((rows.stop - rows.start, m, n), dtype=complex)
         noise = np.empty((rows.stop - rows.start, n_steps, m, n), dtype=complex)
         for k, gen in enumerate(gens):
-            if h0_diag is None:  # the stationary start comes first in the stream
-                g = gen.standard_normal((2, m, n))
-                hmat[k] = (g[0] + 1j * g[1]) / np.sqrt(2.0)
-            else:
-                hmat[k] = h0_diag
+            # a stationary start is drawn first from the path's stream
+            hmat[k] = sample_ginibre(m, n, gen) if h0_diag is None else h0_diag
             noise[k] = _complex_noise(gen, n_steps, m, n)
         return hmat, noise
-
-    def spectrum(hmat):
-        s = np.linalg.svd(hmat, compute_uv=False)
-        return np.maximum(s[:, ::-1], 0.0) ** 2
 
     return _run_paths(Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * m * n, start,
                       lambda hmat, noise_i, h, i: (hmat * (1.0 - h / 2.0)
                                                    + np.sqrt(h / 2.0) * noise_i, 0),
-                      spectrum, snapshots_at=snapshots_at)
+                      radial_part_many, snapshots_at=snapshots_at)
 
 
 def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
@@ -432,8 +425,9 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
 
 def boundary_flow(omega0: BoundaryPoint, t: float) -> BoundaryPoint:
     """Exact deterministic boundary dynamics:
-    alpha_i(t) = alpha_i(0) exp(-t),  gamma(t) = 1 + (gamma(0) - 1) exp(-t)."""
-    if t < 0:
+    alpha_i(t) = alpha_i(0) exp(-t),  gamma(t) = 1 + (gamma(0) - 1) exp(-t);
+    t = inf gives the limit gamma = 1 with every mass 0."""
+    if not t >= 0:  # NaN fails too
         raise ValueError(f"t={t} must be >= 0")
     decay = np.exp(-t)
     alphas = tuple(a * decay for a in omega0.alphas)

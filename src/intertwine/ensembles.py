@@ -11,15 +11,13 @@ ensemble on [0,1]^N with second exponent beta = s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chamber import as_coords, vandermonde
-from .matrixmodel import radial_part_many, sample_ginibre
+from .diffusion import PickrellParams
+from .matrixmodel import _check_alpha_int, radial_part_many, sample_ginibre
 
 __all__ = [
-    "EnsembleParams",
     "pickrell_density_unnorm",
     "pickrell_log_density_rows",
     "sample_pickrell",
@@ -38,24 +36,7 @@ _MCMC_THIN = 10
 _MCMC_CHAINS = 50
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Pickrell parameters: real s, alpha > -1, dimension n.
-
-    Sampling additionally requires s > -1 (finite total mass)."""
-
-    s: float
-    alpha: float
-    n: int
-
-    def __post_init__(self):
-        if not self.alpha > -1:
-            raise ValueError(f"alpha={self.alpha} must be > -1")
-        if self.n < 1:
-            raise ValueError(f"n={self.n} must be >= 1")
-
-
-def pickrell_density_unnorm(params: EnsembleParams, x) -> float:
+def pickrell_density_unnorm(params: PickrellParams, x) -> float:
     """Vdm^2(x) prod x_k^alpha (1+x_k)^(-2N-alpha-s); 0 outside the chamber."""
     arr = as_coords(x, expected_dim=params.n)
     if np.any(arr < 0) or np.any(np.diff(arr) < 0):
@@ -85,7 +66,7 @@ def _log_vdm_sq_density_rows(log_weight, rows) -> np.ndarray:
     return out
 
 
-def pickrell_log_density_rows(params: EnsembleParams, rows: np.ndarray) -> np.ndarray:
+def pickrell_log_density_rows(params: PickrellParams, rows: np.ndarray) -> np.ndarray:
     """Row-wise log of the unnormalized density; -inf outside the chamber."""
     def log_weight(r):
         expo = -(2.0 * r.shape[1] + params.alpha + params.s)
@@ -94,7 +75,7 @@ def pickrell_log_density_rows(params: EnsembleParams, rows: np.ndarray) -> np.nd
     return _log_vdm_sq_density_rows(log_weight, rows)
 
 
-def _pickrell_exact_1d(params: EnsembleParams, n_samples: int, rng) -> np.ndarray:
+def _pickrell_exact_1d(params: PickrellParams, n_samples: int, rng) -> np.ndarray:
     # N = 1, alpha = 0: CDF 1 - (1+x)^(-(1+s)) inverts in closed form
     u = rng.uniform(size=n_samples)
     return ((1.0 - u) ** (-1.0 / (1.0 + params.s)) - 1.0)[:, None]
@@ -136,7 +117,7 @@ def _logspace_rw_chain(log_target_rows, n: int, n_samples: int, rng):
     return out, info
 
 
-def sample_pickrell(params: EnsembleParams, n_samples: int, rng, *, return_info: bool = False):
+def sample_pickrell(params: PickrellParams, n_samples: int, rng, *, return_info: bool = False):
     """Draws from the Pickrell ensemble as an (n_samples, N) array of
     ascending rows.
 
@@ -155,13 +136,11 @@ def sample_pickrell(params: EnsembleParams, n_samples: int, rng, *, return_info:
     return (out, info) if return_info else out
 
 
-def sample_laguerre_mcmc(alpha: float, n: int, n_samples: int, rng, *,
-                         return_info: bool = False):
+def sample_laguerre_mcmc(alpha: float, n: int, n_samples: int, rng) -> np.ndarray:
     """MCMC route to the Laguerre ensemble, independent of the Ginibre
     radial construction (used to cross-validate it)."""
-    out, info = _logspace_rw_chain(lambda rows: laguerre_log_density_rows(alpha, rows),
-                                   n, n_samples, rng)
-    return (out, info) if return_info else out
+    return _logspace_rw_chain(lambda rows: laguerre_log_density_rows(alpha, rows),
+                              n, n_samples, rng)[0]
 
 
 def laguerre_density_unnorm(alpha: float, n: int, x) -> float:
@@ -181,10 +160,7 @@ def laguerre_log_density_rows(alpha: float, rows: np.ndarray) -> np.ndarray:
 
 def sample_laguerre_many(alpha, n: int, n_samples: int, rng) -> np.ndarray:
     """Radial parts of (n+alpha) x n Ginibre matrices (ascending rows)."""
-    ai = int(alpha)
-    if ai != alpha or ai < 0:
-        raise ValueError(f"Ginibre sampler needs integer alpha >= 0, got {alpha}")
-    g = sample_ginibre(n + ai, n, rng, size=n_samples)
+    g = sample_ginibre(n + _check_alpha_int(alpha), n, rng, size=n_samples)
     return radial_part_many(g)
 
 

@@ -45,7 +45,8 @@ _ALPHA_LOG_BRANCH = 1e-10
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Link parameters: alpha > -1 and the target dimension n."""
+    """Link parameters: alpha > -1 and the target dimension n.  The source
+    point has dimension n + 1 for lambda_plus and n for lambda_eq."""
 
     alpha: float
     n: int
@@ -65,8 +66,8 @@ def shifted_factorial(x: float, n: int) -> float:
     return out
 
 
-def _require_strict(x, nonneg: bool) -> np.ndarray:
-    arr = as_coords(x)
+def _require_strict(x, nonneg: bool, dim: int | None = None) -> np.ndarray:
+    arr = as_coords(x, dim)
     if np.any(np.diff(arr) <= 0):
         raise ValueError(f"x must be strictly increasing, got {arr}")
     if nonneg and arr[0] <= 0:
@@ -175,13 +176,17 @@ def density_L(x, y) -> float:
 
 
 def density_lambda_eq(params: KernelParams, x, y) -> float:
-    """Scalar form of :func:`density_lambda_eq_rows` at one point y."""
-    return float(density_lambda_eq_rows(params.alpha, x, as_coords(y)[None, :])[0])
+    """Scalar form of :func:`density_lambda_eq_rows` at one point y; x has
+    dimension ``params.n``."""
+    return float(density_lambda_eq_rows(params.alpha, as_coords(x, params.n),
+                                        as_coords(y)[None, :])[0])
 
 
 def density_lambda_plus(params: KernelParams, x, y) -> float:
-    """Scalar form of :func:`density_lambda_plus_rows` at one point y."""
-    return float(density_lambda_plus_rows(params.alpha, x, as_coords(y)[None, :])[0])
+    """Scalar form of :func:`density_lambda_plus_rows` at one point y; x has
+    dimension ``params.n + 1``."""
+    return float(density_lambda_plus_rows(params.alpha, as_coords(x, params.n + 1),
+                                          as_coords(y)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +195,13 @@ def density_lambda_plus(params: KernelParams, x, y) -> float:
 
 
 def _rejection_fill(propose, accept_ratio, m: int, n: int, rng) -> np.ndarray:
-    """Generic row-wise rejection loop with the package-wide retry cap."""
+    """Generic row-wise rejection loop with the package-wide retry cap.
+
+    Every pending row is proposed once per round, so a row still pending
+    after round k has been tried exactly k times."""
     out = np.empty((m, n))
     pending = np.ones(m, dtype=bool)
-    attempts = np.zeros(m, dtype=np.int64)
+    rounds = 0
     while pending.any():
         idx = np.flatnonzero(pending)
         y = propose(idx, rng)
@@ -201,8 +209,8 @@ def _rejection_fill(propose, accept_ratio, m: int, n: int, rng) -> np.ndarray:
         acc = rng.uniform(size=idx.size) < ratio
         out[idx[acc]] = y[acc]
         pending[idx[acc]] = False
-        attempts[idx] += 1
-        if np.any(attempts[pending] >= RETRY_CAP):
+        rounds += 1
+        if rounds >= RETRY_CAP and pending.any():
             raise RuntimeError(
                 f"rejection sampler exceeded {RETRY_CAP} attempts for a row; "
                 "input configuration is too degenerate"
@@ -276,10 +284,10 @@ def sample_L_many(x, n_samples: int, rng) -> np.ndarray:
 
 
 def sample_lambda_eq_many(params: KernelParams, x, n_samples: int, rng) -> np.ndarray:
-    xa = _require_strict(x, nonneg=True)
+    xa = _require_strict(x, nonneg=True, dim=params.n)
     return sample_lambda_eq_each(params.alpha, np.tile(xa, (n_samples, 1)), rng)
 
 
 def sample_lambda_plus_many(params: KernelParams, x, n_samples: int, rng) -> np.ndarray:
-    xa = _require_strict(x, nonneg=True)
+    xa = _require_strict(x, nonneg=True, dim=params.n + 1)
     return sample_lambda_plus_each(params.alpha, np.tile(xa, (n_samples, 1)), rng)

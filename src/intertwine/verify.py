@@ -21,17 +21,14 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 from scipy.special import roots_jacobi, roots_legendre
-from scipy.spatial.distance import cdist
 
 from .chamber import BoundaryPoint, as_coords, embed_boundary, gamma_bar
 # simulate_laguerre_matrix_paths stays bound here for perfbench/spans.py
 from .diffusion import (PickrellParams, SdeConfig, boundary_flow,  # noqa: F401
                         simulate_laguerre_matrix_paths, simulate_laguerre_paths,
                         simulate_pickrell_paths)
-from .ensembles import EnsembleParams, sample_pickrell
+from .ensembles import sample_pickrell
 # density_L stays bound here for perfbench/spans.py, which wraps it by this path
 from .kernels import (KernelParams, density_L, density_L_rows,  # noqa: F401
                       density_lambda_eq, density_lambda_eq_rows, density_lambda_plus,
@@ -119,6 +116,8 @@ class TestReport:
 
 def quad_1d(f, a: float, b: float, tol: float = 1e-10, points=None) -> float:
     """Adaptive quadrature of f on [a, b] to absolute tolerance tol."""
+    from scipy.integrate import IntegrationWarning, quad  # only tests call quad_1d
+
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     with warnings.catch_warnings():
@@ -186,6 +185,8 @@ def _crossings(fns, lo: float, hi: float) -> list:
     out = []
     for fn in fns:
         if fn(lo) * fn(hi) < 0:
+            from scipy.optimize import brentq  # no suite cell has such a crossing
+
             out.append(brentq(fn, lo, hi))
     return out
 
@@ -353,6 +354,8 @@ def _energy_stats(pooled, labels, na, nb) -> np.ndarray:
         diff -= np.arange(1.0, n) * na
         diff *= diff
         return 2.0 * (diff @ gaps) / (float(na) * nb) ** 2
+    from scipy.spatial.distance import cdist  # only d >= 2 needs distances
+
     # s_aa = v.D.v and s_ab = v.(D 1) - s_aa, over column blocks of D
     v = labels.astype(np.float64)
     s_aa = np.zeros(v.shape[0])
@@ -377,18 +380,18 @@ def ks_cdf_test(name: str, samples, cdf, threshold: float = P_THRESHOLD, meta=No
     return TestReport.statistical(name, res.statistic, res.pvalue, threshold, m)
 
 
-def interiorize_rows(rows: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Sorted copies with a positive floor and ties nudged apart.
+def interiorize_rows(rows: np.ndarray) -> np.ndarray:
+    """Sorted copies with a positive floor of 1e-12 and ties nudged apart.
 
     Simulated states can sit exactly on the chamber boundary (a
     discretization artifact of measure zero in the continuum); kernel
     densities need strictly interior inputs.
     """
     rows = np.sort(np.asarray(rows, dtype=float), axis=1)
-    rows[:, 0] = np.maximum(rows[:, 0], floor)
+    rows[:, 0] = np.maximum(rows[:, 0], 1e-12)
     for k in range(1, rows.shape[1]):
         tie = rows[:, k] <= rows[:, k - 1]
-        rows[tie, k] = rows[tie, k - 1] * (1.0 + 1e-12) + floor
+        rows[tie, k] = rows[tie, k - 1] * (1.0 + 1e-12) + 1e-12
     return rows
 
 
@@ -468,29 +471,29 @@ def _intertwine(name, meta, which, up, down, alpha, alpha_b, n, x, t, n_samples,
 
 
 def check_intertwine_laguerre(alpha, n, x, t, n_samples, dt, seed, n_perm=500,
-                              alpha_mismatch=0.0, name=None) -> TestReport:
+                              alpha_mismatch=0.0) -> TestReport:
     """Two-path check: evolve then project vs project then evolve.
 
     With ``alpha_mismatch`` nonzero the second path runs at a shifted
     parameter; the test is then expected to fail (sensitivity control).
     """
-    return _intertwine(name or f"intertwine-laguerre[N={n},alpha={alpha},t={t}]",
+    return _intertwine(f"intertwine-laguerre[N={n},alpha={alpha},t={t}]",
                        {"alpha_mismatch": alpha_mismatch, "x": [float(v) for v in as_coords(x)]},
                        "alpha-link", _laguerre, _laguerre, alpha, alpha + alpha_mismatch, n, x,
                        t, n_samples, dt, seed, n_perm)
 
 
 def check_intertwine_pickrell(s, alpha, n, x, t, n_samples, dt, seed, n_perm=500,
-                              s_mismatch=0.0, name=None) -> TestReport:
+                              s_mismatch=0.0) -> TestReport:
     """Two-path check for the Pickrell semigroup through the (N+1 -> N) link."""
-    return _intertwine(name or f"intertwine-pickrell[N={n},s={s},alpha={alpha},t={t}]",
+    return _intertwine(f"intertwine-pickrell[N={n},s={s},alpha={alpha},t={t}]",
                        {"s": s, "s_mismatch": s_mismatch, "x": [float(v) for v in as_coords(x)]},
                        "alpha-link", _pickrell(s), _pickrell(s + s_mismatch), alpha, alpha, n, x,
                        t, n_samples, dt, seed, n_perm)
 
 
 def check_shifted_intertwine(kind, s, alpha, n, x, t, n_samples, dt, seed,
-                             n_perm=500, name=None) -> TestReport:
+                             n_perm=500) -> TestReport:
     """Parameter-shifted intertwinings of the Pickrell semigroups.
 
     kind='L':        evolve at alpha upstairs == evolve at alpha+1 downstairs,
@@ -501,28 +504,28 @@ def check_shifted_intertwine(kind, s, alpha, n, x, t, n_samples, dt, seed,
     which = {"L": "free-link", "LambdaEq": "eq-link"}.get(kind)
     if which is None:
         raise ValueError(f"unknown kind {kind!r}")
-    return _intertwine(name or f"shifted-intertwine-{kind}[N={n},s={s},alpha={alpha},t={t}]",
+    return _intertwine(f"shifted-intertwine-{kind}[N={n},s={s},alpha={alpha},t={t}]",
                        {"s": s, "kind": kind}, which, _pickrell(s), _pickrell(s), alpha, alpha,
                        n, x, t, n_samples, dt, seed, n_perm)
 
 
 def check_invariance_pickrell(s, alpha, n, t, n_samples, dt, seed, n_perm=500,
-                              s_mismatch=0.0, name=None) -> TestReport:
+                              s_mismatch=0.0) -> TestReport:
     """Evolved equilibrium samples must match fresh equilibrium samples."""
     _require_power(n_perm, P_THRESHOLD)
-    pool = sample_pickrell(EnsembleParams(s, alpha, n), 2 * n_samples,
+    pool = sample_pickrell(PickrellParams(s, alpha, n), 2 * n_samples,
                            generator(named_seed(seed, "ensemble")))
     order = generator(named_seed(seed, "split")).permutation(2 * n_samples)
     cfg = SdeConfig(dt=dt, t=t)
     return _two_path(
-        name or f"invariance-pickrell[N={n},s={s},alpha={alpha},t={t}]", seed, n_perm,
+        f"invariance-pickrell[N={n},s={s},alpha={alpha},t={t}]", seed, n_perm,
         lambda stream: _pickrell(s + s_mismatch)(alpha, n, pool[order[:n_samples]], cfg,
                                                  n_samples, stream("evolve")),
         lambda stream: pool[order[n_samples:]],
         {"dt": dt, "t": t, "s": s, "alpha": alpha, "s_mismatch": s_mismatch})
 
 
-def check_consistency(which, s, alpha, n, n_samples, seed, n_perm=500, name=None) -> TestReport:
+def check_consistency(which, s, alpha, n, n_samples, seed, n_perm=500) -> TestReport:
     """Push equilibrium ensembles through a link and compare with the target.
 
     which='alpha-link': dimension N+1 ensemble through the (N+1 -> N)
@@ -537,13 +540,13 @@ def check_consistency(which, s, alpha, n, n_samples, seed, n_perm=500, name=None
     da, dn, kind, db = _LINKS[which]
 
     def pushed(stream):
-        src = sample_pickrell(EnsembleParams(s, alpha + da, n + dn), n_samples,
+        src = sample_pickrell(PickrellParams(s, alpha + da, n + dn), n_samples,
                               generator(stream("source")))
         return _push(kind, alpha, interiorize_rows(src), generator(stream("kernel")))
 
     return _two_path(
-        name or f"consistency-{which}[N={n},s={s},alpha={alpha}]", seed, n_perm, pushed,
-        lambda stream: sample_pickrell(EnsembleParams(s, alpha + db, n), n_samples,
+        f"consistency-{which}[N={n},s={s},alpha={alpha}]", seed, n_perm, pushed,
+        lambda stream: sample_pickrell(PickrellParams(s, alpha + db, n), n_samples,
                                        generator(stream("target"))),
         {"s": s, "alpha": alpha, "which": which})
 
@@ -604,8 +607,7 @@ def h_transform_constants(s, alpha, n):
     return (-2.0 * n - s, -alpha * (2.0 * n + s + alpha - 1.0))
 
 
-def check_vandermonde_eigen(s, alpha, n, points, threshold: float = 1e-8,
-                            name=None) -> TestReport:
+def check_vandermonde_eigen(s, alpha, n, points, threshold: float = 1e-8) -> TestReport:
     """The Vandermonde factor is an eigenfunction of the summed one-particle
     generators, with eigenvalue N(N-1)(-4N+2-3s)/6; exact-calculus check."""
     lam = n * (n - 1) * (-4.0 * n + 2.0 - 3.0 * s) / 6.0
@@ -619,15 +621,12 @@ def check_vandermonde_eigen(s, alpha, n, points, threshold: float = 1e-8,
         c1, c0 = generator_drift_coeffs(s, alpha, n)
         lhs = float(np.sum(arr * (1.0 + arr) * (s1**2 - q1) + (c1 * arr + c0) * s1))
         worst = max(worst, abs(lhs - lam) / max(1.0, abs(lam)))
-    rep = TestReport.deterministic(name or f"vandermonde-eigenfunction[N={n},s={s}]",
-                                   worst, threshold,
-                                   {"s": s, "alpha": alpha, "n": n,
-                                    "eigenvalue": lam, "n_points": len(points)})
-    return rep
+    return TestReport.deterministic(f"vandermonde-eigenfunction[N={n},s={s}]", worst, threshold,
+                                    {"s": s, "alpha": alpha, "n": n,
+                                     "eigenvalue": lam, "n_points": len(points)})
 
 
-def check_h_transform_identities(s, alpha, n, points, threshold: float = 1e-8,
-                                 name=None) -> TestReport:
+def check_h_transform_identities(s, alpha, n, points, threshold: float = 1e-8) -> TestReport:
     """Both conjugation identities behind the parameter shifts, checked by
     exact closed-form differentiation on polynomial test functions.
 
@@ -658,15 +657,19 @@ def check_h_transform_identities(s, alpha, n, points, threshold: float = 1e-8,
         rhs2 = d_const * xag(pts) + pts**alpha * lg2
         scale2 = np.maximum(1.0, np.maximum(np.abs(lhs2), np.abs(rhs2)))
         worst = max(worst, float(np.max(np.abs(lhs2 - rhs2) / scale2)))
-    return TestReport.deterministic(name or f"h-transform-identities[N={n},s={s},alpha={alpha}]",
+    return TestReport.deterministic(f"h-transform-identities[N={n},s={s},alpha={alpha}]",
                                     worst, threshold,
                                     {"s": s, "alpha": alpha, "n": n, "n_points": pts.size})
 
 
-def check_h_constants(seed, n_draws: int = 100, threshold: float = 1e-12,
-                      name="h-transform-constants") -> TestReport:
+# the names of the two randomized checks also name their streams
+_H_CONSTANTS = "h-transform-constants"
+_DRIFT_FORMS = "pickrell-drift-forms"
+
+
+def check_h_constants(seed, n_draws: int = 100, threshold: float = 1e-12) -> TestReport:
     """d(s, alpha+1) - c(s + 2 alpha) = d(s, alpha) at random parameters."""
-    rng = generator(named_seed(seed, name))
+    rng = generator(named_seed(seed, _H_CONSTANTS))
     worst = 0.0
     for _ in range(n_draws):
         s = rng.uniform(-3.0, 3.0)
@@ -676,15 +679,14 @@ def check_h_constants(seed, n_draws: int = 100, threshold: float = 1e-12,
         _, d_up = h_transform_constants(s, alpha + 1.0, n)
         _, d_base = h_transform_constants(s, alpha, n)
         worst = max(worst, abs(d_up - c_shift - d_base) / max(1.0, abs(d_base)))
-    return TestReport.deterministic(name, worst, threshold, {"n_draws": n_draws, "seed": seed})
+    return TestReport.deterministic(_H_CONSTANTS, worst, threshold, {"n_draws": n_draws, "seed": seed})
 
 
-def check_pickrell_drift_forms(seed, n_draws: int = 100, threshold: float = 1e-10,
-                               name="pickrell-drift-forms") -> TestReport:
+def check_pickrell_drift_forms(seed, n_draws: int = 100, threshold: float = 1e-10) -> TestReport:
     """The interaction form and the product form of the drift agree."""
     from .diffusion import pickrell_drift, pickrell_drift_interaction_form
 
-    rng = generator(named_seed(seed, name))
+    rng = generator(named_seed(seed, _DRIFT_FORMS))
     worst = 0.0
     for _ in range(n_draws):
         n = int(rng.integers(1, 5))
@@ -694,7 +696,7 @@ def check_pickrell_drift_forms(seed, n_draws: int = 100, threshold: float = 1e-1
         d1 = pickrell_drift(params, x)
         d2 = pickrell_drift_interaction_form(params, x)
         worst = max(worst, float(np.max(np.abs(d1 - d2) / np.maximum(1.0, np.abs(d1)))))
-    return TestReport.deterministic(name, worst, threshold, {"n_draws": n_draws, "seed": seed})
+    return TestReport.deterministic(_DRIFT_FORMS, worst, threshold, {"n_draws": n_draws, "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +704,7 @@ def check_pickrell_drift_forms(seed, n_draws: int = 100, threshold: float = 1e-1
 # ---------------------------------------------------------------------------
 
 
-def check_kernel_normalization(kind, alpha, x, tol: float = 1e-6, name=None) -> TestReport:
+def check_kernel_normalization(kind, alpha, x, tol: float = 1e-6) -> TestReport:
     """Total mass of a kernel density over its interlacing cell equals 1."""
     xa = as_coords(x)
     if kind == "L":
@@ -731,14 +733,13 @@ def check_kernel_normalization(kind, alpha, x, tol: float = 1e-6, name=None) -> 
         raise ValueError("normalization quadrature supports N <= 2")
     q = quad_cell(f, bounds, tol=tol * 0.1, breaks=tuple(xa), alpha=singular)
     x_list = [float(v) for v in xa]
-    return TestReport.deterministic(name or f"normalization-{kind}[alpha={alpha},x={x_list}]",
+    return TestReport.deterministic(f"normalization-{kind}[alpha={alpha},x={x_list}]",
                                     abs(q.value - 1.0), tol,
                                     {"alpha": alpha, "x": x_list, "mass": q.value,
                                      "quad_err": q.err, "n_eval": q.n_eval})
 
 
-def check_decomposition(alpha, x=(1.0, 2.0), n_grid: int = 20, tol: float = 1e-6,
-                        name=None) -> TestReport:
+def check_decomposition(alpha, x=(1.0, 2.0), n_grid: int = 20, tol: float = 1e-6) -> TestReport:
     """The (2 -> 1) alpha-link factors through the parameter-free link
     followed by the equal-dimension alpha-link; pointwise quadrature check."""
     xa = as_coords(x, expected_dim=2)
@@ -756,7 +757,7 @@ def check_decomposition(alpha, x=(1.0, 2.0), n_grid: int = 20, tol: float = 1e-6
                 [density_lambda_eq(params, z, (y,)) for z in zs]), [(lo, xa[1])], tol=tol * 1e-2)
             composed, quad_err, n_eval = q.value, max(quad_err, q.err), n_eval + q.n_eval
         worst = max(worst, abs(direct - composed))
-    return TestReport.deterministic(name or f"decomposition[alpha={alpha}]", worst, tol,
+    return TestReport.deterministic(f"decomposition[alpha={alpha}]", worst, tol,
                                     {"alpha": alpha, "x": list(xa), "n_grid": n_grid,
                                      "quad_err": quad_err, "n_eval": n_eval})
 
@@ -797,7 +798,7 @@ def flow_start_profile(omega: BoundaryPoint, n: int) -> np.ndarray:
 
 
 def check_flow_convergence(alpha, n, omega_start: BoundaryPoint, t_grid, n_paths,
-                           dt, seed, threshold: float = 0.15, name=None) -> TestReport:
+                           dt, seed, threshold: float = 0.15) -> TestReport:
     """Scaled Laguerre ensembles track the deterministic boundary flow.
 
     statistic = max over the time grid of |mean scaled sum - gamma flow|
@@ -823,12 +824,11 @@ def check_flow_convergence(alpha, n, omega_start: BoundaryPoint, t_grid, n_paths
         track[f"t={ts}"] = {"gamma_hat": gamma_hat, "gamma_flow": flow.gamma,
                             "alpha1_hat": alpha1_hat, "alpha1_flow": alpha1_flow,
                             "gamma_var": float(rows.sum(axis=1).var() / n**4)}
-    rep = TestReport.deterministic(name or f"boundary-flow[N={n},gamma0={omega_start.gamma}]",
-                                   worst, threshold,
-                                   {"seed": seed, "alpha": alpha, "n": n, "dt": dt,
-                                    "n_paths": n_paths, "guard_fraction": info["guard_fraction"],
-                                    "track": track})
-    return rep
+    return TestReport.deterministic(f"boundary-flow[N={n},gamma0={omega_start.gamma}]",
+                                    worst, threshold,
+                                    {"seed": seed, "alpha": alpha, "n": n, "dt": dt,
+                                     "n_paths": n_paths, "guard_fraction": info["guard_fraction"],
+                                     "track": track})
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
-import json
-
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from intertwine.chamber import (BoundaryPoint, Domain, OrderedPoint, Partition,
-                                embed_boundary, gamma_bar, interlace_eq,
-                                interlace_plus, vandermonde)
+from intertwine.chamber import (BoundaryPoint, Partition, embed_boundary, gamma_bar,
+                                interlace_eq, interlace_plus, vandermonde)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -55,26 +52,15 @@ def test_interlace_plus_bounds_envelope(xs):
     assert min(y) >= min(x) and max(y) <= max(x)
 
 
-def test_ordered_point_validation():
-    with pytest.raises(ValueError):
-        OrderedPoint((2.0, 1.0))
-    with pytest.raises(ValueError):
-        OrderedPoint((-1.0, 2.0), Domain.NON_NEGATIVE)
-    with pytest.raises(ValueError):
-        OrderedPoint(())
-    p = OrderedPoint((1.0, 1.0, 2.0))
-    assert not p.is_strictly_increasing()
-    assert OrderedPoint((1.0, 2.0), Domain.NON_NEGATIVE).is_strictly_interior()
-    assert not OrderedPoint((0.0, 2.0), Domain.NON_NEGATIVE).is_strictly_interior()
-
-
 def test_embed_boundary_examples():
-    bp = embed_boundary(OrderedPoint((1, 2, 3), Domain.NON_NEGATIVE))
+    bp = embed_boundary((1, 2, 3))
     assert bp.alphas == pytest.approx((3 / 9, 2 / 9, 1 / 9))
     assert bp.gamma == pytest.approx(6 / 9)
-    assert embed_boundary(OrderedPoint((0,), Domain.NON_NEGATIVE)).gamma == 0.0
-    bp4 = embed_boundary(OrderedPoint((4,), Domain.NON_NEGATIVE))
+    assert embed_boundary((0,)).gamma == 0.0
+    bp4 = embed_boundary((4,))
     assert bp4.alphas == (4.0,) and bp4.gamma == 4.0
+    with pytest.raises(ValueError):
+        embed_boundary((-1.0, 2.0))
 
 
 @hypothesis.given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=6))
@@ -97,6 +83,9 @@ def test_boundary_point_validation():
         BoundaryPoint((2.0,), 1.0)  # sum exceeds gamma
     with pytest.raises(ValueError):
         BoundaryPoint((-0.5,), 1.0)
+    for alphas, gamma in (((), float("nan")), ((float("nan"),), 2.0), ((), float("inf"))):
+        with pytest.raises(ValueError, match="non-finite"):
+            BoundaryPoint(alphas, gamma)
 
 
 def test_partition_validation_and_helpers():
@@ -110,13 +99,3 @@ def test_partition_validation_and_helpers():
         Partition((-1,))
     with pytest.raises(ValueError):
         p.padded(2)
-
-
-def test_serialization_round_trips():
-    p = OrderedPoint((0.5, 1.25), Domain.NON_NEGATIVE)
-    assert OrderedPoint.from_json(p.to_json()) == p
-    assert OrderedPoint.from_csv_row(p.to_csv_row(), Domain.NON_NEGATIVE) == p
-    bp = BoundaryPoint((0.5, 0.25), 1.0)
-    assert BoundaryPoint.from_json(bp.to_json()) == bp
-    payload = json.loads(bp.to_json())
-    assert payload["gamma"] == 1.0

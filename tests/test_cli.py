@@ -184,6 +184,9 @@ def test_bad_value_exits_2():
     ["simulate", "--process", "pickrell-matrix", "--x0", "1", "--t", "0.01", "--paths", "0"],
     ["verify", "--suite", "flow", "--n-paths", "0"],
     ["verify", "--suite", "consistency", "--n-perm", "50"],
+    ["boundary-flow", "--gamma0", "nan", "--t", "1"],
+    ["boundary-flow", "--gamma0", "3", "--t", "nan"],
+    ["boundary-flow", "--gamma0", "2", "--alphas", "nan", "--t", "1"],
 ])
 def test_degenerate_input_exits_2(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -207,9 +210,12 @@ def test_module_entry_point_runs():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of the import time, and only ks_cdf_test needs it
+    # scipy.stats costs most of the import time, and only ks_cdf_test needs it;
+    # the other three modules serve verify functions that few runs reach
+    lazy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial")
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, intertwine.cli; print('scipy.stats' in sys.modules)"],
+                           f"import sys, intertwine.cli; print([m for m in {lazy} "
+                           "if m in sys.modules])"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

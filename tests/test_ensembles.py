@@ -4,28 +4,27 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from intertwine.diffusion import SdeConfig, simulate_laguerre_paths
-from intertwine.ensembles import (EnsembleParams, jacobi_ensemble_density_unnorm,
-                                  jacobi_map, jacobi_map_inverse,
-                                  laguerre_density_unnorm, pickrell_density_unnorm,
-                                  sample_laguerre_many,
+from intertwine.diffusion import PickrellParams, SdeConfig, simulate_laguerre_paths
+from intertwine.ensembles import (jacobi_ensemble_density_unnorm, jacobi_map,
+                                  jacobi_map_inverse, laguerre_density_unnorm,
+                                  pickrell_density_unnorm, sample_laguerre_many,
                                   sample_laguerre_mcmc, sample_pickrell)
 from intertwine.rng import generator
 from intertwine.verify import energy_perm_test, quad_cell
 
 
 def test_pickrell_density_examples():
-    p = EnsembleParams(1.0, 0.0, 1)
+    p = PickrellParams(1.0, 0.0, 1)
     # N = 1, alpha = 0: density prop. to (1+x)^(-2-s)
     assert pickrell_density_unnorm(p, (1.0,)) == pytest.approx(2.0 ** (-3.0))
-    p2 = EnsembleParams(1.0, 0.5, 2)
+    p2 = PickrellParams(1.0, 0.5, 2)
     assert pickrell_density_unnorm(p2, (1.0, 1.0)) == 0.0
     assert pickrell_density_unnorm(p2, (1.0, 2.0)) > 0.0
 
 
 def test_pickrell_exact_sampler_matches_cdf():
     rng = generator(401)
-    p = EnsembleParams(1.0, 0.0, 1)
+    p = PickrellParams(1.0, 0.0, 1)
     x = sample_pickrell(p, 10_000, rng)
     assert stats.kstest(x.ravel(), lambda v: 1 - (1 + v) ** -2.0).pvalue > 0.01
     assert abs(np.median(x) - (math.sqrt(2) - 1)) < 0.02
@@ -34,28 +33,28 @@ def test_pickrell_exact_sampler_matches_cdf():
 
 def test_pickrell_sampler_rejects_infinite_mass():
     with pytest.raises(ValueError):
-        sample_pickrell(EnsembleParams(-1.0, 0.0, 1), 10, generator(0))
+        sample_pickrell(PickrellParams(-1.0, 0.0, 1), 10, generator(0))
 
 
 def test_pickrell_mcmc_chamber_and_acceptance():
     rng = generator(402)
-    x, info = sample_pickrell(EnsembleParams(1.0, 1.0, 2), 4000, rng, return_info=True)
+    x, info = sample_pickrell(PickrellParams(1.0, 1.0, 2), 4000, rng, return_info=True)
     assert np.all(x[:, 0] > 0) and np.all(np.diff(x, axis=1) > 0)
     assert 0.1 <= info["acceptance_rate"] <= 0.6
-    x1, info1 = sample_pickrell(EnsembleParams(1.0, 1.0, 1), 4000, rng, return_info=True)
+    x1, info1 = sample_pickrell(PickrellParams(1.0, 1.0, 1), 4000, rng, return_info=True)
     assert 0.1 <= info1["acceptance_rate"] <= 0.6
 
 
 def test_pickrell_mcmc_n1_alpha1_matches_cdf():
     # density prop. to x (1+x)^-4: CDF 1 - 3(1+x)^-2 + 2(1+x)^-3
     rng = generator(403)
-    x = sample_pickrell(EnsembleParams(1.0, 1.0, 1), 8000, rng)
+    x = sample_pickrell(PickrellParams(1.0, 1.0, 1), 8000, rng)
     cdf = lambda v: 1 - 3 * (1 + v) ** -2.0 + 2 * (1 + v) ** -3.0
     assert stats.kstest(x.ravel(), cdf).pvalue > 0.01
 
 
 def test_pickrell_mcmc_sum_marginal_vs_quadrature():
-    params = EnsembleParams(1.0, 0.0, 2)
+    params = PickrellParams(1.0, 0.0, 2)
     rng = generator(404)
     n = 20_000
     x = sample_pickrell(params, n, rng)
@@ -139,7 +138,7 @@ def test_change_of_variables_density_identity():
     # with second exponent beta = s; the transformed density ratio (with
     # Jacobian prod (1-u)^-2) must be constant in x
     rng = generator(413)
-    params = EnsembleParams(1.5, 0.7, 2)
+    params = PickrellParams(1.5, 0.7, 2)
     ratios = []
     for _ in range(10):
         x = np.sort(rng.uniform(0.1, 4.0, size=2))
@@ -153,7 +152,7 @@ def test_change_of_variables_density_identity():
 def test_pickrell_pushforward_is_jacobi_beta_s():
     # s = 1, alpha = 0, N = 1: u = x/(1+x) has density 2(1-u) on [0, 1]
     rng = generator(412)
-    x = sample_pickrell(EnsembleParams(1.0, 0.0, 1), 10_000, rng)
+    x = sample_pickrell(PickrellParams(1.0, 0.0, 1), 10_000, rng)
     u = jacobi_map(x.ravel())
     cdf = lambda v: np.clip(2 * v - v**2, 0, 1)
     assert stats.kstest(u, cdf).pvalue > 0.01

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy import stats
 
+from intertwine import kernels
 from intertwine.chamber import interlace_eq, interlace_plus
 from intertwine.kernels import (KernelParams, density_L, density_L_rows, density_lambda_eq,
                                 density_lambda_eq_rows, density_lambda_plus,
@@ -233,3 +234,36 @@ def test_kernel_params_validation():
         KernelParams(-1.0, 1)
     with pytest.raises(ValueError):
         KernelParams(0.0, 0)
+
+
+def test_kernel_params_dimension_must_match_x():
+    # lambda_plus maps dimension N + 1 to N, lambda_eq maps N to N
+    rng = generator(111)
+    state = rng.bit_generator.state
+    for call in (lambda: density_lambda_plus(KernelParams(0.0, 9), (1, 2), (1.5,)),
+                 lambda: density_lambda_eq(KernelParams(0.0, 2), (1.0,), (0.5,)),
+                 lambda: sample_lambda_plus_many(KernelParams(0.0, 5), (1.0, 2.0), 3, rng),
+                 lambda: sample_lambda_eq_many(KernelParams(0.0, 1), (1.0, 2.0), 3, rng)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call()
+    assert rng.bit_generator.state == state  # refused before any draw
+
+
+def test_rejection_fill_stops_at_retry_cap(monkeypatch):
+    monkeypatch.setattr(kernels, "RETRY_CAP", 3)
+    rounds = []
+
+    def propose(idx, rng):
+        rounds.append(idx.size)
+        return np.ones((idx.size, 2))
+
+    def fill(ratio):
+        rounds.clear()
+        return kernels._rejection_fill(propose, lambda idx, y: np.full(idx.size, ratio), 4, 2,
+                                       generator(112))
+
+    with pytest.raises(RuntimeError, match="exceeded 3 attempts"):
+        fill(0.0)
+    assert rounds == [4, 4, 4]
+    assert np.array_equal(fill(1.0), np.ones((4, 2)))
+    assert rounds == [4]
