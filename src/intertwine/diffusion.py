@@ -18,8 +18,14 @@ Every simulator runs its paths through _run_paths, the one place where
 per-path streams and chunk sizes are decided: path i draws only from
 rng.path_generator(master_seed, i), so an ensemble result is bit-reproducible
 for a fixed seed regardless of chunking.  A chunk's noise fits
-_CHUNK_FLOAT_BUDGET floats; Euler chunks are further capped so that their two
-(paths, N, N) pair buffers, reused by every step, fit _PAIR_FLOAT_BUDGET floats.
+_CHUNK_FLOAT_BUDGET floats and is stored step-major, (steps, paths, ...), so
+that each step reads one contiguous block; the paths' draws are made into a
+small buffer and copied into place.  Euler chunks are further capped at
+_PAIR_FLOAT_BUDGET / N^2 paths.  Above _COLUMN_MAX_N particles the pair drift
+is built as (paths, N, N) tensors in two buffers reused by every step, which
+that cap keeps in cache; at or below it, column by column on (paths,) arrays,
+with the same operations per pair and the same sum order, so both routes give
+bit-identical drifts.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ __all__ = [
 _TIE_EPS = 1e-12
 _CHUNK_FLOAT_BUDGET = 2.5e7
 _PAIR_FLOAT_BUDGET = 2**16
+# numpy sums fewer than 8 terms sequentially from +0 and switches to pairwise
+# summation from 8 on: the column route reproduces only the former
+_COLUMN_MAX_N = 7
+_FILL_FLOAT_BUDGET = 2**16  # the buffer that Euler noise is drawn into before it is put in place
 
 
 class Scheme(enum.Enum):
@@ -66,10 +76,10 @@ class SdeConfig:
     scheme: Scheme = Scheme.EULER_GUARDED
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt={self.dt} must be > 0")
-        if self.t < 0:
-            raise ValueError(f"t={self.t} must be >= 0")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt={self.dt} must be finite and > 0")
+        if not (np.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"t={self.t} must be finite and >= 0")
         if self.t > 0 and self.dt > self.t * (1 + 1e-12):
             raise ValueError(f"dt={self.dt} exceeds horizon t={self.t}")
 
@@ -133,23 +143,67 @@ def _pairwise_sum(x: np.ndarray, numer: np.ndarray, cap_dt: float | None = None,
     return ratio.sum(axis=2)
 
 
+def _pair_columns(x: np.ndarray, numer_of, cap_dt: float | None) -> np.ndarray:
+    """_pairwise_sum for n <= _COLUMN_MAX_N, one (m,) column per ordered pair.
+
+    Each term takes the tensor kernel's operations in its order; x_j - x_i
+    is exactly -(x_i - x_j), so a pair shares its difference and clamp.  Row
+    i adds its terms in j order onto +0, as numpy's short-row sum does; the
+    zero diagonal term is skipped, since adding +0 to a sum started at +0
+    changes no bit.
+    """
+    m, n = x.shape
+    out = np.zeros((m, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = np.subtract(x[:, i], x[:, j])
+            if cap_dt is not None:
+                cap = np.divide(np.abs(diff), 2.0 * cap_dt)
+                neg_cap = np.negative(cap)
+            for a, b, d in ((i, j, diff), (j, i, np.negative(diff))):
+                numer = numer_of(x[:, a], x[:, b])
+                ratio = np.divide(numer, d, out=numer)
+                if cap_dt is not None:
+                    np.minimum(ratio, cap, out=ratio)
+                    np.maximum(ratio, neg_cap, out=ratio)
+                out[:, a] += ratio
+    return out
+
+
+def _pair_drift(x: np.ndarray, numer_of, cap_dt: float | None,
+                work: np.ndarray | None) -> np.ndarray:
+    """sum_{j != i} numer_of(x_i, x_j) / (x_i - x_j), clamped as in
+    _pairwise_sum; ``work`` is the tensor route's (2, >= m, n, n) workspace.
+    A single row, as the public drifts pass, takes the tensor route: there
+    the cost is the number of numpy calls, not the arithmetic."""
+    m, n = x.shape
+    if n <= _COLUMN_MAX_N and m > 1:
+        return _pair_columns(x, numer_of, cap_dt)
+    work = np.empty((2, m, n, n)) if work is None else work[:, :m]
+    numer = numer_of(x[:, :, None], x[:, None, :], out=work[0])
+    return _pairwise_sum(x, numer, cap_dt, work[1])
+
+
+def _laguerre_numer(xi, xj, out=None):
+    return np.add(xi, xj, out=out)
+
+
+def _pickrell_numer(xi, xj, out=None):
+    numer = np.multiply(2.0 * xi, xj, out=out)
+    numer += xi
+    numer += xj
+    return numer
+
+
 def _laguerre_drift_rows(alpha: float, x: np.ndarray, cap_dt: float | None = None,
                          work: np.ndarray | None = None) -> np.ndarray:
-    m, n = x.shape
-    work = np.empty((2, m, n, n)) if work is None else work[:, :m]
-    numer = np.add(x[:, :, None], x[:, None, :], out=work[0])
-    return -x + alpha + n + _pairwise_sum(x, numer, cap_dt, work[1])
+    return -x + alpha + x.shape[1] + _pair_drift(x, _laguerre_numer, cap_dt, work)
 
 
 def _pickrell_drift_rows(s: float, alpha: float, x: np.ndarray, cap_dt: float | None = None,
                          work: np.ndarray | None = None) -> np.ndarray:
     # the algebraically equivalent form -s x + N + alpha + sum (2 x_i x_j + x_i + x_j)/(x_i - x_j)
-    m, n = x.shape
-    work = np.empty((2, m, n, n)) if work is None else work[:, :m]
-    numer = np.multiply(2.0 * x[:, :, None], x[:, None, :], out=work[0])
-    numer += x[:, :, None]
-    numer += x[:, None, :]
-    return -s * x + n + alpha + _pairwise_sum(x, numer, cap_dt, work[1])
+    return -s * x + x.shape[1] + alpha + _pair_drift(x, _pickrell_numer, cap_dt, work)
 
 
 def _require_distinct(x) -> np.ndarray:
@@ -218,8 +272,8 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     not depend on the chunk size: noise_floats per path and step, over the
     whole horizon, fit _CHUNK_FLOAT_BUDGET floats per chunk, and max_chunk
     caps the chunk further.  ``start(rows, gens, n_steps)`` returns the
-    initial state of the paths in the slice ``rows`` and their
-    (paths, n_steps, ...) noise, drawn from ``gens``, one generator per path;
+    initial state of the paths in the slice ``rows`` and their step-major
+    (n_steps, paths, ...) noise, drawn from ``gens``, one generator per path;
     ``step(state, noise_i, h, i)`` returns the next state and its count of
     guarded paths; ``observe(state)`` returns (paths, n) ascending rows.
     ``info[guard_key]`` is the guarded fraction of path-steps.
@@ -241,7 +295,7 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
         gens = (path_generator(master_seed, i) for i in range(rows.start, rows.stop))
         state, noise = start(rows, gens, n_steps)
         for i, h in enumerate(hs):
-            state, events = step(state, noise[:, i], h, i)
+            state, events = step(state, noise[i], h, i)
             guarded += events
             if (i + 1) in snap_steps:
                 rows_now = observe(state)
@@ -254,15 +308,61 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     return terminal, snaps, info
 
 
+def _sort_rows(x: np.ndarray) -> None:
+    """Sort rows free of NaN and -0 in place.  Up to _COLUMN_MAX_N columns
+    this is an odd-even transposition network of min/max compare-exchanges:
+    equal values are then equal bits, so it leaves what a sort leaves."""
+    n = x.shape[1]
+    if n > _COLUMN_MAX_N:
+        x.sort(axis=1)
+        return
+    for rnd in range(n):
+        for k in range(rnd % 2, n - 1, 2):
+            lo = np.minimum(x[:, k], x[:, k + 1])
+            np.maximum(x[:, k], x[:, k + 1], out=x[:, k + 1])
+            x[:, k] = lo
+
+
+def _step_major_normals(gens, c: int, n_steps: int, n: int) -> np.ndarray:
+    """(n_steps, c, n) standard normals; path k's (n_steps, n) draws come from
+    the k-th of ``gens``.  As many paths as fit _FILL_FLOAT_BUDGET floats are
+    drawn into one buffer at a time and then put in place."""
+    noise = np.empty((n_steps, c, n))
+    per_fill = max(1, min(c, _FILL_FLOAT_BUDGET // max(1, n_steps * n)))
+    buf = np.empty((per_fill, n_steps, n))
+    for lo in range(0, c, per_fill):
+        block = buf[:c - lo]
+        for path in block:
+            next(gens).standard_normal(out=path)
+        if n > _COLUMN_MAX_N:
+            noise[:, lo:lo + len(block)] = block.transpose(1, 0, 2)
+        else:  # numpy copies short rows slowly: one coordinate at a time runs along the paths
+            for j in range(n):
+                noise[:, lo:lo + len(block), j] = block[:, :, j].T
+    return noise
+
+
+def _any_per_row(mask: np.ndarray) -> np.ndarray:
+    """mask.any(axis=1); numpy reduces short rows slowly, so up to
+    _COLUMN_MAX_N columns this ORs the columns instead."""
+    if mask.shape[1] > _COLUMN_MAX_N:
+        return mask.any(axis=1)
+    out = mask[:, 0].copy()
+    for k in range(1, mask.shape[1]):
+        out |= mask[:, k]
+    return out
+
+
 def _sanitize_rows(x: np.ndarray) -> tuple:
-    """Reflect, sort and un-tie rows in place; returns (rows, guarded mask)."""
-    neg = x < 0
-    guarded = neg.any(axis=1)
+    """Reflect, sort and un-tie NaN-free rows in place; returns (rows, guarded mask)."""
+    guarded = _any_per_row(x < 0)
     np.abs(x, out=x)
-    x.sort(axis=1)
-    if not (x[:, 1:] <= x[:, :-1]).any():
+    _sort_rows(x)
+    n = x.shape[1]
+    # short rows: the loop below checks column by column anyway, and faster
+    if n > _COLUMN_MAX_N and not (x[:, 1:] <= x[:, :-1]).any():
         return x, guarded
-    for k in range(1, x.shape[1]):
+    for k in range(1, n):
         tie = x[:, k] <= x[:, k - 1]
         if tie.any():
             guarded |= tie
@@ -270,23 +370,26 @@ def _sanitize_rows(x: np.ndarray) -> tuple:
     return x, guarded
 
 
+def _check_start(x0: np.ndarray) -> None:
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0}")
+    if np.any(x0 < 0):
+        raise ValueError("x0 must be non-negative")
+
+
 def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots_at):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((n,), (n_paths, n)):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},) or ({n_paths}, {n})")
-    if np.any(x0 < 0):
-        raise ValueError("x0 must be non-negative")
-    work = None  # one (2, chunk, n, n) pair workspace, reused by every step
+    _check_start(x0)
+    work = None  # the tensor drift's (2, chunk, n, n) pair workspace, reused by every step
 
     def start(rows, gens, n_steps):
         nonlocal work
         x = np.array(np.broadcast_to(x0, (n_paths, n))[rows])
-        if work is None:  # the first chunk is the largest
+        if work is None and n > _COLUMN_MAX_N:  # the first chunk is the largest
             work = np.empty((2, x.shape[0], n, n))
-        noise = np.empty((x.shape[0], n_steps, n))
-        for k, gen in enumerate(gens):
-            gen.standard_normal(out=noise[k])
-        return _sanitize_rows(x)[0], noise
+        return _sanitize_rows(x)[0], _step_major_normals(gens, x.shape[0], n_steps, n)
 
     def step(x, noise_i, h, i):
         d = drift_rows(x, h, work)
@@ -354,8 +457,7 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
     if init == "diag":
         if x0a is None:
             raise ValueError("init='diag' needs a starting configuration x0")
-        if np.any(x0a < 0):
-            raise ValueError("x0 must be non-negative")
+        _check_start(x0a)
         h0_diag = np.zeros((m, n), dtype=complex)
         h0_diag[:n, :n] = np.diag(np.sqrt(x0a))
     elif init != "ginibre":
@@ -363,11 +465,11 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
 
     def start(rows, gens, n_steps):
         hmat = np.empty((rows.stop - rows.start, m, n), dtype=complex)
-        noise = np.empty((rows.stop - rows.start, n_steps, m, n), dtype=complex)
+        noise = np.empty((n_steps, rows.stop - rows.start, m, n), dtype=complex)
         for k, gen in enumerate(gens):
             # a stationary start is drawn first from the path's stream
             hmat[k] = sample_ginibre(m, n, gen) if h0_diag is None else h0_diag
-            noise[k] = _complex_noise(gen, n_steps, m, n)
+            noise[:, k] = _complex_noise(gen, n_steps, m, n)
         return hmat, noise
 
     return _run_paths(Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * m * n, start,
@@ -385,15 +487,14 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
     path-steps whose spectrum left the cone."""
     s, alpha, n = params.s, params.alpha, params.n
     x0a = as_coords(x0, expected_dim=n)
-    if np.any(x0a < 0):
-        raise ValueError("x0 must be non-negative")
+    _check_start(x0a)
     eye = np.eye(n)
 
     def start(rows, gens, n_steps):
         c = rows.stop - rows.start
-        noise = np.empty((c, n_steps, n, n), dtype=complex)
+        noise = np.empty((n_steps, c, n, n), dtype=complex)
         for k, gen in enumerate(gens):
-            noise[k] = _complex_noise(gen, n_steps, n, n)
+            noise[:, k] = _complex_noise(gen, n_steps, n, n)
         return (np.tile(x0a, (c, 1)), np.tile(np.eye(n, dtype=complex), (c, 1, 1))), noise
 
     def step(state, noise_i, h, i):

@@ -34,6 +34,8 @@ _MCMC_STEP = 2.0
 _MCMC_BURN_IN = 10_000
 _MCMC_THIN = 10
 _MCMC_CHAINS = 50
+# steps whose proposal draws are made and transformed together
+_MCMC_BLOCK = 256
 
 
 def pickrell_density_unnorm(params: PickrellParams, x) -> float:
@@ -47,32 +49,47 @@ def pickrell_density_unnorm(params: PickrellParams, x) -> float:
     return float(vandermonde(arr) ** 2 * weight)
 
 
-def _log_vdm_sq_density_rows(log_weight, rows) -> np.ndarray:
-    """Row-wise log Vdm^2(x) + log_weight(x) on the open chamber, else -inf;
-    the Vandermonde sum runs over i < j in order, as the chains rely on."""
+def _log_vdm_sq_density_rows(log_weight, rows, log_sums=None) -> np.ndarray:
+    """Row-wise log Vdm^2(x) + log_weight(x, sum log x) on the open chamber,
+    else -inf.  ``log_sums`` holds each row's sum of logs when the caller has
+    it.  The Vandermonde sum runs over i < j in order, as the chains rely on."""
     rows = np.asarray(rows, dtype=float)
-    m, n = rows.shape
-    out = np.full(m, -np.inf)
-    ok = np.all(rows > 0, axis=1) & np.all(np.diff(rows, axis=1) > 0, axis=1)
-    if not ok.any():
-        return out
-    r = rows[ok]
-    logw = log_weight(r)
+    rising = rows[:, 1:] > rows[:, :-1]
+    if (rows[:, 0] > 0).all() and rising.all():  # every row inside: no masked copies
+        ok, r = None, rows
+    else:
+        ok = (rows[:, 0] > 0) & rising.all(axis=1)
+        out = np.full(rows.shape[0], -np.inf)
+        if not ok.any():
+            return out
+        r = rows[ok]
+    if log_sums is None:
+        log_sums = np.log(r).sum(axis=1)
+    elif ok is not None:
+        log_sums = log_sums[ok]
+    logw = log_weight(r, log_sums)
     logv = np.zeros(r.shape[0])
+    n = r.shape[1]
     for i in range(n):
         for j in range(i + 1, n):
             logv += 2.0 * np.log(r[:, j] - r[:, i])
+    if ok is None:
+        return logv + logw
     out[ok] = logv + logw
     return out
 
 
+def _pickrell_log_weight(params: PickrellParams):
+    def log_weight(r, log_sums):
+        expo = -(2.0 * r.shape[1] + params.alpha + params.s)
+        return params.alpha * log_sums + expo * np.log1p(r).sum(axis=1)
+
+    return log_weight
+
+
 def pickrell_log_density_rows(params: PickrellParams, rows: np.ndarray) -> np.ndarray:
     """Row-wise log of the unnormalized density; -inf outside the chamber."""
-    def log_weight(r):
-        expo = -(2.0 * r.shape[1] + params.alpha + params.s)
-        return params.alpha * np.log(r).sum(axis=1) + expo * np.log1p(r).sum(axis=1)
-
-    return _log_vdm_sq_density_rows(log_weight, rows)
+    return _log_vdm_sq_density_rows(_pickrell_log_weight(params), rows)
 
 
 def _pickrell_exact_1d(params: PickrellParams, n_samples: int, rng) -> np.ndarray:
@@ -81,13 +98,18 @@ def _pickrell_exact_1d(params: PickrellParams, n_samples: int, rng) -> np.ndarra
     return ((1.0 - u) ** (-1.0 / (1.0 + params.s)) - 1.0)[:, None]
 
 
-def _logspace_rw_chain(log_target_rows, n: int, n_samples: int, rng):
-    """Random-walk Metropolis in log-coordinates on sorted positive vectors.
+def _logspace_rw_chain(log_weight, n: int, n_samples: int, rng):
+    """Random-walk Metropolis in log-coordinates on sorted positive vectors,
+    targeting Vdm^2(x) exp(log_weight(x, sum log x)) on the open chamber.
 
     Proposals multiply each coordinate by exp(_MCMC_STEP * normal) and
-    re-sort; the acceptance ratio carries the prod(x) Jacobian of the log map.
-    _MCMC_CHAINS chains run vectorized; after _MCMC_BURN_IN steps every
-    _MCMC_THIN-th state is kept, interleaved across chains.
+    re-sort; the acceptance ratio carries the prod(x) Jacobian of the log map,
+    from the same logs as the weight.  _MCMC_CHAINS chains run vectorized;
+    after _MCMC_BURN_IN steps every _MCMC_THIN-th state is kept, interleaved
+    across chains.  Each step draws its proposal normals, then one uniform
+    per chain, and what it draws does not depend on the state; so the draws
+    are made in blocks of _MCMC_BLOCK steps, in that same order, and
+    exponentiated and logged once per block.
     """
     n_chains = max(1, min(_MCMC_CHAINS, n_samples))
     kept_per_chain = -(-n_samples // n_chains)  # ceil
@@ -97,22 +119,33 @@ def _logspace_rw_chain(log_target_rows, n: int, n_samples: int, rng):
     for k in range(1, n):  # break exact float ties (probability-zero event)
         tie = x[:, k] <= x[:, k - 1]
         x[tie, k] = x[tie, k - 1] * (1.0 + 1e-9) + 1e-12
-    log_pi = log_target_rows(x) + np.log(x).sum(axis=1)
-    kept = []
+    log_sums = np.log(x).sum(axis=1)
+    log_pi = _log_vdm_sq_density_rows(log_weight, x, log_sums) + log_sums
+    kept = np.empty((kept_per_chain, n_chains, n))
+    normals = np.empty((_MCMC_BLOCK, n_chains, n))
+    uniforms = np.empty((_MCMC_BLOCK, n_chains))
     accepted = 0
-    proposed = 0
-    for it in range(n_steps):
-        prop = np.sort(x * np.exp(_MCMC_STEP * rng.standard_normal(size=x.shape)), axis=1)
-        log_pi_prop = log_target_rows(prop) + np.log(prop).sum(axis=1)
-        acc = np.log(rng.uniform(size=n_chains)) < log_pi_prop - log_pi
-        x[acc] = prop[acc]
-        log_pi[acc] = log_pi_prop[acc]
-        accepted += int(acc.sum())
-        proposed += n_chains
-        if it >= _MCMC_BURN_IN and (it - _MCMC_BURN_IN) % _MCMC_THIN == 0:
-            kept.append(x.copy())
-    out = np.concatenate(kept, axis=0)[:n_samples]
-    info = {"method": "mcmc-logspace", "acceptance_rate": accepted / proposed,
+    for lo in range(0, n_steps, _MCMC_BLOCK):
+        size = min(_MCMC_BLOCK, n_steps - lo)
+        for b in range(size):
+            rng.standard_normal(out=normals[b])
+            rng.random(out=uniforms[b])  # uniform(size=n_chains) draws the same doubles
+        factors = np.exp(_MCMC_STEP * normals[:size])
+        log_u = np.log(uniforms[:size])
+        for b in range(size):
+            prop = x * factors[b]
+            prop.sort(axis=1)
+            log_sums = np.log(prop).sum(axis=1)
+            log_pi_prop = _log_vdm_sq_density_rows(log_weight, prop, log_sums) + log_sums
+            acc = log_u[b] < log_pi_prop - log_pi
+            np.copyto(x, prop, where=acc[:, None])
+            np.copyto(log_pi, log_pi_prop, where=acc)
+            accepted += np.count_nonzero(acc)
+            k, r = divmod(lo + b - _MCMC_BURN_IN, _MCMC_THIN)
+            if k >= 0 and r == 0:
+                kept[k] = x
+    out = kept.reshape(-1, n)[:n_samples]
+    info = {"method": "mcmc-logspace", "acceptance_rate": accepted / (n_chains * n_steps),
             "burn_in": _MCMC_BURN_IN, "thin": _MCMC_THIN, "step": _MCMC_STEP, "n_chains": n_chains}
     return out, info
 
@@ -131,15 +164,14 @@ def sample_pickrell(params: PickrellParams, n_samples: int, rng, *, return_info:
         info = {"method": "exact-1d", "acceptance_rate": None,
                 "burn_in": 0, "thin": 1, "step": None, "n_chains": 1}
         return (out, info) if return_info else out
-    out, info = _logspace_rw_chain(lambda rows: pickrell_log_density_rows(params, rows),
-                                   params.n, n_samples, rng)
+    out, info = _logspace_rw_chain(_pickrell_log_weight(params), params.n, n_samples, rng)
     return (out, info) if return_info else out
 
 
 def sample_laguerre_mcmc(alpha: float, n: int, n_samples: int, rng) -> np.ndarray:
     """MCMC route to the Laguerre ensemble, independent of the Ginibre
     radial construction (used to cross-validate it)."""
-    return _logspace_rw_chain(lambda rows: laguerre_log_density_rows(alpha, rows),
+    return _logspace_rw_chain(lambda r, log_sums: alpha * log_sums - r.sum(axis=1),
                               n, n_samples, rng)[0]
 
 
@@ -151,11 +183,6 @@ def laguerre_density_unnorm(alpha: float, n: int, x) -> float:
     with np.errstate(divide="ignore"):
         weight = np.prod(arr**alpha * np.exp(-arr))
     return float(vandermonde(arr) ** 2 * weight)
-
-
-def laguerre_log_density_rows(alpha: float, rows: np.ndarray) -> np.ndarray:
-    return _log_vdm_sq_density_rows(lambda r: alpha * np.log(r).sum(axis=1) - r.sum(axis=1),
-                                    rows)
 
 
 def sample_laguerre_many(alpha, n: int, n_samples: int, rng) -> np.ndarray:

@@ -68,6 +68,8 @@ def shifted_factorial(x: float, n: int) -> float:
 
 def _require_strict(x, nonneg: bool, dim: int | None = None) -> np.ndarray:
     arr = as_coords(x, dim)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"x must be finite, got {arr}")
     if np.any(np.diff(arr) <= 0):
         raise ValueError(f"x must be strictly increasing, got {arr}")
     if nonneg and arr[0] <= 0:

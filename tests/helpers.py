@@ -126,6 +126,94 @@ def ref_pairwise_sum(x, numer, cap_dt=None):
     return ratio.sum(axis=2)
 
 
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns: unlike ``np.array_equal``,
+    +0 and -0 differ (and a NaN equals itself)."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def ref_sanitize_rows(x):
+    """The Euler guard before the sort network: reflect, ``np.sort`` and
+    un-tie rows in place; returns (rows, guarded mask)."""
+    neg = x < 0
+    guarded = neg.any(axis=1)
+    np.abs(x, out=x)
+    x.sort(axis=1)
+    if not (x[:, 1:] <= x[:, :-1]).any():
+        return x, guarded
+    for k in range(1, x.shape[1]):
+        tie = x[:, k] <= x[:, k - 1]
+        if tie.any():
+            guarded |= tie
+            x[tie, k] = x[tie, k - 1] + 1e-12 * (1.0 + np.abs(x[tie, k - 1]))
+    return x, guarded
+
+
+# Frozen copy of the ensembles' MCMC before its proposal draws were blocked:
+# one normal block and one uniform block per step, drawn and transformed
+# step by step, and a target density that takes every log itself.
+
+def ref_log_vdm_sq_density_rows(log_weight, rows):
+    rows = np.asarray(rows, dtype=float)
+    m, n = rows.shape
+    out = np.full(m, -np.inf)
+    ok = np.all(rows > 0, axis=1) & np.all(np.diff(rows, axis=1) > 0, axis=1)
+    if not ok.any():
+        return out
+    r = rows[ok]
+    logw = log_weight(r)
+    logv = np.zeros(r.shape[0])
+    for i in range(n):
+        for j in range(i + 1, n):
+            logv += 2.0 * np.log(r[:, j] - r[:, i])
+    out[ok] = logv + logw
+    return out
+
+
+def ref_pickrell_log_density_rows(params, rows):
+    def log_weight(r):
+        expo = -(2.0 * r.shape[1] + params.alpha + params.s)
+        return params.alpha * np.log(r).sum(axis=1) + expo * np.log1p(r).sum(axis=1)
+
+    return ref_log_vdm_sq_density_rows(log_weight, rows)
+
+
+def ref_laguerre_log_density_rows(alpha, rows):
+    return ref_log_vdm_sq_density_rows(lambda r: alpha * np.log(r).sum(axis=1) - r.sum(axis=1),
+                                       rows)
+
+
+def ref_logspace_rw_chain(log_target_rows, n, n_samples, rng):
+    step, burn_in, thin = 2.0, 10_000, 10
+    n_chains = max(1, min(50, n_samples))
+    kept_per_chain = -(-n_samples // n_chains)
+    n_steps = burn_in + thin * kept_per_chain
+    x = np.sort(rng.gamma(shape=2.0, scale=1.0, size=(n_chains, n)), axis=1)
+    for k in range(1, n):
+        tie = x[:, k] <= x[:, k - 1]
+        x[tie, k] = x[tie, k - 1] * (1.0 + 1e-9) + 1e-12
+    log_pi = log_target_rows(x) + np.log(x).sum(axis=1)
+    kept = []
+    accepted = 0
+    proposed = 0
+    for it in range(n_steps):
+        prop = np.sort(x * np.exp(step * rng.standard_normal(size=x.shape)), axis=1)
+        log_pi_prop = log_target_rows(prop) + np.log(prop).sum(axis=1)
+        acc = np.log(rng.uniform(size=n_chains)) < log_pi_prop - log_pi
+        x[acc] = prop[acc]
+        log_pi[acc] = log_pi_prop[acc]
+        accepted += int(acc.sum())
+        proposed += n_chains
+        if it >= burn_in and (it - burn_in) % thin == 0:
+            kept.append(x.copy())
+    out = np.concatenate(kept, axis=0)[:n_samples]
+    info = {"method": "mcmc-logspace", "acceptance_rate": accepted / proposed,
+            "burn_in": burn_in, "thin": thin, "step": step, "n_chains": n_chains}
+    return out, info
+
+
 def mean_distance(x, y):
     """Mean Euclidean distance over all pairs of rows of x and y, from the
     differences themselves: no sorting, no matrix product."""

@@ -187,6 +187,10 @@ def test_bad_value_exits_2():
     ["boundary-flow", "--gamma0", "nan", "--t", "1"],
     ["boundary-flow", "--gamma0", "3", "--t", "nan"],
     ["boundary-flow", "--gamma0", "2", "--alphas", "nan", "--t", "1"],
+    ["sample-kernel", "--kernel", "lambda-eq", "--x", "1,nan", "--n", "3"],
+    ["sample-kernel", "--kernel", "l", "--x", "1,inf", "--n", "3"],
+    ["simulate", "--process", "laguerre", "--x0", "1", "--t", "inf", "--paths", "2"],
+    ["simulate", "--process", "pickrell", "--x0", "nan,1", "--t", "0.01", "--paths", "2"],
 ])
 def test_degenerate_input_exits_2(args, capsys):
     with pytest.raises(SystemExit) as exc:

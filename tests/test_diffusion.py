@@ -16,7 +16,7 @@ from intertwine.diffusion import (PickrellParams, Scheme, SdeConfig,
 from intertwine.ensembles import sample_laguerre_many
 from intertwine.rng import generator
 
-from helpers import ref_pairwise_sum
+from helpers import ref_pairwise_sum, ref_sanitize_rows, same_bits
 
 
 def test_sde_config_validation():
@@ -29,6 +29,14 @@ def test_sde_config_validation():
     assert SdeConfig(dt=1e-3, t=0.0).step_sizes() == []
     hs = SdeConfig(dt=0.4, t=1.0).step_sizes()
     assert sum(hs) == pytest.approx(1.0) and len(hs) == 3
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_sde_config_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match=f"^t={bad} must be finite"):
+        SdeConfig(dt=1e-3, t=bad)
+    with pytest.raises(ValueError, match=f"^dt={bad} must be finite"):
+        SdeConfig(dt=bad, t=1.0)
 
 
 def test_pickrell_params_validation():
@@ -81,7 +89,7 @@ def test_pickrell_drift_forms_agree_at_random_points():
 def _chamber_rows(draw):
     """A few ascending, pairwise distinct rows; some gaps are tiny, so the
     drift clamp binds on some pairs at cap_dt = 1e-3."""
-    n = draw(st.sampled_from([1, 2, 3, 7, 50]))
+    n = draw(st.sampled_from([1, 2, 3, 4, 7, 50]))
     m = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     tiny = draw(st.floats(1e-9, 1e-2))
@@ -111,6 +119,50 @@ def test_drift_rows_bit_exact_against_mask_and_clip(x, cap_dt, s, alpha):
     numer = (2.0 * x[:1] * (1.0 + x[:1]))[:, :, None] * np.ones((1, 1, n))
     want = (2.0 - 2.0 * n - s) * x[0] + alpha + 1.0 + ref_pairwise_sum(x[:1], numer)[0]
     assert np.array_equal(pickrell_drift_interaction_form(p, x[0]), want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_column_drift_bit_exact_with_binding_clamp(n):
+    assert n <= diffusion._COLUMN_MAX_N  # the column route, not the (m, n, n) tensors
+    rng = np.random.default_rng(n)
+    m = 300
+    gaps = np.where(rng.random((m, n)) < 0.5, 1e-5 * rng.random((m, n)) + 1e-12,
+                    rng.exponential(1.0, (m, n)))
+    # ascending rows with tiny gaps, then rows in any order with x_i = -x_j pairs,
+    # whose zero numerators give -0 terms (the tensor sum adds onto +0)
+    signed = rng.permuted(np.concatenate([np.arange(1.0, n // 2 + 1),
+                                          -np.arange(1.0, n // 2 + 1),
+                                          [0.25] * (n % 2)]) * np.ones((20, 1)), axis=1)
+    for x in (np.cumsum(gaps, axis=1), signed):
+        xi, xj = x[:, :, None], x[:, None, :]
+        for cap_dt in (None, 1e-3):
+            pairs = ref_pairwise_sum(x, xi + xj, cap_dt)
+            # the drift's other terms would absorb the sign of a zero pair sum
+            assert same_bits(diffusion._pair_drift(x, diffusion._laguerre_numer, cap_dt, None),
+                             pairs)
+            assert same_bits(diffusion._laguerre_drift_rows(0.5, x, cap_dt),
+                             -x + 0.5 + n + pairs)
+            want = -1.5 * x + n + 0.5 + ref_pairwise_sum(x, 2.0 * xi * xj + xi + xj, cap_dt)
+            assert same_bits(diffusion._pickrell_drift_rows(1.5, 0.5, x, cap_dt), want)
+    x = np.cumsum(gaps, axis=1)
+    numer = x[:, :, None] + x[:, None, :]
+    assert not np.array_equal(ref_pairwise_sum(x, numer, 1e-3), ref_pairwise_sum(x, numer))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 9])
+def test_sanitize_sort_network_matches_sort_and_old_guard(n):
+    rng = np.random.default_rng(20 + n)
+    x = rng.normal(0.0, 2.0, (2000, n))
+    # exact ties, zeros of both signs, and values whose reflections tie
+    hit = rng.random(x.shape) < 0.4
+    x[hit] = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -2.5], hit.sum())
+    got, guarded = diffusion._sanitize_rows(x.copy())
+    want, want_guarded = ref_sanitize_rows(x.copy())
+    assert same_bits(got, want) and np.array_equal(guarded, want_guarded)
+    assert guarded.any() and not guarded.all()
+    y = np.abs(x)
+    diffusion._sort_rows(y)
+    assert same_bits(y, np.sort(np.abs(x), axis=1))
 
 
 def test_simulate_laguerre_t0_and_mean():
@@ -160,9 +212,12 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
     again = {name: run() for name, run in runs.items()}
     # every run is one chunk at the default budgets; these end each in a ragged chunk:
     # 48, 21 and 3 particle paths (pair budget 195 floats over N^2) and 138 Laguerre-lift
-    # paths (360 noise floats each)
+    # paths (360 noise floats each); a chunk's noise is then drawn 3, 2 and 1 paths at
+    # a time (fill budget 1300 floats over 200 N), so the last, 20-path Laguerre chunk
+    # and every 21-path Pickrell chunk end in a ragged fill too
     monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
     monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 3 * 49 + 48)
+    monkeypatch.setattr(diffusion, "_FILL_FLOAT_BUDGET", 1300)
     chunked = {name: run() for name, run in runs.items()}
     for name, (term, snaps, info) in ref.items():
         for other in (again[name], chunked[name]):  # per-path streams: chunking cannot matter

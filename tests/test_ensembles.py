@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from intertwine import ensembles
 from intertwine.diffusion import PickrellParams, SdeConfig, simulate_laguerre_paths
 from intertwine.ensembles import (jacobi_ensemble_density_unnorm, jacobi_map,
                                   jacobi_map_inverse, laguerre_density_unnorm,
-                                  pickrell_density_unnorm, sample_laguerre_many,
-                                  sample_laguerre_mcmc, sample_pickrell)
+                                  pickrell_density_unnorm, pickrell_log_density_rows,
+                                  sample_laguerre_many, sample_laguerre_mcmc, sample_pickrell)
 from intertwine.rng import generator
 from intertwine.verify import energy_perm_test, quad_cell
+
+from helpers import (ref_laguerre_log_density_rows, ref_logspace_rw_chain,
+                     ref_pickrell_log_density_rows, same_bits)
 
 
 def test_pickrell_density_examples():
@@ -43,6 +47,53 @@ def test_pickrell_mcmc_chamber_and_acceptance():
     assert 0.1 <= info["acceptance_rate"] <= 0.6
     x1, info1 = sample_pickrell(PickrellParams(1.0, 1.0, 1), 4000, rng, return_info=True)
     assert 0.1 <= info1["acceptance_rate"] <= 0.6
+
+
+@pytest.mark.parametrize("s, alpha, n, n_samples", [
+    (1.0, 1.0, 1, 100), (1.0, 0.0, 2, 100), (1.0, 1.0, 2, 137), (1.0, 1.0, 3, 100),
+    (1.5, 0.7, 2, 100), (1.0, 1.0, 2, 30)])
+def test_pickrell_mcmc_matches_the_step_by_step_chain(s, alpha, n, n_samples):
+    # 137 draws are not a whole number of rounds of 50 chains; 30 run 30 chains
+    params = PickrellParams(s, alpha, n)
+    rng, ref_rng = generator(420), generator(420)
+    got, info = sample_pickrell(params, n_samples, rng, return_info=True)
+    want, want_info = ref_logspace_rw_chain(
+        lambda rows: ref_pickrell_log_density_rows(params, rows), n, n_samples, ref_rng)
+    assert np.array_equal(got, want) and info == want_info
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_laguerre_mcmc_matches_the_step_by_step_chain():
+    rng, ref_rng = generator(421), generator(421)
+    got = sample_laguerre_mcmc(1.0, 2, 137, rng)
+    want, _ = ref_logspace_rw_chain(lambda rows: ref_laguerre_log_density_rows(1.0, rows),
+                                    2, 137, ref_rng)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_log_density_rows_inside_and_outside_the_chamber(n):
+    params = PickrellParams(1.0, 0.7, n)
+    rng = np.random.default_rng(430 + n)
+    inside = np.cumsum(rng.exponential(1.0, (40, n)), axis=1)
+    # ties, zeros, negative values and descending rows fall outside
+    outside = inside.copy()
+    outside[:10, 0] = 0.0
+    outside[10:20, 0] = -0.5
+    if n > 1:
+        outside[20:30, 1] = outside[20:30, 0]
+        outside[30:, :] = outside[30:, ::-1]
+    for rows in (inside, outside, np.concatenate([inside, outside])):
+        want = ref_pickrell_log_density_rows(params, rows)
+        assert same_bits(pickrell_log_density_rows(params, rows), want)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            log_sums = np.log(rows).sum(axis=1)
+        given = ensembles._log_vdm_sq_density_rows(ensembles._pickrell_log_weight(params),
+                                                   rows, log_sums)
+        assert same_bits(given, want)
+    assert np.all(np.isfinite(pickrell_log_density_rows(params, inside)))
+    assert np.isneginf(pickrell_log_density_rows(params, outside)).sum() == (40 if n > 1 else 20)
 
 
 def test_pickrell_mcmc_n1_alpha1_matches_cdf():
