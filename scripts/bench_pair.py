@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Benchmark two source roots against each other with perfbench.
 
-    python3 scripts/bench_pair.py BASE HEAD --labels parent,change \\
+    python3 scripts/bench_pair.py BASE HEAD \\
         --workloads montecarlo,calculus,flow,lifts --pairs 5 --trace-runs 3 \\
         --out BENCH_small_n.json
 
-BASE and HEAD are checkouts that hold src/intertwine and perfbench/, such as
-a `git archive` of the parent commit and the working tree.  For each
-workload the script runs ``perfbench/run.py --trace 0`` ``--pairs`` times in
-each root, then ``--trace 1`` ``--trace-runs`` times in each root.  Every
-run of one root is followed by the same run of the other, and the root that
-goes first alternates, so that a drift in the host's speed falls on both.
+BASE (the parent) and HEAD (the change) are checkouts that hold
+src/intertwine and perfbench/, such as a `git archive` of each commit.  For
+each workload the script runs ``perfbench/run.py --trace 0`` ``--pairs``
+times in each root, then ``--trace 1`` ``--trace-runs`` times in each root.
+Every run of one root is followed by the same run of the other, and the root
+that goes first alternates, so that a drift in the host's speed falls on both.
 Pair i uses seed ``--seeds``[i mod len].
 
 The JSON written to ``--out`` holds, per workload and metric, every run, the
@@ -60,7 +60,7 @@ def report_hash(root: Path, workload: str, seed: int):
 
 
 def summary(values: list) -> dict:
-    q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2], "runs": values}
 
 
@@ -83,7 +83,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path)
     ap.add_argument("head", type=Path)
-    ap.add_argument("--labels", default="base,head", help="names of the two roots")
     ap.add_argument("--workloads", default="montecarlo")
     ap.add_argument("--pairs", type=int, default=5, help="untraced runs per root (>= 3)")
     ap.add_argument("--trace-runs", type=int, default=3, help="traced runs per root (>= 3)")
@@ -94,12 +93,11 @@ def main(argv=None) -> int:
     if args.pairs < 3 or args.trace_runs < 3:
         ap.error("medians need at least 3 runs per root")
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
-    labels = dict(zip(("base", "head"), args.labels.split(",")))
     seeds = [int(tok) for tok in args.seeds.split(",")]
     spec = json.loads((roots["head"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    result = {"labels": labels, "pairs": args.pairs, "trace_runs": args.trace_runs,
+    result = {"pairs": args.pairs, "trace_runs": args.trace_runs,
               "seeds": seeds, "seconds": args.seconds, "machine": None, "workloads": {}}
     for workload in args.workloads.split(","):
         runs = {(side, trace): [] for side in roots for trace in (0, 1)}
@@ -111,7 +109,7 @@ def main(argv=None) -> int:
                     runs[side, trace].append(r)
                     m = r["metrics"]
                     shown = m.get("wall_s", m.get("run.cpu_s"))
-                    print(f"{workload} trace={trace} seed={seed} {labels[side]}: {shown:.3f}",
+                    print(f"{workload} trace={trace} seed={seed} {side}: {shown:.3f}",
                           file=sys.stderr)
         result["machine"] = {k: runs["head", 0][0]["machine"].get(k)
                              for k in ("nproc", "blas_threads", "blas", "python", "numpy",

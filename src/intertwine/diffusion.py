@@ -18,14 +18,16 @@ Every simulator runs its paths through _run_paths, the one place where
 per-path streams and chunk sizes are decided: path i draws only from
 rng.path_generator(master_seed, i), so an ensemble result is bit-reproducible
 for a fixed seed regardless of chunking.  A chunk's noise fits
-_CHUNK_FLOAT_BUDGET floats and is stored step-major, (steps, paths, ...), so
-that each step reads one contiguous block; the paths' draws are made into a
-small buffer and copied into place.  Euler chunks are further capped at
-_PAIR_FLOAT_BUDGET / N^2 paths.  Above _COLUMN_MAX_N particles the pair drift
-is built as (paths, N, N) tensors in two buffers reused by every step, which
-that cap keeps in cache; at or below it, column by column on (paths,) arrays,
-with the same operations per pair and the same sum order, so both routes give
-bit-identical drifts.
+_CHUNK_FLOAT_BUDGET floats and is indexed step-major, (steps, paths, ...).  In
+the lifts and up to _COLUMN_MAX_N Euler particles it is also stored so, and
+each step reads one contiguous block: the paths' draws are made into a small
+buffer and copied into place.  Above _COLUMN_MAX_N particles each path is
+drawn in place and the runner reads a step-major view.  Euler chunks are
+further capped at _PAIR_FLOAT_BUDGET / N^2 paths.  Above _COLUMN_MAX_N
+particles the pair drift is built as (paths, N, N) tensors in two buffers
+reused by every step, which that cap keeps in cache; at or below it, column
+by column on (paths,) arrays, with the same operations per pair and the same
+sum order, so both routes give bit-identical drifts.
 """
 
 from __future__ import annotations
@@ -325,8 +327,16 @@ def _sort_rows(x: np.ndarray) -> None:
 
 def _step_major_normals(gens, c: int, n_steps: int, n: int) -> np.ndarray:
     """(n_steps, c, n) standard normals; path k's (n_steps, n) draws come from
-    the k-th of ``gens``.  As many paths as fit _FILL_FLOAT_BUDGET floats are
-    drawn into one buffer at a time and then put in place."""
+    the k-th of ``gens``.  Above _COLUMN_MAX_N particles each path is drawn in
+    place into a (c, n_steps, n) array and a step-major view of it is returned,
+    so a step reads c strided rows of N floats.  At or below it, as many paths
+    as fit _FILL_FLOAT_BUDGET floats are drawn into one buffer at a time and
+    put in place one coordinate at a time, along the paths."""
+    if n > _COLUMN_MAX_N:
+        noise = np.empty((c, n_steps, n))
+        for path in noise:
+            next(gens).standard_normal(out=path)
+        return noise.transpose(1, 0, 2)
     noise = np.empty((n_steps, c, n))
     per_fill = max(1, min(c, _FILL_FLOAT_BUDGET // max(1, n_steps * n)))
     buf = np.empty((per_fill, n_steps, n))
@@ -334,11 +344,8 @@ def _step_major_normals(gens, c: int, n_steps: int, n: int) -> np.ndarray:
         block = buf[:c - lo]
         for path in block:
             next(gens).standard_normal(out=path)
-        if n > _COLUMN_MAX_N:
-            noise[:, lo:lo + len(block)] = block.transpose(1, 0, 2)
-        else:  # numpy copies short rows slowly: one coordinate at a time runs along the paths
-            for j in range(n):
-                noise[:, lo:lo + len(block), j] = block[:, :, j].T
+        for j in range(n):
+            noise[:, lo:lo + len(block), j] = block[:, :, j].T
     return noise
 
 

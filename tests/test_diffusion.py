@@ -203,6 +203,8 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
                                                     snapshots_at=(0.1,)),
         "laguerre-N7": lambda: simulate_laguerre_paths(1.0, 7, np.arange(1.0, 8.0), cfg, 40, 321,
                                                        snapshots_at=(0.1,)),
+        "laguerre-N8": lambda: simulate_laguerre_paths(1.0, 8, np.arange(1.0, 9.0), cfg, 10, 324,
+                                                       snapshots_at=(0.1,)),
         "laguerre-lift": lambda: simulate_laguerre_matrix_paths(1, 2, (1.0, 2.0), lift, 300, 322,
                                                                 snapshots_at=(0.1, 0.3)),
         "laguerre-lift-ginibre": lambda: simulate_laguerre_matrix_paths(
@@ -211,7 +213,8 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
     ref = {name: run() for name, run in runs.items()}
     again = {name: run() for name, run in runs.items()}
     # every run is one chunk at the default budgets; these end each in a ragged chunk:
-    # 48, 21 and 3 particle paths (pair budget 195 floats over N^2) and 138 Laguerre-lift
+    # 48, 21, 3 and 3 particle paths (pair budget 195 floats over N^2; N = 8 draws its
+    # noise path-major and steps through a step-major view of it) and 138 Laguerre-lift
     # paths (360 noise floats each); a chunk's noise is then drawn 3, 2 and 1 paths at
     # a time (fill budget 1300 floats over 200 N), so the last, 20-path Laguerre chunk
     # and every 21-path Pickrell chunk end in a ragged fill too
