@@ -68,9 +68,11 @@ def shifted_factorial(x: float, n: int) -> float:
 
 def _require_strict(x, nonneg: bool, dim: int | None = None) -> np.ndarray:
     arr = as_coords(x, dim)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"x must be finite, got {arr}")
-    if np.any(np.diff(arr) <= 0):
+    # strictly increasing (a NaN fails the comparison) between finite ends: all finite
+    if arr.size and not (math.isfinite(arr[0]) and math.isfinite(arr[-1])
+                         and (np.diff(arr) > 0).all()):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"x must be finite, got {arr}")
         raise ValueError(f"x must be strictly increasing, got {arr}")
     if nonneg and arr[0] <= 0:
         raise ValueError(f"x must have x_1 > 0, got {arr}")

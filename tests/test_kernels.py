@@ -29,6 +29,13 @@ def test_density_L_requires_strict_x():
         density_L((1, 1), (1,))
 
 
+@pytest.mark.parametrize("x", [(math.nan,), (1.0, math.nan), (1.0, math.nan, 3.0),
+                               (-math.inf, 1.0), (1.0, math.inf), (math.inf,)])
+def test_source_points_must_be_finite(x):
+    with pytest.raises(ValueError, match="finite"):
+        sample_L_many(x, 3, generator(0))
+
+
 def test_density_lambda_eq_examples():
     assert density_lambda_eq(KernelParams(0, 1), (2,), (1,)) == pytest.approx(0.5)
     assert density_lambda_eq(KernelParams(1, 1), (2,), (1,)) == pytest.approx(0.5)
