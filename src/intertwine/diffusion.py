@@ -15,24 +15,29 @@ by 1e-12 (1+|x|), and per-pair repulsion kicks are clamped to half the pair
 distance per step (see _pairwise_sum).
 
 Every simulator runs its paths through _run_paths, the one place where
-per-path streams and chunk sizes are decided: path i draws only from
+per-path streams, chunk sizes and threads are decided: path i draws only from
 rng.path_generator(master_seed, i), so an ensemble result is bit-reproducible
-for a fixed seed regardless of chunking.  A chunk's noise fits
-_CHUNK_FLOAT_BUDGET floats and is indexed step-major, (steps, paths, ...).  In
-the lifts and up to _COLUMN_MAX_N Euler particles it is also stored so, and
-each step reads one contiguous block: the paths' draws are made into a small
-buffer and copied into place.  Above _COLUMN_MAX_N particles each path is
-drawn in place and the runner reads a step-major view.  Euler chunks are
-further capped at _PAIR_FLOAT_BUDGET / N^2 paths.  Above _COLUMN_MAX_N
-particles the pair drift is built as (paths, N, N) tensors in two buffers
-reused by every step, which that cap keeps in cache; at or below it, column
-by column on (paths,) arrays, with the same operations per pair and the same
+for a fixed seed whatever the chunking and the core count.  The runner keeps
+as many chunks in flight, one per thread, as the process's CPU affinity has
+cores and _CHUNK_FLOAT_BUDGET has room for their noise; a run of one chunk,
+as the lifts and the small-N runs are at the usual sizes, stays on the
+calling thread.  A chunk's noise fits _CHUNK_FLOAT_BUDGET floats and is
+indexed step-major, (steps, paths, ...).  In the lifts and up to
+_COLUMN_MAX_N Euler particles it is also stored so, and each step reads one
+contiguous block: the paths' draws are made into a small buffer and copied
+into place.  Above _COLUMN_MAX_N particles each path is drawn in place and
+the runner reads a step-major view.  Euler chunks are further capped at
+_PAIR_FLOAT_BUDGET / N^2 paths.  Above _COLUMN_MAX_N particles the pair drift
+is built as (paths, N, N) tensors in two buffers of the chunk's own, reused
+by every step, which that cap keeps in cache; at or below it, column by
+column on (paths,) arrays, with the same operations per pair and the same
 sum order, so both routes give bit-identical drifts.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +67,8 @@ _PAIR_FLOAT_BUDGET = 2**16
 # summation from 8 on: the column route reproduces only the former
 _COLUMN_MAX_N = 7
 _FILL_FLOAT_BUDGET = 2**16  # the buffer that Euler noise is drawn into before it is put in place
+# the cores this process may run on: the most chunks _run_paths keeps in flight
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class Scheme(enum.Enum):
@@ -270,12 +277,17 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
                guard_key=None, max_chunk=None):
     """Run n_paths paths in chunks; returns (terminal, snapshots, info).
 
-    Path i draws only from path_generator(master_seed, i), so the output does
-    not depend on the chunk size: noise_floats per path and step, over the
-    whole horizon, fit _CHUNK_FLOAT_BUDGET floats per chunk, and max_chunk
-    caps the chunk further.  ``start(rows, gens, n_steps)`` returns the
-    initial state of the paths in the slice ``rows`` and their step-major
-    (n_steps, paths, ...) noise, drawn from ``gens``, one generator per path;
+    Path i draws only from path_generator(master_seed, i), so the output
+    depends neither on the chunk size nor on how many chunks run at once:
+    noise_floats per path and step, over the whole horizon, fit
+    _CHUNK_FLOAT_BUDGET floats per chunk, and max_chunk caps the chunk
+    further.  Chunks run on as many threads as the process has cores
+    (_CORES), as long as their noise together fits _CHUNK_FLOAT_BUDGET; with
+    one, they run one after another on the calling thread.  The generators
+    are made on the calling thread, in path order, and a chunk writes only
+    its own rows.  ``start(rows, gens, n_steps)`` returns the initial state
+    of the paths in the slice ``rows`` and their step-major (n_steps, paths,
+    ...) noise, drawn from ``gens``, one generator per path;
     ``step(state, noise_i, h, i)`` returns the next state and its count of
     guarded paths; ``observe(state)`` returns (paths, n) ascending rows.
     ``info[guard_key]`` is the guarded fraction of path-steps.
@@ -287,15 +299,21 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     hs = cfg.step_sizes()
     snap_steps = _snapshot_steps(snapshots_at, hs, cfg.dt, cfg.t)
     n_steps = len(hs)
-    chunk = max(1, min(n_paths, int(_CHUNK_FLOAT_BUDGET / max(1, n_steps * noise_floats)),
+    path_floats = max(1, n_steps * noise_floats)
+    chunk = max(1, min(n_paths, int(_CHUNK_FLOAT_BUDGET / path_floats),
                        n_paths if max_chunk is None else max_chunk))
+    chunks = [slice(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+    workers = max(1, min(_CORES, len(chunks), int(_CHUNK_FLOAT_BUDGET // (chunk * path_floats))))
     terminal = np.empty((n_paths, n))
     snaps = {ts: np.empty((n_paths, n)) for ts in (snapshots_at or [])}
-    guarded = 0
-    for lo in range(0, n_paths, chunk):
-        rows = slice(lo, min(lo + chunk, n_paths))
-        gens = (path_generator(master_seed, i) for i in range(rows.start, rows.stop))
+
+    def chunk_gens(rows):
+        return (path_generator(master_seed, i) for i in range(rows.start, rows.stop))
+
+    def run_chunk(rows, gens):
+        """Step one chunk to the horizon; its noise is freed on return."""
         state, noise = start(rows, gens, n_steps)
+        guarded = 0
         for i, h in enumerate(hs):
             state, events = step(state, noise[i], h, i)
             guarded += events
@@ -304,10 +322,36 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
                 for ts in snap_steps[i + 1]:
                     snaps[ts][rows] = rows_now
         terminal[rows] = observe(state)
+        return guarded
+
+    if workers == 1:
+        guarded = sum(run_chunk(rows, chunk_gens(rows)) for rows in chunks)
+    else:
+        guarded = _run_chunks_threaded(run_chunk, chunks, chunk_gens, workers)
     info = {"n_steps": n_steps, "n_paths": n_paths}
     if guard_key is not None:
         info[guard_key] = guarded / float(n_paths * n_steps) if n_steps else 0.0
     return terminal, snaps, info
+
+
+def _run_chunks_threaded(run_chunk, chunks, chunk_gens, workers: int) -> int:
+    """Sum of run_chunk(rows, generators) over the chunks, at most ``workers``
+    of them in flight.  The generators are made here, on the calling thread,
+    and the chunks are collected in order, so the first failing chunk's
+    error is raised, as a serial run raises it, and no chunk is started once
+    it is; the pool's threads are joined before this returns."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    guarded = 0
+    with ThreadPoolExecutor(workers) as pool:
+        pending = []
+        for rows in chunks:
+            if len(pending) == workers:
+                guarded += pending.pop(0).result()
+            pending.append(pool.submit(run_chunk, rows, iter(list(chunk_gens(rows)))))
+        for done in pending:
+            guarded += done.result()
+    return guarded
 
 
 def _sort_rows(x: np.ndarray) -> None:
@@ -389,27 +433,26 @@ def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots
     if x0.shape not in ((n,), (n_paths, n)):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},) or ({n_paths}, {n})")
     _check_start(x0)
-    work = None  # the tensor drift's (2, chunk, n, n) pair workspace, reused by every step
 
     def start(rows, gens, n_steps):
-        nonlocal work
+        # the state carries the chunk's own (2, paths, n, n) pair workspace, reused by every step
         x = np.array(np.broadcast_to(x0, (n_paths, n))[rows])
-        if work is None and n > _COLUMN_MAX_N:  # the first chunk is the largest
-            work = np.empty((2, x.shape[0], n, n))
-        return _sanitize_rows(x)[0], _step_major_normals(gens, x.shape[0], n_steps, n)
+        work = np.empty((2, x.shape[0], n, n)) if n > _COLUMN_MAX_N else None
+        return (_sanitize_rows(x)[0], work), _step_major_normals(gens, x.shape[0], n_steps, n)
 
-    def step(x, noise_i, h, i):
+    def step(state, noise_i, h, i):
+        x, work = state
         d = drift_rows(x, h, work)
         v = vol_rows(x)
         x = x + d * h + v * np.sqrt(h) * noise_i
         if np.isnan(x).any():
             raise RuntimeError(f"NaN state at step {i + 1}; reduce dt")
         x, guarded = _sanitize_rows(x)
-        return x, int(guarded.sum())
+        return (x, work), int(guarded.sum())
 
     return _run_paths(Scheme.EULER_GUARDED, cfg, n_paths, master_seed, n, n, start, step,
-                      lambda x: x, snapshots_at=snapshots_at, guard_key="guard_fraction",
-                      max_chunk=_PAIR_FLOAT_BUDGET // (n * n))
+                      lambda state: state[0], snapshots_at=snapshots_at,
+                      guard_key="guard_fraction", max_chunk=_PAIR_FLOAT_BUDGET // (n * n))
 
 
 def _laguerre_vol(x: np.ndarray) -> np.ndarray:

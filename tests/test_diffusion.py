@@ -1,4 +1,5 @@
 import math
+import threading
 
 import hypothesis
 import numpy as np
@@ -192,6 +193,21 @@ def _three(term, info):
     return term, {}, info
 
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _noise_threads(monkeypatch) -> set:
+    """The set that the following runs add each path-noise-drawing thread to."""
+    seen = set()
+    for name in ("_step_major_normals", "_complex_noise"):
+        def drawn(*args, _draw=getattr(diffusion, name)):
+            seen.add(threading.get_ident())
+            return _draw(*args)
+        monkeypatch.setattr(diffusion, name, drawn)
+    return seen
+
+
 def test_paths_reproducible_and_chunk_independent(monkeypatch):
     cfg = SdeConfig(1e-3, 0.2)
     lift = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)
@@ -205,6 +221,9 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
                                                        snapshots_at=(0.1,)),
         "laguerre-N8": lambda: simulate_laguerre_paths(1.0, 8, np.arange(1.0, 9.0), cfg, 10, 324,
                                                        snapshots_at=(0.1,)),
+        "pickrell-N8": lambda: simulate_pickrell_paths(PickrellParams(1.0, 0.5, 8),
+                                                       np.arange(1.0, 9.0), cfg, 10, 325,
+                                                       snapshots_at=(0.1,)),
         "laguerre-lift": lambda: simulate_laguerre_matrix_paths(1, 2, (1.0, 2.0), lift, 300, 322,
                                                                 snapshots_at=(0.1, 0.3)),
         "laguerre-lift-ginibre": lambda: simulate_laguerre_matrix_paths(
@@ -213,7 +232,7 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
     ref = {name: run() for name, run in runs.items()}
     again = {name: run() for name, run in runs.items()}
     # every run is one chunk at the default budgets; these end each in a ragged chunk:
-    # 48, 21, 3 and 3 particle paths (pair budget 195 floats over N^2; N = 8 draws its
+    # 48, 21, 3, 3 and 3 particle paths (pair budget 195 floats over N^2; N = 8 draws its
     # noise path-major and steps through a step-major view of it) and 138 Laguerre-lift
     # paths (360 noise floats each); a chunk's noise is then drawn 3, 2 and 1 paths at
     # a time (fill budget 1300 floats over 200 N), so the last, 20-path Laguerre chunk
@@ -221,12 +240,71 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
     monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
     monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 3 * 49 + 48)
     monkeypatch.setattr(diffusion, "_FILL_FLOAT_BUDGET", 1300)
-    chunked = {name: run() for name, run in runs.items()}
+    threads = _noise_threads(monkeypatch)
+    chunked = {}
+    for cores in (1, 4):  # one chunk in flight, then up to four
+        monkeypatch.setattr(diffusion, "_CORES", cores)
+        for name, run in runs.items():
+            threads.clear()
+            chunked[name, cores] = run()
+            # a lift's chunk fills the float budget by itself, so lifts stay on the caller
+            if cores == 1 or "lift" in name:
+                assert threads == {threading.get_ident()}, name
+            else:
+                assert threads and threading.get_ident() not in threads, name
     for name, (term, snaps, info) in ref.items():
-        for other in (again[name], chunked[name]):  # per-path streams: chunking cannot matter
-            assert np.array_equal(term, other[0]) and info == other[2]
+        # per-path streams: neither chunking nor the chunks in flight can matter
+        for other in (again[name], chunked[name, 1], chunked[name, 4]):
+            assert _same_bytes(term, other[0]) and info == other[2]
             assert snaps.keys() == other[1].keys()
-            assert all(np.array_equal(snaps[ts], other[1][ts]) for ts in snaps)
+            assert all(_same_bytes(snaps[ts], other[1][ts]) for ts in snaps)
+
+
+def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
+    calls = []
+    path_generator = diffusion.path_generator
+    nan_from = {}  # path index -> first step whose noise is NaN
+
+    class NanNoise:
+        def __init__(self, gen, step):
+            self.gen, self.step = gen, step
+
+        def standard_normal(self, out):
+            self.gen.standard_normal(out=out)
+            out[self.step - 1:] = np.nan
+            return out
+
+    def recorded(master_seed, index):
+        calls.append((threading.get_ident(), index))
+        gen = path_generator(master_seed, index)
+        return NanNoise(gen, nan_from[index]) if index in nan_from else gen
+
+    monkeypatch.setattr(diffusion, "path_generator", recorded)
+    monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 8)  # 2 paths a chunk at N = 2
+
+    def run(cores):
+        monkeypatch.setattr(diffusion, "_CORES", cores)
+        calls.clear()
+        return simulate_laguerre_paths(0.0, 2, (1.0, 2.0), SdeConfig(1e-2, 0.2), 9, 340,
+                                       snapshots_at=(0.1,))
+
+    serial = run(1)
+    threaded = run(2)
+    # five chunks, the last ragged; every stream is made on the caller, in path order
+    assert calls == [(threading.get_ident(), i) for i in range(9)]
+    assert _same_bytes(serial[0], threaded[0]) and serial[2] == threaded[2]
+    assert _same_bytes(serial[1][0.1], threaded[1][0.1])
+
+    # chunk 1 (paths 2, 3) fails at step 7 and chunk 2 (paths 4, 5) at step 3: the
+    # first chunk's error wins, as in a serial run, and the threads are gone after it
+    nan_from.update({3: 7, 4: 3})
+    before = threading.active_count()
+    for cores, last_started in ((1, 3), (2, 5)):
+        with pytest.raises(RuntimeError, match=r"^NaN state at step 7; reduce dt$"):
+            run(cores)
+        # no chunk is started after the failing one, but for those already in flight
+        assert calls == [(threading.get_ident(), i) for i in range(last_started + 1)]
+        assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("simulate", [
@@ -253,11 +331,16 @@ def test_pickrell_matrix_paths_chunk_independent(monkeypatch):
     term, info = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
     again, info_again = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
     # one chunk at the default budget; this one ends in a ragged chunk of 92 of the 300
-    # paths (208 paths of 240 noise floats each)
+    # paths (208 paths of 240 noise floats each), whose noise fills the float budget, so
+    # the chunks run on the caller one at a time whatever the core count
     monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
-    term_c, info_c = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
-    assert np.array_equal(term, again) and np.array_equal(term, term_c)
-    assert info == info_again == info_c and info["clip_fraction"] > 0
+    threads = _noise_threads(monkeypatch)
+    for cores in (1, 4):
+        monkeypatch.setattr(diffusion, "_CORES", cores)
+        term_c, info_c = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
+        assert _same_bytes(term, again) and _same_bytes(term, term_c)
+        assert info == info_again == info_c and info["clip_fraction"] > 0
+    assert threads == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("simulate", [

@@ -1,15 +1,14 @@
 """Golden reports of every two-path check, and of the boundary-flow check at
 N = 50, at small sizes.
 
-``data/golden_reports.json`` holds the reports these cases gave before the
-two-path checks were folded onto one routine (the flow case: before the
-Euler engine worked in place; the flow-chunked case: before the engine sized
-its chunks by the pair workspace).  Names, verdicts and meta must match
-exactly; the p-value within 0.02 and the statistic within 1e-3 relative.  The
-stored statistics come from the earlier energy test, whose float32 distance
-GEMM was off by up to about 1e-3 relative; the test now computes them in
-float64, and the tolerance covers that old error but still catches a
-miswired stream or parameter.  Regenerate, only when a random stream changes on purpose, with
+``data/golden_reports.json`` holds the reports these cases give with the
+float64 energy statistic.  Names, verdicts, meta and p-values must match
+exactly, and the statistic within 1e-7 relative: the reports store nine
+significant digits, and a miswired stream or parameter moves far more.  The
+flow case pins the N = 50 Euler engine, and the flow-chunked case (three
+chunks under the pair-workspace budget, the last ragged) pins the chunks run
+at once on a multi-core host and one at a time on one core.  Regenerate,
+only when a random stream changes on purpose, with
 ``PYTHONPATH=src python tests/test_suites_golden.py``.
 """
 
@@ -61,8 +60,8 @@ def test_report_matches_golden(case, golden):
     got, want = CASES[case]().to_dict(), golden[case]
     assert (got["name"], got["passed"], got["threshold"], got["meta"]) == (
         want["name"], want["passed"], want["threshold"], want["meta"])
-    assert got["p_value"] == pytest.approx(want["p_value"], abs=0.02)
-    assert got["statistic"] == pytest.approx(want["statistic"], rel=1e-3)
+    assert got["p_value"] == want["p_value"]
+    assert got["statistic"] == pytest.approx(want["statistic"], rel=1e-7)
 
 
 if __name__ == "__main__":
