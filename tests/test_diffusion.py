@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import hypothesis
@@ -280,26 +281,35 @@ def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
         return NanNoise(gen, nan_from[index]) if index in nan_from else gen
 
     monkeypatch.setattr(diffusion, "path_generator", recorded)
-    monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 8)  # 2 paths a chunk at N = 2
+    # 16 paths a chunk at N = 8: big enough that numpy drops the interpreter lock inside
+    # the pair drift, which each chunk builds in its own workspace
+    monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 16 * 64)
 
     def run(cores):
         monkeypatch.setattr(diffusion, "_CORES", cores)
         calls.clear()
-        return simulate_laguerre_paths(0.0, 2, (1.0, 2.0), SdeConfig(1e-2, 0.2), 9, 340,
-                                       snapshots_at=(0.1,))
+        return simulate_laguerre_paths(0.0, 8, np.arange(1.0, 9.0), SdeConfig(1e-2, 0.2), 72,
+                                       340, snapshots_at=(0.1,))
 
     serial = run(1)
-    threaded = run(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap often, so a race on shared buffers would show
+    try:
+        # all five chunks in flight at once, more than the host's cores
+        threaded = [run(8) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
     # five chunks, the last ragged; every stream is made on the caller, in path order
-    assert calls == [(threading.get_ident(), i) for i in range(9)]
-    assert _same_bytes(serial[0], threaded[0]) and serial[2] == threaded[2]
-    assert _same_bytes(serial[1][0.1], threaded[1][0.1])
+    assert calls == [(threading.get_ident(), i) for i in range(72)]
+    for term, snaps, info in threaded:
+        assert _same_bytes(serial[0], term) and serial[2] == info
+        assert _same_bytes(serial[1][0.1], snaps[0.1])
 
-    # chunk 1 (paths 2, 3) fails at step 7 and chunk 2 (paths 4, 5) at step 3: the
+    # chunk 1 (paths 16-31) fails at step 7 and chunk 2 (paths 32-47) at step 3: the
     # first chunk's error wins, as in a serial run, and the threads are gone after it
-    nan_from.update({3: 7, 4: 3})
+    nan_from.update({20: 7, 40: 3})
     before = threading.active_count()
-    for cores, last_started in ((1, 3), (2, 5)):
+    for cores, last_started in ((1, 31), (2, 47)):
         with pytest.raises(RuntimeError, match=r"^NaN state at step 7; reduce dt$"):
             run(cores)
         # no chunk is started after the failing one, but for those already in flight
