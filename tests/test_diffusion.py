@@ -295,7 +295,7 @@ def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads swap often, so a race on shared buffers would show
     try:
-        # all five chunks in flight at once, more than the host's cores
+        # all five chunks in flight at once, more threads than cores
         threaded = [run(8) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
