@@ -16,7 +16,10 @@ Pair i uses seed ``--seeds``[i mod len].
 The JSON written to ``--out`` holds, per workload and metric, every run, the
 median and quartiles of each root, the ratio of the medians (head over
 base) and, for the end-to-end metrics, in how many pairs the head was
-better.  It also says whether the report hashes of each seed agree between
+better.  Next to the metrics it keeps ``repeats``, how many times perfbench
+ran the workload within ``--seconds``: ``peak_rss_mb`` is the maximum over
+those repeats, so a faster root that fits more of them can show more
+memory.  It also says whether the report hashes of each seed agree between
 the roots, and it records the core count and the BLAS thread count that
 perfbench reports.  No path of either root is written to it.
 """
@@ -34,7 +37,7 @@ from pathlib import Path
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One perfbench run in ``root``: its metrics, verdict and machine line."""
+    """One perfbench run in ``root``: its metrics and repeats, verdict and machine line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -43,9 +46,12 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: int, trace: int
     lines = proc.stdout.strip().splitlines()
     # "[workload] nproc=2 blas_threads=1 blas=scipy-openblas 0.3.31 python=..."
     machine = dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", lines[0]))
+    # "[workload] repeats=2 checks=9 wall_s=..."
+    repeats = int(re.search(r"\brepeats=(\d+)", lines[1]).group(1))
     out = json.loads(lines[-1])
-    return {"metrics": {k: v["value"] for k, v in out["metrics"].items()},
-            "units": {k: v["unit"] for k, v in out["metrics"].items()},
+    metrics = out["metrics"]
+    return {"metrics": {**{k: v["value"] for k, v in metrics.items()}, "repeats": repeats},
+            "units": {**{k: v["unit"] for k, v in metrics.items()}, "repeats": "count"},
             "correct": out["correct"], "machine": machine}
 
 

@@ -206,20 +206,14 @@ def _cmd_simulate(args) -> int:
     x0 = _parse_floats(args.x0)
     n = len(x0)
     seed = named_seed(args.seed, f"simulate-{args.process}")
-    if args.process == "laguerre":
-        cfg = SdeConfig(args.dt, args.t)
-        rows, _, _ = simulate_laguerre_paths(args.alpha, n, x0, cfg, args.paths, seed)
-    elif args.process == "laguerre-matrix":
-        cfg = SdeConfig(args.dt, args.t, Scheme.MATRIX_LIFT)
-        rows, _, _ = simulate_laguerre_matrix_paths(args.alpha, n, x0, cfg, args.paths, seed)
-    elif args.process == "pickrell":
-        cfg = SdeConfig(args.dt, args.t)
-        rows, _, _ = simulate_pickrell_paths(PickrellParams(args.s, args.alpha, n), x0,
-                                             cfg, args.paths, seed)
+    lift = args.process.endswith("-matrix")
+    cfg = SdeConfig(args.dt, args.t, Scheme.MATRIX_LIFT if lift else Scheme.EULER_GUARDED)
+    if args.process.startswith("laguerre"):
+        simulate = simulate_laguerre_matrix_paths if lift else simulate_laguerre_paths
+        rows = simulate(args.alpha, n, x0, cfg, args.paths, seed)[0]
     else:
-        cfg = SdeConfig(args.dt, args.t, Scheme.MATRIX_LIFT)
-        rows, _ = simulate_pickrell_matrix_paths(PickrellParams(args.s, args.alpha, n), x0,
-                                                 cfg, args.paths, seed)
+        simulate = simulate_pickrell_matrix_paths if lift else simulate_pickrell_paths
+        rows = simulate(PickrellParams(args.s, args.alpha, n), x0, cfg, args.paths, seed)[0]
     _write_csv(args.out, [f"x{i + 1}" for i in range(rows.shape[1])], rows)
     return 0
 

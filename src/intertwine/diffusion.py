@@ -5,8 +5,9 @@ guarded Euler scheme: the Laguerre system (Ornstein-Uhlenbeck analogue of
 non-colliding squared Bessel particles) and the Pickrell system, whose
 square-root diffusion coefficient is sqrt(2x(1+x)).  Both admit matrix
 lifts whose spectra realize the same laws and are simulated as independent
-cross-checks.  The boundary flow of scaled configurations is deterministic
-and exposed in closed form.
+cross-checks (the Pickrell lift steps only its spectrum, a Markov chain by
+itself).  The boundary flow of scaled configurations is deterministic and
+exposed in closed form.
 
 The guards only repair discretization artifacts (the continuum dynamics
 neither collide nor leave the chamber): negative coordinates are reflected
@@ -15,23 +16,24 @@ by 1e-12 (1+|x|), and per-pair repulsion kicks are clamped to half the pair
 distance per step (see _pairwise_sum).
 
 Every simulator runs its paths through _run_paths, the one place where
-per-path streams, chunk sizes and threads are decided: path i draws only from
-rng.path_generator(master_seed, i), so an ensemble result is bit-reproducible
-for a fixed seed whatever the chunking and the core count.  The runner keeps
-as many chunks in flight, one per thread, as the process's CPU affinity has
-cores and _CHUNK_FLOAT_BUDGET has room for their noise; a run of one chunk,
-as the lifts and the small-N runs are at the usual sizes, stays on the
-calling thread.  A chunk's noise fits _CHUNK_FLOAT_BUDGET floats and is
-indexed step-major, (steps, paths, ...).  In the lifts and up to
-_COLUMN_MAX_N Euler particles it is also stored so, and each step reads one
-contiguous block: the paths' draws are made into a small buffer and copied
-into place.  Above _COLUMN_MAX_N particles each path is drawn in place and
-the runner reads a step-major view.  Euler chunks are further capped at
-_PAIR_FLOAT_BUDGET / N^2 paths.  Above _COLUMN_MAX_N particles the pair drift
-is built as (paths, N, N) tensors in two buffers of the chunk's own, reused
-by every step, which that cap keeps in cache; at or below it, column by
-column on (paths,) arrays, with the same operations per pair and the same
-sum order, so both routes give bit-identical drifts.
+per-path streams, chunk sizes and threads are decided: path i draws only
+from rng.path_generator(master_seed, i), so an ensemble result is
+bit-reproducible for a fixed seed whatever the chunking and the core count.
+The runner keeps as many chunks in flight, one per thread, as the process's
+CPU affinity has cores and _CHUNK_FLOAT_BUDGET has room for their noise; a
+run of one chunk, as the small-N runs are at the usual sizes, or of chunks
+that each fill the budget, as the lifts' are, stays on the calling thread.
+A chunk's noise fits _CHUNK_FLOAT_BUDGET floats and is indexed step-major,
+(steps, paths, ...).  In the lifts and up to _COLUMN_MAX_N Euler particles
+it is also stored so, and each step reads one contiguous block: the paths'
+draws are made into a small buffer and copied into place.  Above
+_COLUMN_MAX_N particles each path is drawn in place and the runner reads a
+step-major view.  Euler chunks are further capped at _PAIR_FLOAT_BUDGET /
+N^2 paths.  Above _COLUMN_MAX_N particles the pair drift is built as (paths,
+N, N) tensors in two buffers of the chunk's own, reused by every step, which
+that cap keeps in cache; at or below it, column by column on (paths,)
+arrays, with the same operations per pair and the same sum order, so both
+routes give bit-identical drifts.
 """
 
 from __future__ import annotations
@@ -61,7 +63,9 @@ __all__ = [
 ]
 
 _TIE_EPS = 1e-12
-_CHUNK_FLOAT_BUDGET = 2.5e7
+# 64 MB of noise per chunk bounds the peak memory of back-to-back 4,000-path lifts;
+# a smaller cap would split, and slow, the 4,000-path small-N Euler runs
+_CHUNK_FLOAT_BUDGET = 2**23
 _PAIR_FLOAT_BUDGET = 2**16
 # numpy sums fewer than 8 terms sequentially from +0 and switches to pairwise
 # summation from 8 on: the column route reproduces only the former
@@ -528,44 +532,49 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
                       radial_part_many, snapshots_at=snapshots_at)
 
 
+def _pickrell_lift_step(s, alpha, w, noise_i, h, i) -> tuple:
+    """One step of the spectra w (paths, n) with G = noise_i: (next spectra, paths off the cone)."""
+    w = np.clip(w, 0.0, None)
+    n = w.shape[1]
+    mterm = np.sqrt(h) * np.sqrt(w / 2.0)[:, :, None] * noise_i * np.sqrt(1.0 + w)[:, None, :]
+    x = mterm + mterm.conj().transpose(0, 2, 1)
+    diag = np.arange(n)
+    x[:, diag, diag] += w + (-s * w + (n + alpha)) * h
+    if np.isnan(x).any():
+        raise RuntimeError(f"NaN state at step {i + 1}; reduce dt")
+    w = np.linalg.eigvalsh(x)
+    return w, int((w < 0).any(axis=1).sum())
+
+
 def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
                                    n_paths: int, master_seed: int):
     """Ascending eigenvalues at the horizon of the Hermitian matrix evolution
     dX = sqrt(X/2) dW sqrt(I+X) + sqrt(I+X) dW* sqrt(X/2) + (-s X + (N+alpha) I) dt,
     with E|dW_jk|^2 = 2 dt and projection onto the non-negative cone.
     Returns (terminal, info); info["clip_fraction"] is the fraction of
-    path-steps whose spectrum left the cone."""
+    path-steps whose spectrum left the cone.
+
+    Only the spectrum w is simulated: with X = V diag(w) V*, a step gives
+    V* X' V = diag(w + h(-s w + N + alpha)) + M + M*, M = sqrt(h) D_a G D_b,
+    D_a = sqrt(w/2), D_b = sqrt(1+w), and G = V* dW V has the law of dW
+    whatever V is, so the spectra are a Markov chain and G is drawn afresh.
+    """
     s, alpha, n = params.s, params.alpha, params.n
     x0a = as_coords(x0, expected_dim=n)
     _check_start(x0a)
-    eye = np.eye(n)
 
     def start(rows, gens, n_steps):
         c = rows.stop - rows.start
         noise = np.empty((n_steps, c, n, n), dtype=complex)
         for k, gen in enumerate(gens):
             noise[:, k] = _complex_noise(gen, n_steps, n, n)
-        return (np.tile(x0a, (c, 1)), np.tile(np.eye(n, dtype=complex), (c, 1, 1))), noise
+        return np.tile(x0a, (c, 1)), noise
 
-    def step(state, noise_i, h, i):
-        w, vecs = state
-        w = np.clip(w, 0.0, None)
-        vh = vecs.conj().transpose(0, 2, 1)
-        sq_a = (vecs * np.sqrt(w / 2.0)[:, None, :]) @ vh
-        sq_b = (vecs * np.sqrt(1.0 + w)[:, None, :]) @ vh
-        xc = (vecs * w[:, None, :]) @ vh
-        mterm = sq_a @ (np.sqrt(h) * noise_i) @ sq_b
-        x = xc + mterm + mterm.conj().transpose(0, 2, 1) + (-s * xc + (n + alpha) * eye) * h
-        x = 0.5 * (x + x.conj().transpose(0, 2, 1))
-        if np.isnan(x).any():
-            raise RuntimeError(f"NaN state at step {i + 1}; reduce dt")
-        w, vecs = np.linalg.eigh(x)
-        return (w, vecs), int((w < 0).any(axis=1).sum())
-
-    # eigh sorts after every step; the sort orders a t = 0 start
+    # eigvalsh sorts after every step; the sort orders a t = 0 start
     terminal, _, info = _run_paths(
-        Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * n * n, start, step,
-        lambda state: np.sort(np.clip(state[0], 0.0, None), axis=1), guard_key="clip_fraction")
+        Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * n * n, start,
+        lambda w, noise_i, h, i: _pickrell_lift_step(s, alpha, w, noise_i, h, i),
+        lambda w: np.sort(np.clip(w, 0.0, None), axis=1), guard_key="clip_fraction")
     return terminal, info
 
 

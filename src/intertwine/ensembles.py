@@ -38,15 +38,20 @@ _MCMC_CHAINS = 50
 _MCMC_BLOCK = 256
 
 
+def _chamber_density(arr: np.ndarray, weight_of, upper: float = np.inf) -> float:
+    """Vdm^2(arr) prod weight_of(arr); 0 unless arr ascends in [0, upper]."""
+    if np.any(arr < 0) or np.any(arr > upper) or np.any(np.diff(arr) < 0):
+        return 0.0
+    with np.errstate(divide="ignore"):
+        weight = np.prod(weight_of(arr))
+    return float(vandermonde(arr) ** 2 * weight)
+
+
 def pickrell_density_unnorm(params: PickrellParams, x) -> float:
     """Vdm^2(x) prod x_k^alpha (1+x_k)^(-2N-alpha-s); 0 outside the chamber."""
-    arr = as_coords(x, expected_dim=params.n)
-    if np.any(arr < 0) or np.any(np.diff(arr) < 0):
-        return 0.0
     expo = -(2.0 * params.n + params.alpha + params.s)
-    with np.errstate(divide="ignore"):
-        weight = np.prod(arr**params.alpha * (1.0 + arr) ** expo)
-    return float(vandermonde(arr) ** 2 * weight)
+    return _chamber_density(as_coords(x, expected_dim=params.n),
+                            lambda arr: arr**params.alpha * (1.0 + arr) ** expo)
 
 
 def _log_vdm_sq_density_rows(log_weight, rows, log_sums=None) -> np.ndarray:
@@ -177,12 +182,7 @@ def sample_laguerre_mcmc(alpha: float, n: int, n_samples: int, rng) -> np.ndarra
 
 def laguerre_density_unnorm(alpha: float, n: int, x) -> float:
     """Vdm^2(x) prod x_k^alpha e^(-x_k); 0 outside the chamber."""
-    arr = as_coords(x, expected_dim=n)
-    if np.any(arr < 0) or np.any(np.diff(arr) < 0):
-        return 0.0
-    with np.errstate(divide="ignore"):
-        weight = np.prod(arr**alpha * np.exp(-arr))
-    return float(vandermonde(arr) ** 2 * weight)
+    return _chamber_density(as_coords(x, expected_dim=n), lambda arr: arr**alpha * np.exp(-arr))
 
 
 def sample_laguerre_many(alpha, n: int, n_samples: int, rng) -> np.ndarray:
@@ -207,9 +207,5 @@ def jacobi_map_inverse(u):
 
 def jacobi_ensemble_density_unnorm(alpha: float, beta: float, n: int, u) -> float:
     """Vdm^2(u) prod u_k^alpha (1-u_k)^beta on the ordered unit cube."""
-    arr = as_coords(u, expected_dim=n)
-    if np.any(arr < 0) or np.any(arr > 1) or np.any(np.diff(arr) < 0):
-        return 0.0
-    with np.errstate(divide="ignore"):
-        weight = np.prod(arr**alpha * (1.0 - arr) ** beta)
-    return float(vandermonde(arr) ** 2 * weight)
+    return _chamber_density(as_coords(u, expected_dim=n),
+                            lambda arr: arr**alpha * (1.0 - arr) ** beta, upper=1.0)

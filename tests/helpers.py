@@ -126,6 +126,26 @@ def ref_pairwise_sum(x, numer, cap_dt=None):
     return ratio.sum(axis=2)
 
 
+def ref_pickrell_matrix_step(s, alpha, w, vecs, dw, h):
+    """The Pickrell lift's full-matrix Euler step, before the lift carried
+    only its spectrum: from X = vecs diag(clip(w)) vecs*, the square roots
+    sqrt(X/2) and sqrt(I+X) are built from the eigenvectors and
+    X' = X + sqrt(X/2) dW sqrt(I+X) + (.)* + (-s X + (N+alpha) I) h, with
+    dW = sqrt(h) ``dw``.  Returns (eigenvalues, eigenvectors, paths with a
+    negative eigenvalue)."""
+    n = w.shape[1]
+    w = np.clip(w, 0.0, None)
+    vh = vecs.conj().transpose(0, 2, 1)
+    sq_a = (vecs * np.sqrt(w / 2.0)[:, None, :]) @ vh
+    sq_b = (vecs * np.sqrt(1.0 + w)[:, None, :]) @ vh
+    xc = (vecs * w[:, None, :]) @ vh
+    mterm = sq_a @ (np.sqrt(h) * dw) @ sq_b
+    x = xc + mterm + mterm.conj().transpose(0, 2, 1) + (-s * xc + (n + alpha) * np.eye(n)) * h
+    x = 0.5 * (x + x.conj().transpose(0, 2, 1))
+    w, vecs = np.linalg.eigh(x)
+    return w, vecs, int((w < 0).any(axis=1).sum())
+
+
 def same_bits(a, b):
     """Equal shapes and equal float64 bit patterns: unlike ``np.array_equal``,
     +0 and -0 differ (and a NaN equals itself)."""

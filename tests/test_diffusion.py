@@ -16,9 +16,10 @@ from intertwine.diffusion import (PickrellParams, Scheme, SdeConfig,
                                   simulate_laguerre_matrix_paths, simulate_laguerre_paths,
                                   simulate_pickrell_matrix_paths, simulate_pickrell_paths)
 from intertwine.ensembles import sample_laguerre_many
+from intertwine.matrixmodel import sample_haar
 from intertwine.rng import generator
 
-from helpers import ref_pairwise_sum, ref_sanitize_rows, same_bits
+from helpers import ref_pairwise_sum, ref_pickrell_matrix_step, ref_sanitize_rows, same_bits
 
 
 def test_sde_config_validation():
@@ -429,6 +430,34 @@ def test_pickrell_matrix_vs_particles_n2():
     par, _, _ = simulate_pickrell_paths(p, (1.0, 2.0), SdeConfig(1e-3, 0.5), 4000, 315)
     rep = energy_perm_test(mat, par, 300, generator(316))
     assert rep.passed, rep.to_dict()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_pickrell_spectral_step_couples_to_the_matrix_step(n):
+    """Fed G = V* dW V, the spectral step gives the eigenvalues of the
+    full-matrix step from X = V diag(w) V* under dW, for Haar V, to 1e-12 of
+    the row's largest |eigenvalue|, and the same count of clipped paths."""
+    rng = generator(340 + n)
+    m = 400
+    s, alpha = 1.0, -0.8
+    clipped_in = clipped_out = 0
+    for h in (1e-3, 0.05, 0.3):
+        # spectra over several scales, some entries exactly 0 or below it (the clip binds)
+        w = rng.exponential(1.0, (m, n)) * 10.0 ** rng.uniform(-4, 1, (m, 1))
+        w[rng.random((m, n)) < 0.1] = 0.0
+        w[rng.random((m, n)) < 0.1] *= -1.0
+        w.sort(axis=1)
+        vecs = sample_haar(n, rng, size=m)
+        dw = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        g = vecs.conj().transpose(0, 2, 1) @ dw @ vecs
+        want, _, want_clipped = ref_pickrell_matrix_step(s, alpha, w, vecs, dw, h)
+        got, got_clipped = diffusion._pickrell_lift_step(s, alpha, w, g, h, 0)
+        scale = np.maximum(np.clip(w, 0.0, None), np.abs(want)).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert got_clipped == want_clipped
+        clipped_in += int((w < 0).any(axis=1).sum())
+        clipped_out += got_clipped
+    assert clipped_in > 0 and clipped_out > 0
 
 
 def test_matrix_paths_single_path():
