@@ -450,7 +450,7 @@ def test_pickrell_spectral_step_couples_to_the_matrix_step(n):
         vecs = sample_haar(n, rng, size=m)
         dw = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
         g = vecs.conj().transpose(0, 2, 1) @ dw @ vecs
-        want, _, want_clipped = ref_pickrell_matrix_step(s, alpha, w, vecs, dw, h)
+        want, want_clipped = ref_pickrell_matrix_step(s, alpha, w, vecs, dw, h)
         got, got_clipped = diffusion._pickrell_lift_step(s, alpha, w, g, h, 0)
         scale = np.maximum(np.clip(w, 0.0, None), np.abs(want)).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
