@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .chamber import Partition, gap_products
 # density_lambda_plus stays bound here for perfbench/spans.py, which wraps it by this path
@@ -51,6 +50,18 @@ __all__ = [
 _MIN_GAP = 1e-6
 # absolute tolerance of the continuous CDF (scipy quad's default epsabs)
 _CDF_TOL = 1.49e-8
+
+
+def _lgamma(v):
+    """log|Gamma(v)| of a scalar or an array of floats, +inf at the poles
+    (the non-positive integers), as scipy.special.gammaln gives it."""
+    if isinstance(v, (float, int)):  # np.float64 too: most calls take one number
+        try:
+            return math.lgamma(v)
+        except (ValueError, OverflowError):  # a pole, or beyond the float range
+            return math.inf
+    v = np.asarray(v, dtype=float)
+    return np.array([_lgamma(x) for x in v.ravel().tolist()]).reshape(v.shape)
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,7 @@ def jacobi_p_at_one(n: int, params: JacobiParams) -> float:
     if n < 0:
         raise ValueError(f"degree n={n} must be >= 0")
     a = params.alpha
-    return float(np.exp(gammaln(n + a + 1.0) - gammaln(n + 1.0) - gammaln(a + 1.0)))
+    return float(np.exp(_lgamma(n + a + 1.0) - _lgamma(n + 1.0) - _lgamma(a + 1.0)))
 
 
 def leading_k(n: int, params: JacobiParams) -> float:
@@ -106,8 +117,8 @@ def leading_k(n: int, params: JacobiParams) -> float:
     two_sigma = 2.0 * params.sigma
     if two_sigma + n <= 0 or (two_sigma <= 0 and float(two_sigma).is_integer()):
         raise ValueError(f"gamma pole at 2*sigma={two_sigma}")
-    return float(np.exp(-n * np.log(2.0) + gammaln(2.0 * n + two_sigma)
-                        - gammaln(n + two_sigma) - gammaln(n + 1.0)))
+    return float(np.exp(-n * np.log(2.0) + _lgamma(2.0 * n + two_sigma)
+                        - _lgamma(n + two_sigma) - _lgamma(n + 1.0)))
 
 
 def _as_partition(lam) -> Partition:
@@ -147,7 +158,7 @@ def log_mv_jacobi_at_one(lam, n: int, params: JacobiParams) -> float:
             out += math.log(parts[i - 1] + parts[j - 1] + 2 * n - i - j + two_sigma)
     for i in range(1, n + 1):
         k = parts[i - 1] + n - i
-        out += gammaln(k + a + 1.0) - gammaln(k + 1.0) - gammaln(n - i + a + 1.0) - gammaln(i)
+        out += _lgamma(k + a + 1.0) - _lgamma(k + 1.0) - _lgamma(n - i + a + 1.0) - _lgamma(i)
     return float(out)
 
 
@@ -160,8 +171,8 @@ def _log_l_block(l, a: float, b: float):
     there it equals Gamma(a+b+2) exactly."""
     l = np.asarray(l, dtype=float)
     safe = np.where(l >= 1, l, 1.0)
-    general = np.log(2.0 * safe + a + b + 1.0) + gammaln(safe + a + b + 1.0)
-    return np.where(l >= 1, general, gammaln(a + b + 2.0))
+    general = np.log(2.0 * safe + a + b + 1.0) + _lgamma(safe + a + b + 1.0)
+    return np.where(l >= 1, general, _lgamma(a + b + 2.0))
 
 
 def log_coef_B(m, l, params: JacobiParams):
@@ -171,10 +182,10 @@ def log_coef_B(m, l, params: JacobiParams):
     l = np.asarray(l, dtype=float)
     if np.any(m < 0) or np.any(l < 0):
         raise ValueError("B(m, l) needs m, l >= 0")
-    out = (np.log(2.0 * m + a + b + 2.0) + gammaln(m + b + 1.0) + gammaln(m + 1.0)
-           + _log_l_block(l, a, b) + gammaln(l + a + 1.0)
-           - math.log(2.0) - gammaln(m + a + b + 2.0) - gammaln(m + a + 2.0)
-           - gammaln(l + b + 1.0) - gammaln(l + 1.0))
+    out = (np.log(2.0 * m + a + b + 2.0) + _lgamma(m + b + 1.0) + _lgamma(m + 1.0)
+           + _log_l_block(l, a, b) + _lgamma(l + a + 1.0)
+           - math.log(2.0) - _lgamma(m + a + b + 2.0) - _lgamma(m + a + 2.0)
+           - _lgamma(l + b + 1.0) - _lgamma(l + 1.0))
     return out
 
 
@@ -194,10 +205,10 @@ def coef_A(mu, nu, n: int, params: JacobiParams) -> float:
 def log_coef_c(lam, n: int, alpha: float) -> float:
     lam = _as_partition(lam)
     parts = lam.padded(n)
-    out = n * gammaln(alpha + 1.0)
+    out = n * _lgamma(alpha + 1.0)
     for i in range(1, n + 1):
         k = parts[i - 1] + n - i
-        out += gammaln(k + 1.0) - gammaln(k + alpha + 1.0)
+        out += _lgamma(k + 1.0) - _lgamma(k + alpha + 1.0)
     return float(out)
 
 
@@ -265,13 +276,13 @@ def _kernel_row_1d(lam, params: JacobiParams):
     l1, l2 = lam.padded(2)
     a, b = params.alpha, params.beta
     ms = np.arange(0, l1 + 1, dtype=float)
-    f = np.exp(np.log(2.0 * ms + a + b + 2.0) + gammaln(ms + b + 1.0) + gammaln(ms + 1.0)
-               - math.log(2.0) - gammaln(ms + a + b + 2.0) - gammaln(ms + a + 2.0))
+    f = np.exp(np.log(2.0 * ms + a + b + 2.0) + _lgamma(ms + b + 1.0) + _lgamma(ms + 1.0)
+               - math.log(2.0) - _lgamma(ms + a + b + 2.0) - _lgamma(ms + a + 2.0))
     cum_f = np.cumsum(f)
     nus = np.arange(0, l1 + 1)
     lo = np.maximum(nus, l2)
     tail = cum_f[l1] - np.where(lo >= 1, cum_f[np.maximum(lo - 1, 0)], 0.0)
-    log_g = _log_l_block(nus, a, b) + gammaln(nus + a + 1.0) - gammaln(nus + b + 1.0) - gammaln(nus + 1.0)
+    log_g = _log_l_block(nus, a, b) + _lgamma(nus + a + 1.0) - _lgamma(nus + b + 1.0) - _lgamma(nus + 1.0)
     # for single-part partitions nu, c_nu P_nu(1_1) = 1, so only lambda's factors remain
     log_base = -log_coef_c(lam, 2, a) - log_mv_jacobi_at_one(lam, 2, params)
     probs = np.exp(log_base + log_g) * tail

@@ -490,11 +490,6 @@ def simulate_pickrell_paths(params: PickrellParams, x0, cfg: SdeConfig, n_paths:
 # ---------------------------------------------------------------------------
 
 
-def _complex_noise(gen, n_steps: int, m: int, n: int) -> np.ndarray:
-    z = gen.standard_normal((n_steps, 2, m, n))
-    return z[:, 0] + 1j * z[:, 1]
-
-
 def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
                                    master_seed: int, init: str = "diag",
                                    snapshots_at=None):
@@ -520,10 +515,13 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
     def start(rows, gens, n_steps):
         hmat = np.empty((rows.stop - rows.start, m, n), dtype=complex)
         noise = np.empty((n_steps, rows.stop - rows.start, m, n), dtype=complex)
+        z = np.empty((n_steps, 2, m, n))  # one path's draw: real, then imaginary part per step
         for k, gen in enumerate(gens):
             # a stationary start is drawn first from the path's stream
             hmat[k] = sample_ginibre(m, n, gen) if h0_diag is None else h0_diag
-            noise[:, k] = _complex_noise(gen, n_steps, m, n)
+            gen.standard_normal(out=z)
+            noise.real[:, k] = z[:, 0]
+            noise.imag[:, k] = z[:, 1]
         return hmat, noise
 
     return _run_paths(Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * m * n, start,
@@ -566,8 +564,11 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
     def start(rows, gens, n_steps):
         c = rows.stop - rows.start
         noise = np.empty((n_steps, c, n, n), dtype=complex)
+        z = np.empty((n_steps, 2, n, n))  # one path's draw, as in the Laguerre lift
         for k, gen in enumerate(gens):
-            noise[:, k] = _complex_noise(gen, n_steps, n, n)
+            gen.standard_normal(out=z)
+            noise.real[:, k] = z[:, 0]
+            noise.imag[:, k] = z[:, 1]
         return np.tile(x0a, (c, 1)), noise
 
     # eigvalsh sorts after every step; the sort orders a t = 0 start

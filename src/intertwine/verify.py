@@ -7,7 +7,9 @@ identities, drift forms, kernel normalizations) are checked by exact
 calculus and a Gauss panel cubature: fixed-order tensor Gauss rules on
 panels cut at the interlacing cell's break points (Gauss-Jacobi for the
 y^alpha factor at y = 0), with an error estimate from a rerun at doubled
-order that must meet the check's tolerance.  Every check returns a
+order that must meet the check's tolerance.  Both rules come from one
+Golub-Welsch eigenproblem solved by numpy, so exact calculus loads no
+scipy module.  Every check returns a
 TestReport whose metadata records seeds and sizes, and all randomness flows
 from named streams derived from one master seed, so reruns are
 bit-identical.
@@ -21,7 +23,6 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .chamber import BoundaryPoint, as_coords, embed_boundary, gamma_bar
 # simulate_laguerre_matrix_paths stays bound here for perfbench/spans.py
@@ -143,13 +144,30 @@ class Quadrature(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _reference_rule(k: int, alpha: float) -> tuple:
-    """k-point Gauss rule on [-1, 1]; for alpha != 0 the Gauss-Jacobi rule of
-    the weight (1+t)^alpha, with that weight divided back out of the weights
-    so the rule applies to integrands that carry it."""
+    """k-point Gauss rule on [-1, 1] of the weight (1+t)^alpha: Gauss-Legendre
+    at alpha = 0, Gauss-Jacobi otherwise, with the weight divided back out of
+    the weights so the rule applies to integrands that carry it.
+
+    Both come from one path (Golub and Welsch, Math. Comp. 23, 1969): the
+    nodes are the eigenvalues of the weight's k x k Jacobi matrix, built from
+    the three-term recurrence of its monic orthogonal polynomials, and the
+    weights are mu0 v0^2, with v0 the first component of each unit
+    eigenvector and mu0 = 2^(alpha+1)/(alpha+1) the weight's total mass.
+    The weights are scaled to sum to mu0, and the Legendre rule is made
+    exactly symmetric, which keeps the normalization checks at rounding
+    level."""
+    j = np.arange(1.0, k)
+    s = 2.0 * j + alpha
+    diag = np.empty(k)
+    diag[0] = alpha / (alpha + 2.0)
+    diag[1:] = alpha * alpha / (s * (s + 2.0))
+    off = 2.0 * j * (j + alpha) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    v0_sq = v[0] ** 2
+    w = 2.0 ** (alpha + 1.0) / (alpha + 1.0) * v0_sq / v0_sq.sum()
     if alpha == 0.0:
-        t, w = roots_legendre(k)
+        t, w = (t - t[::-1]) / 2.0, (w + w[::-1]) / 2.0
     else:
-        t, w = roots_jacobi(k, 0.0, alpha)
         w = w / (1.0 + t) ** alpha
     t.setflags(write=False)
     w.setflags(write=False)

@@ -146,6 +146,24 @@ def ref_pickrell_matrix_step(s, alpha, w, vecs, dw, h):
     return w, int((w < 0).any(axis=1).sum())
 
 
+def ref_lift_chunk(gens, n_steps, m, n, ginibre=False):
+    """A matrix lift's chunk start as drawn before the draws went straight
+    into the chunk array: per path, an optional Ginibre start first, then one
+    (n_steps, 2, m, n) normal draw made complex through a temporary and copied
+    into the step-major (n_steps, paths, m, n) noise.  Returns (starts, noise);
+    starts is None without a Ginibre start."""
+    gens = list(gens)
+    starts = np.empty((len(gens), m, n), dtype=complex) if ginibre else None
+    noise = np.empty((n_steps, len(gens), m, n), dtype=complex)
+    for k, gen in enumerate(gens):
+        if ginibre:
+            starts[k] = (gen.standard_normal((m, n))
+                         + 1j * gen.standard_normal((m, n))) / np.sqrt(2.0)
+        z = gen.standard_normal((n_steps, 2, m, n))
+        noise[:, k] = z[:, 0] + 1j * z[:, 1]
+    return starts, noise
+
+
 def same_bits(a, b):
     """Equal shapes and equal float64 bit patterns: unlike ``np.array_equal``,
     +0 and -0 differ (and a NaN equals itself)."""

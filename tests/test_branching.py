@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from intertwine.branching import (JacobiParams, _cum_density_table, coef_A, coef_B, coef_c,
+from intertwine.branching import (JacobiParams, _cum_density_table, _lgamma, coef_A, coef_B,
+                                  coef_c,
                                   compare_scaling_limit, discrete_kernel,
                                   jacobi_p, jacobi_p_at_one, kernel_row,
                                   leading_k, log_mv_jacobi_at_one, mv_jacobi,
@@ -18,6 +19,26 @@ from intertwine.rng import generator
 from helpers import partitions_up_to, ref_density_lambda_plus
 
 P00 = JacobiParams(0.0, 0.0)
+
+
+def test_lgamma_matches_scipy_gammaln():
+    from scipy.special import gammaln
+
+    # the arguments branching takes: alpha, beta > -1 shifted by degrees and
+    # parts up to a few thousand, integers and half-integers included
+    rng = generator(11)
+    v = np.concatenate([rng.uniform(1e-3, 2.0, 2000), rng.uniform(2.0, 2500.0, 2000),
+                        np.arange(1.0, 2500.0), np.arange(0.5, 2500.0)])
+    got = _lgamma(v)
+    assert got.shape == v.shape
+    assert np.all(np.abs(got - gammaln(v)) <= 2e-15 * np.maximum(1.0, np.abs(gammaln(v))))
+    # the scalar path takes Python and numpy floats and ints, and 0-d arrays the array one
+    for x in (0.5, 3, np.float64(17.5), 1234.5):
+        assert _lgamma(x) == pytest.approx(float(gammaln(x)), rel=2e-15, abs=2e-15)
+    assert _lgamma(np.array(2.5)).shape == () and _lgamma(v[:1000].reshape(2, -1)).shape == (2, 500)
+    # +inf at the poles, as gammaln
+    for pole in (0.0, -1, -3.0, np.array([0.0, -2.0])):
+        assert np.all(np.isinf(_lgamma(pole))) and np.all(np.isinf(gammaln(pole)))
 
 
 def test_jacobi_p_basics():

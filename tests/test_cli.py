@@ -214,12 +214,35 @@ def test_module_entry_point_runs():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of the import time, and only ks_cdf_test needs it;
-    # the other three modules serve verify functions that few runs reach
-    lazy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial")
+    # scipy is imported only where it is used: scipy.stats by ks_cdf_test, the
+    # others by verify functions that few runs reach; the Gauss rules and the
+    # log-gamma of branching are numpy and math, so the import loads no scipy
+    lazy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial",
+            "scipy.special", "scipy.linalg")
     proc = subprocess.run([sys.executable, "-c",
                            f"import sys, intertwine.cli; print([m for m in {lazy} "
                            "if m in sys.modules])"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_exact_calculus_and_the_flow_run_without_scipy():
+    # with sys.modules["scipy"] = None every scipy import raises: the import,
+    # the benchmark's warm-up call, a Gauss-Jacobi normalization, the
+    # identities and branching-limit suites and an N = 50 flow check need none
+    code = """
+import sys
+sys.modules["scipy"] = None
+import intertwine.cli
+from intertwine.chamber import BoundaryPoint
+from intertwine.verify import check_flow_convergence, check_kernel_normalization, run_suite
+reports = [check_kernel_normalization("L", 0.0, (1.0, 2.0)),
+           check_kernel_normalization("lambda_eq", 0.5, (1.0, 2.0)),
+           *run_suite("identities", 1), *run_suite("branching-limit", 1, kappa=20),
+           check_flow_convergence(0.0, 50, BoundaryPoint((), 3.0), (0.25, 0.5), 20, 1e-3, 1)]
+print(len(reports), all(rep.passed for rep in reports))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["32", "True"]

@@ -19,7 +19,8 @@ from intertwine.ensembles import sample_laguerre_many
 from intertwine.matrixmodel import sample_haar
 from intertwine.rng import generator
 
-from helpers import ref_pairwise_sum, ref_pickrell_matrix_step, ref_sanitize_rows, same_bits
+from helpers import (ref_lift_chunk, ref_pairwise_sum, ref_pickrell_matrix_step,
+                     ref_sanitize_rows, same_bits)
 
 
 def test_sde_config_validation():
@@ -202,11 +203,17 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 def _noise_threads(monkeypatch) -> set:
     """The set that the following runs add each path-noise-drawing thread to."""
     seen = set()
-    for name in ("_step_major_normals", "_complex_noise"):
-        def drawn(*args, _draw=getattr(diffusion, name)):
+    path_generator = diffusion.path_generator
+
+    class Recorded:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kwargs):
             seen.add(threading.get_ident())
-            return _draw(*args)
-        monkeypatch.setattr(diffusion, name, drawn)
+            return self.gen.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "path_generator", lambda *key: Recorded(path_generator(*key)))
     return seen
 
 
@@ -458,6 +465,41 @@ def test_pickrell_spectral_step_couples_to_the_matrix_step(n):
         clipped_in += int((w < 0).any(axis=1).sum())
         clipped_out += got_clipped
     assert clipped_in > 0 and clipped_out > 0
+
+
+@pytest.mark.parametrize("lift, m, n", [("laguerre-diag", 3, 2), ("laguerre-ginibre", 3, 2),
+                                         ("pickrell", 3, 3)])
+def test_lift_chunk_noise_bit_identical_to_the_complex_temporary_fill(monkeypatch, lift, m, n):
+    """Each lift draws its chunk noise into one reused float buffer and copies
+    it into the real and imaginary parts; every path's normals come out in
+    the order, and with the bits, of the per-path complex temporary."""
+    starts = []
+    run_paths = diffusion._run_paths
+
+    def capture(scheme, cfg, n_paths, master_seed, dim, noise_floats, start, *args, **kwargs):
+        starts.append((master_seed, start))
+        return run_paths(scheme, cfg, n_paths, master_seed, dim, noise_floats, start,
+                         *args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "_run_paths", capture)
+    cfg = SdeConfig(1e-2, 0.1, Scheme.MATRIX_LIFT)
+    x0 = np.arange(1.0, n + 1.0)
+    if lift == "pickrell":
+        simulate_pickrell_matrix_paths(PickrellParams(1.0, 0.5, n), x0, cfg, 2, 350)
+    else:
+        ginibre = lift == "laguerre-ginibre"
+        simulate_laguerre_matrix_paths(m - n, n, None if ginibre else x0, cfg, 2, 351,
+                                       init="ginibre" if ginibre else "diag")
+    [(seed, start)] = starts
+    rows, n_steps = slice(7, 1507), 40
+    gens = (diffusion.path_generator(seed, i) for i in range(rows.start, rows.stop))
+    state, noise = start(rows, gens, n_steps)
+    want_starts, want = ref_lift_chunk((diffusion.path_generator(seed, i)
+                                        for i in range(rows.start, rows.stop)),
+                                       n_steps, m, n, ginibre=lift == "laguerre-ginibre")
+    assert same_bits(noise.view(float), want.view(float))
+    if want_starts is not None:
+        assert same_bits(state.view(float), want_starts.view(float))
 
 
 def test_matrix_paths_single_path():

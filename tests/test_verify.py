@@ -40,6 +40,26 @@ def test_quad_1d_examples():
         quad_1d(lambda x: x, 1, 0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5, 2.0, -0.5])
+@pytest.mark.parametrize("k", [16, 32])
+def test_reference_rule_is_gauss_for_its_weight(k, alpha):
+    from scipy.special import roots_jacobi, roots_legendre
+
+    t, w = verify._reference_rule(k, alpha)
+    # the rule times (1+t)^alpha integrates polynomials of degree < 2k exactly
+    for j in range(2 * k):
+        exact = 2.0 ** (alpha + j + 1.0) / (alpha + j + 1.0)
+        assert abs(np.sum(w * (1.0 + t) ** (alpha + j)) - exact) <= 1e-13 * exact
+    if alpha == 0.0:
+        t_ref, w_ref = roots_legendre(k)
+    else:
+        t_ref, w_ref = roots_jacobi(k, 0.0, alpha)
+        w_ref = w_ref / (1.0 + t_ref) ** alpha
+    assert np.max(np.abs(t - t_ref)) <= 1e-14
+    assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-11
+    assert not t.flags.writeable and not w.flags.writeable
+
+
 def test_quad_cell_triangle():
     # area of {0 < y1 < y2 < 1} is 1/2
     q = quad_cell(lambda ys: np.ones(len(ys)), [(0.0, 1.0), (lambda y1: y1, 1.0)], tol=1e-9)
