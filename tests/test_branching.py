@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from intertwine.branching import (JacobiParams, _cum_density_table, _lgamma, coef_A, coef_B,
-                                  coef_c,
-                                  compare_scaling_limit, discrete_kernel,
+                                  coef_c, compare_scaling_limit, discrete_kernel,
                                   jacobi_p, jacobi_p_at_one, kernel_row,
                                   leading_k, log_mv_jacobi_at_one, mv_jacobi,
                                   mv_jacobi_at_one)

@@ -484,21 +484,20 @@ def test_lift_chunk_noise_bit_identical_to_the_complex_temporary_fill(monkeypatc
     monkeypatch.setattr(diffusion, "_run_paths", capture)
     cfg = SdeConfig(1e-2, 0.1, Scheme.MATRIX_LIFT)
     x0 = np.arange(1.0, n + 1.0)
+    ginibre = lift == "laguerre-ginibre"
     if lift == "pickrell":
         simulate_pickrell_matrix_paths(PickrellParams(1.0, 0.5, n), x0, cfg, 2, 350)
     else:
-        ginibre = lift == "laguerre-ginibre"
         simulate_laguerre_matrix_paths(m - n, n, None if ginibre else x0, cfg, 2, 351,
                                        init="ginibre" if ginibre else "diag")
     [(seed, start)] = starts
-    rows, n_steps = slice(7, 1507), 40
-    gens = (diffusion.path_generator(seed, i) for i in range(rows.start, rows.stop))
-    state, noise = start(rows, gens, n_steps)
-    want_starts, want = ref_lift_chunk((diffusion.path_generator(seed, i)
-                                        for i in range(rows.start, rows.stop)),
-                                       n_steps, m, n, ginibre=lift == "laguerre-ginibre")
+    paths, n_steps = range(7, 1507), 40
+    state, noise = start(slice(7, 1507), (diffusion.path_generator(seed, i) for i in paths),
+                         n_steps)
+    want_starts, want = ref_lift_chunk((diffusion.path_generator(seed, i) for i in paths),
+                                       n_steps, m, n, ginibre=ginibre)
     assert same_bits(noise.view(float), want.view(float))
-    if want_starts is not None:
+    if ginibre:
         assert same_bits(state.view(float), want_starts.view(float))
 
 
