@@ -2,7 +2,8 @@
 
 A particle configuration is a plain ascending float array (any sequence is
 accepted); a batch of them is an (m, N) array of ascending rows.  This
-module holds the interlacing cells that support the corner kernels, the
+module holds the interlacing cells that support the three links
+(``link_cell`` states each once; ``in_cell`` tests membership), the
 boundary space of decreasing mass sequences, and integer partitions (the
 discrete chamber).  Boundary points and partitions are immutable values
 with pure-function operations.
@@ -18,6 +19,8 @@ __all__ = [
     "BoundaryPoint",
     "Partition",
     "vandermonde",
+    "link_cell",
+    "in_cell",
     "interlace_plus",
     "interlace_eq",
     "embed_boundary",
@@ -122,24 +125,49 @@ def gap_products(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return out
 
 
+def link_cell(kind: str, x) -> tuple:
+    """The interlacing cell ``(lo, hi)`` that link ``kind`` maps the source
+    x into, for one vector or for rows, with x_0 = 0; y is ascending in each
+    cell, which lo <= y <= hi already forces for the first two:
+
+    - ``"L"`` (N+1 -> N):           x_k     <= y_k <= x_{k+1};
+    - ``"lambda_eq"`` (N -> N):     x_{k-1} <= y_k <= x_k;
+    - ``"lambda_plus"`` (N+1 -> N): x_{k-1} <= y_k <= x_{k+1}.
+    """
+    x = np.asarray(x, dtype=float)
+    below = np.concatenate([np.zeros(x.shape[:-1] + (1,)), x[..., :-1]], axis=-1)
+    if kind == "L":
+        lo, hi = x[..., :-1], x[..., 1:]
+    elif kind == "lambda_eq":
+        lo, hi = below, x
+    elif kind == "lambda_plus":
+        lo, hi = below[..., :-1], x[..., 1:]
+    else:
+        raise ValueError(f"unknown link {kind!r}; choose from 'L', 'lambda_eq', 'lambda_plus'")
+    if hi.shape[-1] < 1:
+        need = 1 if kind == "lambda_eq" else 2
+        raise ValueError(f"the {kind} link needs sources of dimension >= {need}, "
+                         f"got {x.shape[-1]}")
+    return lo, hi
+
+
+def in_cell(y, lo, hi):
+    """y ascending and lo <= y <= hi (closed), per vector or per row."""
+    y = np.asarray(y, dtype=float)
+    return (np.all(np.diff(y, axis=-1) >= 0, axis=-1)
+            & np.all((lo <= y) & (y <= hi), axis=-1))
+
+
 def interlace_plus(x, y) -> bool:
     """x_1 <= y_1 <= x_2 <= ... <= y_N <= x_{N+1} (closed inequalities)."""
-    xa = as_coords(x)
-    ya = as_coords(y)
-    if xa.size != ya.size + 1:
-        raise ValueError(f"dim(x)={xa.size} must equal dim(y)+1={ya.size + 1}")
-    return bool(np.all(xa[:-1] <= ya) and np.all(ya <= xa[1:]))
+    lo, hi = link_cell("L", as_coords(x))
+    return bool(in_cell(as_coords(y, lo.size), lo, hi))
 
 
 def interlace_eq(x, y) -> bool:
     """0 <= y_1 <= x_1 <= y_2 <= ... <= y_N <= x_N (closed inequalities)."""
-    xa = as_coords(x)
-    ya = as_coords(y)
-    if xa.size != ya.size:
-        raise ValueError(f"dim(x)={xa.size} must equal dim(y)={ya.size}")
-    if ya[0] < 0:
-        return False
-    return bool(np.all(ya <= xa) and np.all(xa[:-1] <= ya[1:]))
+    lo, hi = link_cell("lambda_eq", as_coords(x))
+    return bool(in_cell(as_coords(y, lo.size), lo, hi))
 
 
 def embed_boundary(x) -> BoundaryPoint:

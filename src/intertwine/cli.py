@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chamber import BoundaryPoint, Partition
+from .chamber import BoundaryPoint, Partition, link_cell
 from .diffusion import (PickrellParams, Scheme, SdeConfig, boundary_flow,
                         simulate_laguerre_matrix_paths, simulate_laguerre_paths,
                         simulate_pickrell_matrix_paths, simulate_pickrell_paths)
@@ -173,13 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sample_kernel(args) -> int:
     x = _parse_floats(args.x)
     rng = generator(named_seed(args.seed, f"sample-kernel-{args.kernel}"))
-    n_dim = len(x) - 1 if args.kernel != "lambda-eq" else len(x)
     if args.kernel == "l":
         rows = sample_L_many(x, args.n, rng)
-    elif args.kernel == "lambda-eq":
-        rows = sample_lambda_eq_many(KernelParams(args.alpha, n_dim), x, args.n, rng)
     else:
-        rows = sample_lambda_plus_many(KernelParams(args.alpha, n_dim), x, args.n, rng)
+        kind = args.kernel.replace("-", "_")
+        params = KernelParams(args.alpha, link_cell(kind, x)[1].size)
+        sample = sample_lambda_eq_many if kind == "lambda_eq" else sample_lambda_plus_many
+        rows = sample(params, x, args.n, rng)
     _write_csv(args.out, [f"y{i + 1}" for i in range(rows.shape[1])], rows)
     return 0
 

@@ -9,9 +9,10 @@ over the overlap interval, with the conventions x_0 = 0 and y_{N+1} = inf.
 Each density is evaluated row-wise (``density_*_rows``: one source point x,
 many points y); the scalar ``density_*`` are its one-point form.
 
-Samplers draw exactly from these densities by rejection with product
-envelopes; acceptance degrades with dimension, which is fine at the desk
-scales (N <= 4) the verification harness uses.
+Each density lives on its link's interlacing cell, ``chamber.link_cell``.
+Samplers draw exactly from it by one rejection routine on that cell, with a
+product envelope; acceptance degrades with dimension, which is fine at the
+desk scales (N <= 4) the verification harness uses.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chamber import as_coords, gap_products, vandermonde_rows
+from .chamber import as_coords, gap_products, in_cell, link_cell, vandermonde_rows
 
 __all__ = [
     "KernelParams",
@@ -105,8 +106,7 @@ def density_L_rows(x, Y) -> np.ndarray:
     xa = _require_strict(x, nonneg=False)
     n = xa.size - 1
     ya = _as_rows(Y, n)
-    ok = (np.all(np.diff(ya, axis=1) >= 0, axis=1)
-          & np.all(xa[:-1] <= ya, axis=1) & np.all(ya <= xa[1:], axis=1))
+    ok = in_cell(ya, *link_cell("L", xa))
     num = vandermonde_rows(ya)
     den = float(vandermonde_rows(xa[None, :])[0])
     return np.where(ok, math.factorial(n) * num / den, 0.0)
@@ -119,8 +119,7 @@ def density_lambda_eq_rows(alpha: float, x, Y) -> np.ndarray:
     xa = _require_strict(x, nonneg=True)
     n = xa.size
     ya = _as_rows(Y, n)
-    ok = (np.all(np.diff(ya, axis=1) >= 0, axis=1) & (ya[:, 0] >= 0)
-          & np.all(ya <= xa, axis=1) & np.all(xa[:-1] <= ya[:, 1:], axis=1))
+    ok = in_cell(ya, *link_cell("lambda_eq", xa))
     with np.errstate(all="ignore"):
         ratio = np.prod(ya**alpha / xa ** (alpha + 1), axis=1)
         num = vandermonde_rows(ya)
@@ -157,12 +156,11 @@ def density_lambda_plus_rows(alpha: float, x, Y) -> np.ndarray:
     xa = _require_strict(x, nonneg=True)
     n = xa.size - 1
     ya = _as_rows(Y, n)
-    ok = np.all(np.diff(ya, axis=1) >= 0, axis=1) & (ya[:, 0] >= 0)
-    lo_ind = np.concatenate([[0.0], xa[:-2]])
-    ok &= np.all((lo_ind <= ya) & (ya <= xa[1:]), axis=1)
-    upper = np.concatenate([np.minimum(xa[1:-1], ya[:, 1:]), np.full((ya.shape[0], 1), xa[-1])],
-                           axis=1)
-    factors = _interval_weight_rows(alpha, ya, np.maximum(xa[:-1], ya), upper)
+    ok = in_cell(ya, *link_cell("lambda_plus", xa))
+    # the intermediate z_k of the two-step link: the L cell clipped by y, y_{N+1} = inf
+    lo, hi = link_cell("L", xa)
+    y_next = np.concatenate([ya[:, 1:], np.full((ya.shape[0], 1), math.inf)], axis=1)
+    factors = _interval_weight_rows(alpha, ya, np.maximum(lo, ya), np.minimum(hi, y_next))
     ok &= np.all(factors != 0.0, axis=1)
     num = vandermonde_rows(ya)
     den = float(vandermonde_rows(xa[None, :])[0])
@@ -198,19 +196,23 @@ def density_lambda_plus(params: KernelParams, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rejection_fill(propose, accept_ratio, m: int, n: int, rng) -> np.ndarray:
-    """Generic row-wise rejection loop with the package-wide retry cap.
-
-    Every pending row is proposed once per round, so a row still pending
-    after round k has been tried exactly k times."""
+def _cell_rejection(lo: np.ndarray, hi: np.ndarray, power: float, rng) -> np.ndarray:
+    """One draw per row from the density prop. to Vdm(y) prod y_k^(power-1)
+    on the cell lo <= y <= hi: each y_k is proposed by inverting its CDF and
+    the row accepted with Vdm(y) / prod_{k<l} (hi_l - lo_k) <= 1.  Every
+    pending row is proposed once per round, so a row still pending after
+    round k has been tried exactly k times; RETRY_CAP rounds raise."""
+    m, n = lo.shape
+    lo_p, hi_p = lo**power, hi**power
+    env = gap_products(hi, lo)
     out = np.empty((m, n))
     pending = np.ones(m, dtype=bool)
     rounds = 0
     while pending.any():
         idx = np.flatnonzero(pending)
-        y = propose(idx, rng)
-        ratio = accept_ratio(idx, y)
-        acc = rng.uniform(size=idx.size) < ratio
+        u = rng.uniform(size=(idx.size, n))
+        y = (u * (hi_p[idx] - lo_p[idx]) + lo_p[idx]) ** (1.0 / power)
+        acc = rng.uniform(size=idx.size) < vandermonde_rows(y) / env[idx]
         out[idx[acc]] = y[acc]
         pending[idx[acc]] = False
         rounds += 1
@@ -224,22 +226,7 @@ def _rejection_fill(propose, accept_ratio, m: int, n: int, rng) -> np.ndarray:
 
 def sample_L_each(xs: np.ndarray, rng) -> np.ndarray:
     """One draw of the parameter-free link per row of xs (shape (m, N+1))."""
-    xs = np.asarray(xs, dtype=float)
-    m, np1 = xs.shape
-    if np1 < 2:
-        raise ValueError(f"the parameter-free link needs sources of dimension >= 2, got {np1}")
-    n = np1 - 1
-    lo, hi = xs[:, :-1], xs[:, 1:]
-    env = gap_products(hi, lo)  # prod_{k<l} (x_{l+1} - x_k) bounds Vdm(y) on the cell
-
-    def propose(idx, rng):
-        u = rng.uniform(size=(idx.size, n))
-        return lo[idx] + u * (hi[idx] - lo[idx])
-
-    def ratio(idx, y):
-        return vandermonde_rows(y) / env[idx]
-
-    return _rejection_fill(propose, ratio, m, n, rng)
+    return _cell_rejection(*link_cell("L", np.asarray(xs, dtype=float)), 1.0, rng)
 
 
 def sample_lambda_eq_each(alpha: float, xs: np.ndarray, rng) -> np.ndarray:
@@ -248,20 +235,7 @@ def sample_lambda_eq_each(alpha: float, xs: np.ndarray, rng) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if np.any(xs[:, 0] <= 0):
         raise ValueError("all rows need x_1 > 0")
-    m, n = xs.shape
-    lo = np.concatenate([np.zeros((m, 1)), xs[:, :-1]], axis=1)
-    ap1 = alpha + 1.0
-    lo_p, hi_p = lo**ap1, xs**ap1
-    env = gap_products(xs, lo)  # prod_{k<l} (x_l - x_{k-1}), x_0 = 0, bounds Vdm(y)
-
-    def propose(idx, rng):
-        u = rng.uniform(size=(idx.size, n))
-        return (u * (hi_p[idx] - lo_p[idx]) + lo_p[idx]) ** (1.0 / ap1)
-
-    def ratio(idx, y):
-        return vandermonde_rows(y) / env[idx]
-
-    return _rejection_fill(propose, ratio, m, n, rng)
+    return _cell_rejection(*link_cell("lambda_eq", xs), alpha + 1.0, rng)
 
 
 def sample_lambda_plus_each(alpha: float, xs: np.ndarray, rng) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chamber import BoundaryPoint, as_coords, embed_boundary, gamma_bar
+from .chamber import BoundaryPoint, as_coords, embed_boundary, gamma_bar, link_cell
 # simulate_laguerre_matrix_paths stays bound here for perfbench/spans.py
 from .diffusion import (PickrellParams, SdeConfig, boundary_flow,  # noqa: F401
                         simulate_laguerre_matrix_paths, simulate_laguerre_paths,
@@ -45,7 +45,6 @@ __all__ = [
     "quad_intervals",
     "Quadrature",
     "energy_perm_test",
-    "ks_cdf_test",
     "check_intertwine_laguerre",
     "check_intertwine_pickrell",
     "check_shifted_intertwine",
@@ -388,16 +387,6 @@ def _energy_stats(pooled, labels, na, nb) -> np.ndarray:
     return 2.0 * s_ab / (na * nb) - s_aa / (na * na) - s_bb / (nb * nb)
 
 
-def ks_cdf_test(name: str, samples, cdf, threshold: float = P_THRESHOLD, meta=None) -> TestReport:
-    """One-sample Kolmogorov-Smirnov test against a callable CDF."""
-    from scipy import stats  # 0.8 s of import that no suite needs
-
-    res = stats.kstest(np.asarray(samples, dtype=float).ravel(), cdf)
-    m = dict(meta or {})
-    m["n"] = int(np.asarray(samples).shape[0])
-    return TestReport.statistical(name, res.statistic, res.pvalue, threshold, m)
-
-
 def interiorize_rows(rows: np.ndarray) -> np.ndarray:
     """Sorted copies with a positive floor of 1e-12 and ties nudged apart.
 
@@ -725,31 +714,17 @@ def check_pickrell_drift_forms(seed, n_draws: int = 100, threshold: float = 1e-1
 def check_kernel_normalization(kind, alpha, x, tol: float = 1e-6) -> TestReport:
     """Total mass of a kernel density over its interlacing cell equals 1."""
     xa = as_coords(x)
-    if kind == "L":
-        n = xa.size - 1
-        bounds = [(xa[k], xa[k + 1]) for k in range(n)]
-        f = (lambda ys: density_L_rows(xa, ys))
-        singular = 0.0
-    elif kind == "lambda_eq":
-        n = xa.size
-        lows = np.concatenate([[0.0], xa[:-1]])
-        bounds = [(lows[k], xa[k]) for k in range(n)]
-        f = (lambda ys: density_lambda_eq_rows(alpha, xa, ys))
-        singular = alpha
-    elif kind == "lambda_plus":
-        n = xa.size - 1
-        if n == 1:
-            bounds = [(0.0, xa[1])]
-        else:
-            # y1 in [0, x_2]; y2 in [x_1, x_3] and above y1
-            bounds = [(0.0, xa[1]), (lambda y1: np.maximum(y1, xa[0]), xa[2])]
-        f = (lambda ys: density_lambda_plus_rows(alpha, xa, ys))
-        singular = alpha
-    else:
-        raise ValueError(f"unknown kernel {kind!r}")
-    if len(bounds) > 2:
+    lo, hi = link_cell(kind, xa)
+    if lo.size > 2:
         raise ValueError("normalization quadrature supports N <= 2")
-    q = quad_cell(f, bounds, tol=tol * 0.1, breaks=tuple(xa), alpha=singular)
+    bounds = [(lo[0], hi[0])]
+    if lo.size == 2:
+        # y2 in [max(y1, lo_2), hi_2], exact for every kind: lo_2 >= hi_1 but for lambda_plus
+        bounds.append((lambda y1: np.maximum(y1, lo[1]), hi[1]))
+    f = {"L": lambda ys: density_L_rows(xa, ys),
+         "lambda_eq": lambda ys: density_lambda_eq_rows(alpha, xa, ys),
+         "lambda_plus": lambda ys: density_lambda_plus_rows(alpha, xa, ys)}[kind]
+    q = quad_cell(f, bounds, tol=tol * 0.1, breaks=tuple(xa), alpha=0.0 if kind == "L" else alpha)
     x_list = [float(v) for v in xa]
     return TestReport.deterministic(f"normalization-{kind}[alpha={alpha},x={x_list}]",
                                     abs(q.value - 1.0), tol,
@@ -763,16 +738,18 @@ def check_decomposition(alpha, x=(1.0, 2.0), n_grid: int = 20, tol: float = 1e-6
     xa = as_coords(x, expected_dim=2)
     params = KernelParams(alpha, 1)
     ys = np.linspace(xa[1] * 0.02, xa[1] * 0.98, n_grid)
+    # the source point z of the second link, the integration variable, runs
+    # over the L cell of x clipped by y
+    (z_lo,), (z_hi,) = link_cell("L", xa)
     worst = quad_err = 0.0
     n_eval = 0
     for y in ys:
         direct = density_lambda_plus(params, xa, (y,))
-        lo = max(xa[0], y)
+        lo = max(z_lo, y)
         composed = 0.0
-        if lo < xa[1]:
-            # the source point of the second link is the integration variable
+        if lo < z_hi:
             q = quad_cell(lambda zs: density_L_rows(xa, zs) * np.array(
-                [density_lambda_eq(params, z, (y,)) for z in zs]), [(lo, xa[1])], tol=tol * 1e-2)
+                [density_lambda_eq(params, z, (y,)) for z in zs]), [(lo, z_hi)], tol=tol * 1e-2)
             composed, quad_err, n_eval = q.value, max(quad_err, q.err), n_eval + q.n_eval
         worst = max(worst, abs(direct - composed))
     return TestReport.deterministic(f"decomposition[alpha={alpha}]", worst, tol,
@@ -921,7 +898,7 @@ def _suite_branching_limit(seed, sizes):
     worst = 0.0
     for lam_parts in [(1,), (2,), (1, 1), (2, 1), (3, 2, 1), (2, 2, 2)]:
         lam = Partition(lam_parts)
-        n = max(1, lam.length - 1) if lam.length > 1 else 1
+        n = max(1, lam.length - 1)
         _, probs = kernel_row(lam, n, params)
         worst = max(worst, abs(probs.sum() - 1.0))
     reports.append(TestReport.deterministic("branching-row-sums", worst, 1e-10, {}))

@@ -108,6 +108,101 @@ def ref_density_lambda_plus(alpha, x, y):
     return math.factorial(n) * sf * _vdm(ya) / _vdm(xa) * weight
 
 
+def ref_cell_mask(kind, x, rows):
+    """The interlacing-cell masks of the three ``density_*_rows`` as each
+    spelled its cell out before the cells had one definition: rows of
+    ``rows`` in the cell of link ``kind`` at the source x."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(rows, dtype=float)
+    ascending = np.all(np.diff(ya, axis=1) >= 0, axis=1)
+    if kind == "L":
+        return ascending & np.all(xa[:-1] <= ya, axis=1) & np.all(ya <= xa[1:], axis=1)
+    if kind == "lambda_eq":
+        return (ascending & (ya[:, 0] >= 0)
+                & np.all(ya <= xa, axis=1) & np.all(xa[:-1] <= ya[:, 1:], axis=1))
+    lo_ind = np.concatenate([[0.0], xa[:-2]])
+    return ascending & (ya[:, 0] >= 0) & np.all((lo_ind <= ya) & (ya <= xa[1:]), axis=1)
+
+
+def ref_normalization_bounds(kind, x):
+    """``verify.check_kernel_normalization``'s integration bounds as written
+    per kind before they came from the link's cell."""
+    xa = np.asarray(x, dtype=float)
+    if kind == "L":
+        return [(xa[k], xa[k + 1]) for k in range(xa.size - 1)]
+    if kind == "lambda_eq":
+        lows = np.concatenate([[0.0], xa[:-1]])
+        return [(lows[k], xa[k]) for k in range(xa.size)]
+    if xa.size == 2:
+        return [(0.0, xa[1])]
+    return [(0.0, xa[1]), (lambda y1: np.maximum(y1, xa[0]), xa[2])]
+
+
+def ref_rejection_fill(propose, accept_ratio, m, n, rng, retry_cap=10**7):
+    """The row-wise rejection loop the link samplers shared before the
+    single cell routine, with its propose/ratio callbacks."""
+    out = np.empty((m, n))
+    pending = np.ones(m, dtype=bool)
+    rounds = 0
+    while pending.any():
+        idx = np.flatnonzero(pending)
+        y = propose(idx, rng)
+        ratio = accept_ratio(idx, y)
+        acc = rng.uniform(size=idx.size) < ratio
+        out[idx[acc]] = y[acc]
+        pending[idx[acc]] = False
+        rounds += 1
+        if rounds >= retry_cap and pending.any():
+            raise RuntimeError(f"rejection sampler exceeded {retry_cap} attempts for a row")
+    return out
+
+
+def _gap_products(hi, lo):
+    m, n = hi.shape
+    out = np.ones(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out *= hi[:, j] - lo[:, i]
+    return out
+
+
+def ref_sample_L_each(xs, rng):
+    """The parameter-free link sampler with its own affine proposal."""
+    xs = np.asarray(xs, dtype=float)
+    m, np1 = xs.shape
+    n = np1 - 1
+    lo, hi = xs[:, :-1], xs[:, 1:]
+    env = _gap_products(hi, lo)
+
+    def propose(idx, rng):
+        u = rng.uniform(size=(idx.size, n))
+        return lo[idx] + u * (hi[idx] - lo[idx])
+
+    def ratio(idx, y):
+        return _gap_products(y, y) / env[idx]
+
+    return ref_rejection_fill(propose, ratio, m, n, rng)
+
+
+def ref_sample_lambda_eq_each(alpha, xs, rng):
+    """The (N -> N) alpha-link sampler with its own power proposal."""
+    xs = np.asarray(xs, dtype=float)
+    m, n = xs.shape
+    lo = np.concatenate([np.zeros((m, 1)), xs[:, :-1]], axis=1)
+    ap1 = alpha + 1.0
+    lo_p, hi_p = lo**ap1, xs**ap1
+    env = _gap_products(xs, lo)
+
+    def propose(idx, rng):
+        u = rng.uniform(size=(idx.size, n))
+        return (u * (hi_p[idx] - lo_p[idx]) + lo_p[idx]) ** (1.0 / ap1)
+
+    def ratio(idx, y):
+        return _gap_products(y, y) / env[idx]
+
+    return ref_rejection_fill(propose, ratio, m, n, rng)
+
+
 def ref_pairwise_sum(x, numer, cap_dt=None):
     """Mask-and-clip reference for ``diffusion._pairwise_sum``: the same
     operations in the same order, on fresh arrays, with boolean-mask writes

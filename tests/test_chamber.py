@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from intertwine.chamber import (BoundaryPoint, Partition, embed_boundary, gamma_bar,
-                                interlace_eq, interlace_plus, vandermonde)
+                                interlace_eq, interlace_plus, link_cell, vandermonde)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -35,6 +35,29 @@ def test_interlace_dimension_errors():
         interlace_plus((0, 2), (1, 3))
     with pytest.raises(ValueError):
         interlace_eq((0, 2), (1,))
+
+
+def test_interlace_to_an_empty_target_raises():
+    # a source whose target would have dimension 0 has no cell, for either link
+    with pytest.raises(ValueError, match="needs sources of dimension >= 1, got 0"):
+        interlace_eq((), ())
+    with pytest.raises(ValueError, match="needs sources of dimension >= 2, got 1"):
+        interlace_plus((1.0,), ())
+
+
+def test_link_cells():
+    x = np.array([1.0, 2.0, 4.0])
+    for kind, lo, hi in (("L", [1, 2], [2, 4]), ("lambda_eq", [0, 1, 2], [1, 2, 4]),
+                         ("lambda_plus", [0, 1], [2, 4])):
+        cell = link_cell(kind, x)
+        assert np.array_equal(cell[0], lo) and np.array_equal(cell[1], hi)
+        rows = link_cell(kind, np.stack([x, 2 * x]))
+        assert np.array_equal(rows[0], [lo, 2 * np.array(lo)])
+        assert np.array_equal(rows[1], [hi, 2 * np.array(hi)])
+    with pytest.raises(ValueError, match="unknown link"):
+        link_cell("nope", x)
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        link_cell("lambda_plus", np.ones((3, 1)))
 
 
 def test_interlace_eq_examples():

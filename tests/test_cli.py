@@ -214,9 +214,10 @@ def test_module_entry_point_runs():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy is imported only where it is used: scipy.stats by ks_cdf_test, the
-    # others by verify functions that few runs reach; the Gauss rules and the
-    # log-gamma of branching are numpy and math, so the import loads no scipy
+    # scipy is imported only where it is used, by verify functions that few
+    # runs reach; scipy.stats stays listed so that no import brings it back.
+    # The Gauss rules and the log-gamma of branching are numpy and math, so
+    # the import loads no scipy
     lazy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial",
             "scipy.special", "scipy.linalg")
     proc = subprocess.run([sys.executable, "-c",

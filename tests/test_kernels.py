@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from intertwine import kernels
-from intertwine.chamber import interlace_eq, interlace_plus
+from intertwine.chamber import in_cell, interlace_eq, interlace_plus, link_cell
 from intertwine.kernels import (KernelParams, density_L, density_L_rows, density_lambda_eq,
                                 density_lambda_eq_rows, density_lambda_plus,
                                 density_lambda_plus_rows, sample_L_each, sample_L_many,
-                                sample_lambda_eq_many, sample_lambda_plus_many)
+                                sample_lambda_eq_each, sample_lambda_eq_many,
+                                sample_lambda_plus_many)
 from intertwine.rng import generator
 from intertwine.verify import quad_1d
-from helpers import (lambda_plus_cdf_12, ref_density_L, ref_density_lambda_eq,
-                     ref_density_lambda_plus)
+from helpers import (lambda_plus_cdf_12, ref_cell_mask, ref_density_L, ref_density_lambda_eq,
+                     ref_density_lambda_plus, ref_sample_L_each, ref_sample_lambda_eq_each,
+                     same_bits)
 
 
 def test_density_L_examples():
@@ -256,21 +258,64 @@ def test_kernel_params_dimension_must_match_x():
     assert rng.bit_generator.state == state  # refused before any draw
 
 
-def test_rejection_fill_stops_at_retry_cap(monkeypatch):
+class _CountingRng:
+    """A generator that records the size of every uniform draw."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = generator(seed), []
+
+    def uniform(self, size):
+        self.sizes.append(size)
+        return self.rng.uniform(size=size)
+
+
+def test_cell_rejection_stops_at_retry_cap(monkeypatch):
     monkeypatch.setattr(kernels, "RETRY_CAP", 3)
-    rounds = []
+    # lo = hi with a tie: every proposal has Vdm(y) = 0, so no row is ever accepted
+    rng = _CountingRng(112)
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="exceeded 3 attempts"):
+        kernels._cell_rejection(np.ones((4, 2)), np.ones((4, 2)), 1.0, rng)
+    assert rng.sizes == [(4, 2), 4] * 3  # three rounds, each proposing every row
+    # an N = 1 cell has an empty envelope: every row is accepted in the first round
+    rng = _CountingRng(112)
+    assert np.array_equal(kernels._cell_rejection(np.ones((4, 1)), np.ones((4, 1)), 1.0, rng),
+                          np.ones((4, 1)))
+    assert rng.sizes == [(4, 1), 4]
 
-    def propose(idx, rng):
-        rounds.append(idx.size)
-        return np.ones((idx.size, 2))
 
-    def fill(ratio):
-        rounds.clear()
-        return kernels._rejection_fill(propose, lambda idx, y: np.full(idx.size, ratio), 4, 2,
-                                       generator(112))
+@st.composite
+def _sampler_inputs(draw):
+    """A seed, alpha, and m sources for N in {1, 2, 3}, different in every
+    row: (m, N+1) for the parameter-free link, shifted so that some sit
+    below 0, and positive (m, N) ones for the equal-dimension link."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.lists(st.floats(0.05, 2.0), min_size=n + 1, max_size=n + 1),
+                         min_size=m, max_size=m))
+    xs = np.cumsum(np.array(gaps), axis=1)
+    shift = draw(st.floats(-5.0, 1.0))
+    alpha = draw(st.sampled_from([-0.9, -0.5, 0.0, 0.5, 2.0]))
+    return draw(st.integers(0, 2**32 - 1)), alpha, xs + shift, xs[:, :n]
 
-    with pytest.raises(RuntimeError, match="exceeded 3 attempts"):
-        fill(0.0)
-    assert rounds == [4, 4, 4]
-    assert np.array_equal(fill(1.0), np.ones((4, 2)))
-    assert rounds == [4]
+
+@hypothesis.given(_sampler_inputs())
+def test_cell_rejection_draws_as_the_callback_samplers(inputs):
+    # the one cell routine consumes the stream and draws the bits of the
+    # samplers that each had their own proposal and ratio callbacks
+    seed, alpha, xs_plus, xs_eq = inputs
+    for sample, ref in ((lambda g: sample_L_each(xs_plus, g),
+                         lambda g: ref_sample_L_each(xs_plus, g)),
+                        (lambda g: sample_lambda_eq_each(alpha, xs_eq, g),
+                         lambda g: ref_sample_lambda_eq_each(alpha, xs_eq, g))):
+        rng, replay = generator(seed), generator(seed)
+        assert same_bits(sample(rng), ref(replay))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@hypothesis.given(_link_inputs())
+def test_in_cell_matches_the_density_masks(inputs):
+    kind, _, x, pts = inputs
+    expected = ref_cell_mask(kind, x, pts)
+    assert np.array_equal(in_cell(pts, *link_cell(kind, x)), expected)
+    # a cell per row: the same source repeated gives the same verdicts
+    assert np.array_equal(in_cell(pts, *link_cell(kind, np.tile(x, (len(pts), 1)))), expected)

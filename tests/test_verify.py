@@ -14,10 +14,10 @@ from intertwine.verify import (TestReport, apply_generator_1d, check_consistency
                                check_intertwine_laguerre, check_invariance_pickrell,
                                check_kernel_normalization, check_vandermonde_eigen,
                                energy_perm_test, flow_start_profile,
-                               generator_drift_coeffs, interiorize_rows, ks_cdf_test,
+                               generator_drift_coeffs, interiorize_rows,
                                quad_1d, quad_cell)
 
-from helpers import energy_draws, energy_vstat, mean_distance
+from helpers import energy_draws, energy_vstat, mean_distance, ref_normalization_bounds
 
 
 @hypothesis.given(st.floats(0, 1), st.floats(0.001, 0.2))
@@ -199,12 +199,6 @@ def test_energy_test_memory_and_stream(d):
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
-def test_ks_helper():
-    rng = generator(8)
-    rep = ks_cdf_test("uniform", rng.uniform(size=2000), lambda x: np.clip(x, 0, 1))
-    assert rep.passed
-
-
 def test_apply_generator_1d():
     assert apply_generator_1d(1.0, 0.0, 2, [1.0], 0.7) == 0.0
     # f = x: (2 - 2N - s) x + alpha + 1
@@ -260,6 +254,22 @@ def test_normalization_reports():
     assert 0 <= rep.meta["quad_err"] <= rep.threshold and rep.meta["n_eval"] > 0
     with pytest.raises(ValueError):
         check_kernel_normalization("nope", 0.0, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("kind, x", [("L", (1.0, 2.0)), ("L", (0.5, 1.5, 3.0)),
+                                     ("lambda_eq", (1.0, 2.0)), ("lambda_plus", (1.0, 2.0)),
+                                     ("lambda_plus", (0.5, 1.5, 3.0))])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+def test_normalization_bounds_from_the_cell(kind, x, alpha):
+    # the identities suite's cases: bounds from the link's cell integrate to
+    # the mass, error estimate and evaluation count of the per-kind bounds
+    rep = check_kernel_normalization(kind, alpha, x)
+    f = {"L": lambda ys: verify.density_L_rows(x, ys),
+         "lambda_eq": lambda ys: verify.density_lambda_eq_rows(alpha, x, ys),
+         "lambda_plus": lambda ys: verify.density_lambda_plus_rows(alpha, x, ys)}[kind]
+    q = verify.quad_cell(f, ref_normalization_bounds(kind, x), tol=1e-6 * 0.1, breaks=x,
+                         alpha=0.0 if kind == "L" else alpha)
+    assert (rep.meta["mass"], rep.meta["quad_err"], rep.meta["n_eval"]) == q
 
 
 def test_interiorize_rows():
