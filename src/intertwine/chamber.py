@@ -178,6 +178,8 @@ def embed_boundary(x) -> BoundaryPoint:
     up to roundoff.
     """
     arr = as_coords(x)
+    if not arr.size:
+        raise ValueError("boundary embedding needs a point, got the empty configuration ()")
     if arr[0] < 0:
         raise ValueError("boundary embedding needs non-negative coordinates")
     n = arr.size

@@ -219,8 +219,8 @@ def _pickrell_drift_rows(s: float, alpha: float, x: np.ndarray, cap_dt: float | 
     return -s * x + x.shape[1] + alpha + _pair_drift(x, _pickrell_numer, cap_dt, work)
 
 
-def _require_distinct(x) -> np.ndarray:
-    arr = as_coords(x)
+def _require_distinct(x, n: int) -> np.ndarray:
+    arr = as_coords(x, expected_dim=n)
     if np.unique(arr).size != arr.size:
         raise ValueError(f"coordinates must be pairwise distinct, got {arr}")
     return arr
@@ -228,26 +228,19 @@ def _require_distinct(x) -> np.ndarray:
 
 def laguerre_drift(alpha: float, n: int, x) -> np.ndarray:
     """Drift -x_i + alpha + N + sum_{j!=i} (x_i+x_j)/(x_i-x_j)."""
-    arr = _require_distinct(x)
-    if arr.size != n:
-        raise ValueError(f"x has dimension {arr.size}, expected {n}")
-    return _laguerre_drift_rows(alpha, arr[None, :])[0]
+    return _laguerre_drift_rows(alpha, _require_distinct(x, n)[None, :])[0]
 
 
 def pickrell_drift(params: PickrellParams, x) -> np.ndarray:
     """Drift -s x_i + N + alpha + sum_{j!=i} (2 x_i x_j + x_i + x_j)/(x_i-x_j)."""
-    arr = _require_distinct(x)
-    if arr.size != params.n:
-        raise ValueError(f"x has dimension {arr.size}, expected {params.n}")
+    arr = _require_distinct(x, params.n)
     return _pickrell_drift_rows(params.s, params.alpha, arr[None, :])[0]
 
 
 def pickrell_drift_interaction_form(params: PickrellParams, x) -> np.ndarray:
     """Equivalent drift (2-2N-s) x_i + alpha + 1 + sum_{j!=i} 2 x_i(1+x_i)/(x_i-x_j)."""
-    arr = _require_distinct(x)
     n = params.n
-    if arr.size != n:
-        raise ValueError(f"x has dimension {arr.size}, expected {n}")
+    arr = _require_distinct(x, n)
     xi = arr[None, :]
     numer = (2.0 * xi * (1.0 + xi))[:, :, None] * np.ones((1, 1, n))
     inter = _pairwise_sum(xi, numer)[0]

@@ -9,10 +9,12 @@ over the overlap interval, with the conventions x_0 = 0 and y_{N+1} = inf.
 Each density is evaluated row-wise (``density_*_rows``: one source point x,
 many points y); the scalar ``density_*`` are its one-point form.
 
-Each density lives on its link's interlacing cell, ``chamber.link_cell``.
-Samplers draw exactly from it by one rejection routine on that cell, with a
-product envelope; acceptance degrades with dimension, which is fine at the
-desk scales (N <= 4) the verification harness uses.
+Each source is checked once, where its cell is made: ``_source`` wants it
+finite and strictly increasing, with x_1 > 0 for the alpha-links, and returns
+its interlacing cell, ``chamber.link_cell``.  Each density lives on that cell;
+samplers draw exactly from it by one rejection routine with a product
+envelope, whose acceptance degrades with dimension, which is fine at the desk
+scales (N <= 4) the verification harness uses.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ RETRY_CAP = 10**7
 _ALPHA_LOG_BRANCH = 1e-10
 
 
+def _require_alpha(alpha) -> None:
+    if not alpha > -1:
+        raise ValueError(f"alpha={alpha} must be > -1")
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Link parameters: alpha > -1 and the target dimension n.  The source
@@ -53,8 +60,7 @@ class KernelParams:
     n: int
 
     def __post_init__(self):
-        if not self.alpha > -1:
-            raise ValueError(f"alpha={self.alpha} must be > -1")
+        _require_alpha(self.alpha)
         if self.n < 1:
             raise ValueError(f"n={self.n} must be >= 1")
 
@@ -67,30 +73,46 @@ def shifted_factorial(x: float, n: int) -> float:
     return out
 
 
-def _require_strict(x, nonneg: bool, dim: int | None = None) -> np.ndarray:
-    arr = as_coords(x, dim)
-    # strictly increasing (a NaN fails the comparison) between finite ends: all finite
-    if arr.size and not (math.isfinite(arr[0]) and math.isfinite(arr[-1])
-                         and (np.diff(arr) > 0).all()):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"x must be finite, got {arr}")
-        raise ValueError(f"x must be strictly increasing, got {arr}")
-    if nonneg and arr[0] <= 0:
-        raise ValueError(f"x must have x_1 > 0, got {arr}")
-    return arr
+def _source(kind: str, x, ndim: int) -> tuple:
+    """``(x, lo, hi)``: x checked as a source of link ``kind``, one vector
+    (ndim 1) or (m, N) rows (ndim 2), and its cell from ``link_cell``.  A
+    source is finite and strictly increasing, with x_1 > 0 for the two
+    alpha-links; the error names the first row that is not."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim:
+        raise ValueError(f"the {kind} link takes its source as "
+                         f"{'one vector' if ndim == 1 else '(m, N) rows'}, got shape {x.shape}")
+    # a NaN fails both comparisons; an empty source goes on to link_cell's dimension error
+    low = x.min(initial=math.inf)
+    if not (-math.inf < low and x.max(initial=-math.inf) < math.inf):
+        _refuse(x, ~np.isfinite(x).all(axis=-1), "finite")
+    lo, hi = link_cell(kind, x)
+    # on strictly increasing rows the least entry is the least x_1
+    if not ((x[..., :-1] < x[..., 1:]).all() and (kind == "L" or low > 0)):
+        bad = ~(x[..., :-1] < x[..., 1:]).all(axis=-1)
+        if kind != "L":
+            bad |= ~(x[..., 0] > 0)
+        _refuse(x, bad, "strictly increasing" + ("" if kind == "L" else " with x_1 > 0"))
+    return x, lo, hi
 
 
-def _require_alpha(alpha) -> None:
-    if not alpha > -1:
-        raise ValueError(f"alpha={alpha} must be > -1")
+def _refuse(x: np.ndarray, bad, need: str):
+    i = int(np.argmax(bad))
+    row, where = (x, "") if x.ndim == 1 else (x[i], f" in row {i}")
+    raise ValueError(f"x must be {need}, got {row}{where}")
 
 
-def _as_rows(Y, n: int) -> np.ndarray:
-    rows = np.asarray(Y, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"dimension mismatch: expected rows of length {n}, "
-                         f"got shape {rows.shape}")
-    return rows
+def _density_rows(kind: str, x, Y) -> tuple:
+    """What the three ``density_*_rows`` start from: the checked source x,
+    the rows y of Y (target dimension), the mask of rows in x's cell, Vdm(y)
+    per row and Vdm(x)."""
+    xa, lo, hi = _source(kind, x, 1)
+    ya = np.asarray(Y, dtype=float)
+    if ya.ndim != 2 or ya.shape[1] != lo.size:
+        raise ValueError(f"dimension mismatch: expected rows of length {lo.size}, "
+                         f"got shape {ya.shape}")
+    return (xa, ya, in_cell(ya, lo, hi), vandermonde_rows(ya),
+            float(vandermonde_rows(xa[None, :])[0]))
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
@@ -103,28 +125,18 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
 def density_L_rows(x, Y) -> np.ndarray:
     """N! Vandermonde(y)/Vandermonde(x) per row y of Y on the interlacing
     cell of x, else 0."""
-    xa = _require_strict(x, nonneg=False)
-    n = xa.size - 1
-    ya = _as_rows(Y, n)
-    ok = in_cell(ya, *link_cell("L", xa))
-    num = vandermonde_rows(ya)
-    den = float(vandermonde_rows(xa[None, :])[0])
-    return np.where(ok, math.factorial(n) * num / den, 0.0)
+    _, ya, ok, num, den = _density_rows("L", x, Y)
+    return np.where(ok, math.factorial(ya.shape[1]) * num / den, 0.0)
 
 
 def density_lambda_eq_rows(alpha: float, x, Y) -> np.ndarray:
     """(alpha+1)_N prod(y_k^a / x_k^(a+1)) Vdm(y)/Vdm(x) per row y of Y on
     the lower cell of x, else 0; inf at y_1 = 0 when alpha < 0."""
     _require_alpha(alpha)
-    xa = _require_strict(x, nonneg=True)
-    n = xa.size
-    ya = _as_rows(Y, n)
-    ok = in_cell(ya, *link_cell("lambda_eq", xa))
+    xa, ya, ok, num, den = _density_rows("lambda_eq", x, Y)
     with np.errstate(all="ignore"):
         ratio = np.prod(ya**alpha / xa ** (alpha + 1), axis=1)
-        num = vandermonde_rows(ya)
-        den = float(vandermonde_rows(xa[None, :])[0])
-        out = shifted_factorial(alpha + 1, n) * ratio * num / den
+        out = shifted_factorial(alpha + 1, xa.size) * ratio * num / den
     out[(ya[:, 0] == 0.0) & (alpha < 0)] = math.inf
     return np.where(ok, out, 0.0)
 
@@ -153,17 +165,13 @@ def density_lambda_plus_rows(alpha: float, x, Y) -> np.ndarray:
     """Density of the (N+1 -> N) alpha-link per row y of Y, with x strictly
     interior; inf at y_1 = 0 when alpha < 0."""
     _require_alpha(alpha)
-    xa = _require_strict(x, nonneg=True)
-    n = xa.size - 1
-    ya = _as_rows(Y, n)
-    ok = in_cell(ya, *link_cell("lambda_plus", xa))
+    xa, ya, ok, num, den = _density_rows("lambda_plus", x, Y)
+    n = ya.shape[1]
     # the intermediate z_k of the two-step link: the L cell clipped by y, y_{N+1} = inf
     lo, hi = link_cell("L", xa)
     y_next = np.concatenate([ya[:, 1:], np.full((ya.shape[0], 1), math.inf)], axis=1)
     factors = _interval_weight_rows(alpha, ya, np.maximum(lo, ya), np.minimum(hi, y_next))
     ok &= np.all(factors != 0.0, axis=1)
-    num = vandermonde_rows(ya)
-    den = float(vandermonde_rows(xa[None, :])[0])
     with np.errstate(all="ignore"):
         weight = np.ones(ya.shape[0])
         for k in range(n):
@@ -226,46 +234,37 @@ def _cell_rejection(lo: np.ndarray, hi: np.ndarray, power: float, rng) -> np.nda
 
 def sample_L_each(xs: np.ndarray, rng) -> np.ndarray:
     """One draw of the parameter-free link per row of xs (shape (m, N+1))."""
-    return _cell_rejection(*link_cell("L", np.asarray(xs, dtype=float)), 1.0, rng)
+    _, lo, hi = _source("L", xs, 2)
+    return _cell_rejection(lo, hi, 1.0, rng)
 
 
 def sample_lambda_eq_each(alpha: float, xs: np.ndarray, rng) -> np.ndarray:
     """One draw of the (N -> N) alpha-link per row of xs (shape (m, N))."""
     _require_alpha(alpha)
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs[:, 0] <= 0):
-        raise ValueError("all rows need x_1 > 0")
-    return _cell_rejection(*link_cell("lambda_eq", xs), alpha + 1.0, rng)
+    _, lo, hi = _source("lambda_eq", xs, 2)
+    return _cell_rejection(lo, hi, alpha + 1.0, rng)
 
 
 def sample_lambda_plus_each(alpha: float, xs: np.ndarray, rng) -> np.ndarray:
     """One draw of the (N+1 -> N) alpha-link per row, via the two-step
-    decomposition: parameter-free link first, then the equal-dimension link."""
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs[:, 0] <= 0):
-        raise ValueError("all rows need x_1 > 0")
-    z = sample_L_each(xs, rng)
-    # the intermediate point is a.s. interior; repair float-boundary rows
-    for _ in range(64):
-        bad = (z[:, 0] <= 0) | np.any(np.diff(z, axis=1) <= 0, axis=1)
-        if not bad.any():
-            break
-        z[bad] = sample_L_each(xs[bad], rng)
-    else:
-        raise RuntimeError("could not draw an interior intermediate point")
-    return sample_lambda_eq_each(alpha, z, rng)
+    decomposition: parameter-free link first, then the equal-dimension link.
+    The intermediate rows are strictly increasing with z_1 >= x_1 > 0, since
+    the first stage accepts only rows with Vdm(z) > 0 on its cell."""
+    _require_alpha(alpha)
+    xs, _, _ = _source("lambda_plus", xs, 2)
+    return sample_lambda_eq_each(alpha, sample_L_each(xs, rng), rng)
 
 
 def sample_L_many(x, n_samples: int, rng) -> np.ndarray:
-    xa = _require_strict(x, nonneg=False)
+    xa, _, _ = _source("L", x, 1)
     return sample_L_each(np.tile(xa, (n_samples, 1)), rng)
 
 
 def sample_lambda_eq_many(params: KernelParams, x, n_samples: int, rng) -> np.ndarray:
-    xa = _require_strict(x, nonneg=True, dim=params.n)
+    xa, _, _ = _source("lambda_eq", as_coords(x, params.n), 1)
     return sample_lambda_eq_each(params.alpha, np.tile(xa, (n_samples, 1)), rng)
 
 
 def sample_lambda_plus_many(params: KernelParams, x, n_samples: int, rng) -> np.ndarray:
-    xa = _require_strict(x, nonneg=True, dim=params.n + 1)
+    xa, _, _ = _source("lambda_plus", as_coords(x, params.n + 1), 1)
     return sample_lambda_plus_each(params.alpha, np.tile(xa, (n_samples, 1)), rng)

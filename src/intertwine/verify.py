@@ -30,7 +30,8 @@ from .diffusion import (PickrellParams, SdeConfig, boundary_flow,  # noqa: F401
                         simulate_laguerre_matrix_paths, simulate_laguerre_paths,
                         simulate_pickrell_paths)
 from .ensembles import sample_pickrell
-# density_L stays bound here for perfbench/spans.py, which wraps it by this path
+# density_L and the three sample_*_many stay bound here for perfbench/spans.py,
+# which wraps them by this path
 from .kernels import (KernelParams, density_L, density_L_rows,  # noqa: F401
                       density_lambda_eq, density_lambda_eq_rows, density_lambda_plus,
                       density_lambda_plus_rows, sample_L_each, sample_L_many,
@@ -426,14 +427,6 @@ def _push(kind, alpha, rows, rng):
     return each(alpha, rows, rng)
 
 
-def _draw(kind, alpha, n, x, m, rng):
-    """m draws of link ``kind`` from the source point x to dimension n."""
-    if kind == "L":
-        return sample_L_many(x, m, rng)
-    many = sample_lambda_plus_many if kind == "lambda_plus" else sample_lambda_eq_many
-    return many(KernelParams(alpha, n), x, m, rng)
-
-
 def _laguerre(alpha, n, *run):
     return simulate_laguerre_paths(alpha, n, *run)[0]
 
@@ -471,7 +464,7 @@ def _intertwine(name, meta, which, up, down, alpha, alpha_b, n, x, t, n_samples,
         return _push(kind, alpha, interiorize_rows(ends), generator(stream("pathA-kernel")))
 
     def path_b(stream):
-        z = _draw(kind, alpha_b, n, xa, n_samples, generator(stream("pathB-kernel")))
+        z = _push(kind, alpha_b, np.tile(xa, (n_samples, 1)), generator(stream("pathB-kernel")))
         return down(alpha_b + db, n, z, cfg, n_samples, stream("pathB-evolve"))
 
     return _two_path(name, seed, n_perm, path_a, path_b, dict(meta, dt=dt, t=t, alpha=alpha))

@@ -166,7 +166,7 @@ def _gap_products(hi, lo):
     return out
 
 
-def ref_sample_L_each(xs, rng):
+def ref_sample_L_each(xs, rng, retry_cap=10**7):
     """The parameter-free link sampler with its own affine proposal."""
     xs = np.asarray(xs, dtype=float)
     m, np1 = xs.shape
@@ -181,10 +181,10 @@ def ref_sample_L_each(xs, rng):
     def ratio(idx, y):
         return _gap_products(y, y) / env[idx]
 
-    return ref_rejection_fill(propose, ratio, m, n, rng)
+    return ref_rejection_fill(propose, ratio, m, n, rng, retry_cap)
 
 
-def ref_sample_lambda_eq_each(alpha, xs, rng):
+def ref_sample_lambda_eq_each(alpha, xs, rng, retry_cap=10**7):
     """The (N -> N) alpha-link sampler with its own power proposal."""
     xs = np.asarray(xs, dtype=float)
     m, n = xs.shape
@@ -200,7 +200,25 @@ def ref_sample_lambda_eq_each(alpha, xs, rng):
     def ratio(idx, y):
         return _gap_products(y, y) / env[idx]
 
-    return ref_rejection_fill(propose, ratio, m, n, rng)
+    return ref_rejection_fill(propose, ratio, m, n, rng, retry_cap)
+
+
+def ref_sample_lambda_plus_each(alpha, xs, rng, retry_cap=10**7):
+    """The (N+1 -> N) alpha-link sampler as it was before its source was
+    checked up front: the L stage, then up to 64 redraws of any intermediate
+    row that is not strictly increasing with z_1 > 0, then the (N -> N)
+    stage."""
+    xs = np.asarray(xs, dtype=float)
+    assert np.all(xs[:, 0] > 0)
+    z = ref_sample_L_each(xs, rng, retry_cap)
+    for _ in range(64):
+        bad = (z[:, 0] <= 0) | np.any(np.diff(z, axis=1) <= 0, axis=1)
+        if not bad.any():
+            break
+        z[bad] = ref_sample_L_each(xs[bad], rng, retry_cap)
+    else:
+        raise RuntimeError("could not draw an interior intermediate point")
+    return ref_sample_lambda_eq_each(alpha, z, rng, retry_cap)
 
 
 def ref_pairwise_sum(x, numer, cap_dt=None):

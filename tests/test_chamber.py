@@ -84,6 +84,8 @@ def test_embed_boundary_examples():
     assert bp4.alphas == (4.0,) and bp4.gamma == 4.0
     with pytest.raises(ValueError):
         embed_boundary((-1.0, 2.0))
+    with pytest.raises(ValueError, match=r"empty configuration \(\)"):
+        embed_boundary(())
 
 
 @hypothesis.given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=6))

@@ -79,6 +79,16 @@ def test_pickrell_drift_examples():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("drift", [lambda x: laguerre_drift(0.5, 3, x),
+                                   lambda x: pickrell_drift(PickrellParams(1.0, 0.5, 3), x),
+                                   lambda x: pickrell_drift_interaction_form(
+                                       PickrellParams(1.0, 0.5, 3), x)])
+def test_drifts_refuse_a_wrong_dimension(drift):
+    for x in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="dimension mismatch: expected 3"):
+            drift(x)
+
+
 def test_pickrell_drift_forms_agree_at_random_points():
     rng = generator(301)
     for _ in range(100):

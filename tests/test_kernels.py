@@ -1,4 +1,6 @@
 import math
+from functools import partial
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -12,12 +14,12 @@ from intertwine.kernels import (KernelParams, density_L, density_L_rows, density
                                 density_lambda_eq_rows, density_lambda_plus,
                                 density_lambda_plus_rows, sample_L_each, sample_L_many,
                                 sample_lambda_eq_each, sample_lambda_eq_many,
-                                sample_lambda_plus_many)
+                                sample_lambda_plus_each, sample_lambda_plus_many)
 from intertwine.rng import generator
-from intertwine.verify import quad_1d
+from intertwine.verify import _push, quad_1d
 from helpers import (lambda_plus_cdf_12, ref_cell_mask, ref_density_L, ref_density_lambda_eq,
                      ref_density_lambda_plus, ref_sample_L_each, ref_sample_lambda_eq_each,
-                     same_bits)
+                     ref_sample_lambda_plus_each, same_bits)
 
 
 def test_density_L_examples():
@@ -283,33 +285,150 @@ def test_cell_rejection_stops_at_retry_cap(monkeypatch):
     assert rng.sizes == [(4, 1), 4]
 
 
+_ALPHAS = st.sampled_from([-0.9, -0.5, 0.0, 0.5, 2.0])
+
+
 @st.composite
 def _sampler_inputs(draw):
-    """A seed, alpha, and m sources for N in {1, 2, 3}, different in every
-    row: (m, N+1) for the parameter-free link, shifted so that some sit
-    below 0, and positive (m, N) ones for the equal-dimension link."""
+    """A seed, alpha, and m positive (m, N+1) sources for N in {1, 2, 3},
+    different in every row, and a shift that moves some below 0."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 12))
     gaps = draw(st.lists(st.lists(st.floats(0.05, 2.0), min_size=n + 1, max_size=n + 1),
                          min_size=m, max_size=m))
     xs = np.cumsum(np.array(gaps), axis=1)
-    shift = draw(st.floats(-5.0, 1.0))
-    alpha = draw(st.sampled_from([-0.9, -0.5, 0.0, 0.5, 2.0]))
-    return draw(st.integers(0, 2**32 - 1)), alpha, xs + shift, xs[:, :n]
+    return draw(st.integers(0, 2**32 - 1)), draw(_ALPHAS), xs, draw(st.floats(-5.0, 1.0))
+
+
+def _outcome(sample, rng):
+    try:
+        return sample(rng)
+    except RuntimeError as stop:  # the rejection routine's round cap
+        return str(stop)
+
+
+def _same_draws(sample, ref, seed):
+    """Equal draws, or the same round-cap error, and equal final states."""
+    rng, replay = generator(seed), generator(seed)
+    ours, theirs = _outcome(sample, rng), _outcome(ref, replay)
+    if isinstance(ours, str):
+        assert isinstance(theirs, str) and "exceeded" in ours and "exceeded" in theirs
+    else:
+        assert same_bits(ours, theirs)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 @hypothesis.given(_sampler_inputs())
 def test_cell_rejection_draws_as_the_callback_samplers(inputs):
     # the one cell routine consumes the stream and draws the bits of the
-    # samplers that each had their own proposal and ratio callbacks
-    seed, alpha, xs_plus, xs_eq = inputs
-    for sample, ref in ((lambda g: sample_L_each(xs_plus, g),
-                         lambda g: ref_sample_L_each(xs_plus, g)),
-                        (lambda g: sample_lambda_eq_each(alpha, xs_eq, g),
-                         lambda g: ref_sample_lambda_eq_each(alpha, xs_eq, g))):
-        rng, replay = generator(seed), generator(seed)
-        assert same_bits(sample(rng), ref(replay))
-        assert rng.bit_generator.state == replay.bit_generator.state
+    # samplers that each had their own proposal and ratio callbacks, and the
+    # (N+1 -> N) alpha-link those of its version with the interior-repair loop
+    seed, alpha, xs, shift = inputs
+    xs_eq = xs[:, :-1]
+    _same_draws(lambda g: sample_L_each(xs + shift, g),
+                lambda g: ref_sample_L_each(xs + shift, g), seed)
+    _same_draws(lambda g: sample_lambda_eq_each(alpha, xs_eq, g),
+                lambda g: ref_sample_lambda_eq_each(alpha, xs_eq, g), seed)
+    _same_draws(lambda g: sample_lambda_plus_each(alpha, xs, g),
+                lambda g: ref_sample_lambda_plus_each(alpha, xs, g), seed)
+
+
+@st.composite
+def _one_source(draw):
+    """A seed, alpha, a row count and one positive source of dimension N+1,
+    N in {1, 2, 3}, whose neighbours are either 1-3 ulps or 0.05-2 apart."""
+    x = [draw(st.floats(0.05, 5.0))]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            x.append(x[-1] + draw(st.floats(0.05, 2.0)))
+        else:
+            x.append(float(np.nextafter(x[-1], math.inf)))
+            for _ in range(draw(st.integers(0, 2))):
+                x[-1] = float(np.nextafter(x[-1], math.inf))
+    return draw(st.integers(0, 2**32 - 1)), draw(_ALPHAS), np.array(x), draw(st.integers(1, 40))
+
+
+_CLOSE = np.nextafter(np.nextafter(1.3, 2.0), 2.0)
+
+
+@hypothesis.given(_one_source())
+@hypothesis.example((0, -0.9, np.array([1.3, np.nextafter(1.3, 2.0), _CLOSE, 2.0]), 3))
+def test_path_b_draws_as_the_many_samplers(inputs):
+    # path B of the two-path checks pushes m copies of one source through
+    # verify._push; it draws the bits that the per-link sample_*_many drew.
+    # Under y^(alpha+1) with alpha near -1, coordinates an ulp or two apart
+    # can collapse a cell so that no row is ever accepted; a low round cap
+    # makes that the same fast error on both sides.
+    seed, alpha, x, m = inputs
+    cap = 200
+    for kind, x_k, ref in (("L", x, ref_sample_L_each),
+                           ("lambda_eq", x[:-1], partial(ref_sample_lambda_eq_each, alpha)),
+                           ("lambda_plus", x, partial(ref_sample_lambda_plus_each, alpha))):
+        rows = np.tile(x_k, (m, 1))
+        with mock.patch.object(kernels, "RETRY_CAP", cap):
+            _same_draws(lambda g: _push(kind, alpha, rows, g),
+                        lambda g: ref(rows, g, retry_cap=cap), seed)
+
+
+_GOOD = (1.0, 2.0, 3.0)
+# (case, source): every link refuses the first six, and the alpha-links also the
+# last two (x_1 > 0); as a sampler's row 1, after a good row 0, the error names it
+_BAD_SOURCES = [("nan", (1.0, math.nan, 3.0)), ("inf", (1.0, 2.0, math.inf)),
+                ("-inf", (-math.inf, 1.0, 2.0)), ("descending", (3.0, 2.0, 1.0)),
+                ("tied", (1.0, 1.0, 3.0)), ("all tied", (1.0, 1.0, 1.0)),
+                ("x_1 = 0", (0.0, 1.0, 2.0)), ("x_1 < 0", (-1.0, 1.0, 2.0))]
+_EACH = {"L": sample_L_each,
+         "lambda_eq": partial(sample_lambda_eq_each, 0.5),
+         "lambda_plus": partial(sample_lambda_plus_each, 0.5)}
+_ROWS = {"L": density_L_rows,
+         "lambda_eq": partial(density_lambda_eq_rows, 0.5),
+         "lambda_plus": partial(density_lambda_plus_rows, 0.5)}
+_TARGET_DIM = {"L": 2, "lambda_eq": 3, "lambda_plus": 2}  # from a source of dimension 3
+
+
+def _cases(kinds):
+    return [pytest.param(kind, x, id=f"{kind}-{case}") for kind in kinds
+            for case, x in _BAD_SOURCES if kind != "L" or not case.startswith("x_1")]
+
+
+@pytest.mark.parametrize("kind,x", _cases(_EACH))
+def test_row_samplers_refuse_a_bad_source_row_before_any_draw(kind, x, monkeypatch):
+    # a row that can never be accepted ran to RETRY_CAP rounds; at 3 it fails fast
+    monkeypatch.setattr(kernels, "RETRY_CAP", 3)
+    rng = generator(113)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"x must be .* in row 1$"):
+        _EACH[kind](np.array([_GOOD, x]), rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("kind,x", _cases(_ROWS))
+def test_row_densities_refuse_a_bad_source(kind, x):
+    with pytest.raises(ValueError, match="x must be"):
+        _ROWS[kind](x, np.ones((1, _TARGET_DIM[kind])))
+
+
+@pytest.mark.parametrize("kind", _EACH)
+def test_links_refuse_a_source_of_the_wrong_shape(kind):
+    rng = generator(114)
+    state = rng.bit_generator.state
+    ys = np.ones((1, _TARGET_DIM[kind]))
+    for call, message in ((lambda: _EACH[kind](np.array(_GOOD), rng), r"as \(m, N\) rows"),
+                          (lambda: _EACH[kind](np.empty((2, 0)), rng), "dimension >= "),
+                          (lambda: _ROWS[kind](np.array([_GOOD, _GOOD]), ys), "as one vector"),
+                          (lambda: _ROWS[kind]((), np.empty((1, 0))), "dimension >= ")):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("sample", [sample_lambda_eq_each, sample_lambda_plus_each])
+def test_alpha_samplers_refuse_alpha_before_any_draw(sample):
+    rng = generator(115)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="alpha=-2.0 must be > -1"):
+        sample(-2.0, np.array([_GOOD]), rng)
+    assert rng.bit_generator.state == state
 
 
 @hypothesis.given(_link_inputs())
