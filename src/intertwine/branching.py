@@ -28,7 +28,7 @@ import numpy as np
 
 from .chamber import Partition, gap_products
 # density_lambda_plus stays bound here for perfbench/spans.py, which wraps it by this path
-from .kernels import density_lambda_plus, density_lambda_plus_rows  # noqa: F401
+from .kernels import _libm, density_lambda_plus, density_lambda_plus_rows  # noqa: F401
 
 __all__ = [
     "JacobiParams",
@@ -61,7 +61,7 @@ def _lgamma(v):
         except (ValueError, OverflowError):  # a pole, or beyond the float range
             return math.inf
     v = np.asarray(v, dtype=float)
-    return np.array([_lgamma(x) for x in v.ravel().tolist()]).reshape(v.shape)
+    return _libm(_lgamma, v.ravel()).reshape(v.shape)
 
 
 @dataclass(frozen=True)

@@ -191,8 +191,7 @@ def _cmd_sample_ensemble(args) -> int:
         rows, info = sample_pickrell(params, args.n, rng, return_info=True)
     else:
         rows = sample_laguerre_many(args.alpha, args.dim, args.n, rng)
-        info = {"method": "ginibre-radial", "acceptance_rate": None,
-                "burn_in": 0, "thin": 1, "step": None, "n_chains": 1}
+        info = {"method": "ginibre-radial"}
     _write_csv(args.out, [f"x{i + 1}" for i in range(rows.shape[1])], rows)
     summary = {"parameters": {"ensemble": args.ensemble, "s": args.s, "alpha": args.alpha,
                               "dim": args.dim, "n": args.n, "seed": args.seed},

@@ -515,13 +515,12 @@ def check_invariance_pickrell(s, alpha, n, t, n_samples, dt, seed, n_perm=500,
     _require_power(n_perm, P_THRESHOLD)
     pool = sample_pickrell(PickrellParams(s, alpha, n), 2 * n_samples,
                            generator(named_seed(seed, "ensemble")))
-    order = generator(named_seed(seed, "split")).permutation(2 * n_samples)
     cfg = SdeConfig(dt=dt, t=t)
     return _two_path(
         f"invariance-pickrell[N={n},s={s},alpha={alpha},t={t}]", seed, n_perm,
-        lambda stream: _pickrell(s + s_mismatch)(alpha, n, pool[order[:n_samples]], cfg,
-                                                 n_samples, stream("evolve")),
-        lambda stream: pool[order[n_samples:]],
+        lambda stream: _pickrell(s + s_mismatch)(alpha, n, pool[:n_samples], cfg, n_samples,
+                                                 stream("evolve")),
+        lambda stream: pool[n_samples:],
         {"dt": dt, "t": t, "s": s, "alpha": alpha, "s_mismatch": s_mismatch})
 
 

@@ -302,9 +302,10 @@ def ref_sanitize_rows(x):
     return x, guarded
 
 
-# Frozen copy of the ensembles' MCMC before its proposal draws were blocked:
-# one normal block and one uniform block per step, drawn and transformed
-# step by step, and a target density that takes every log itself.
+# A log-space random-walk Metropolis chain, an independent route to the
+# ensembles' laws for the exact samplers to be checked against: one normal
+# block and one uniform block per step, and a target density that takes
+# every log itself.
 
 def ref_log_vdm_sq_density_rows(log_weight, rows):
     rows = np.asarray(rows, dtype=float)

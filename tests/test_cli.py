@@ -60,10 +60,12 @@ def test_sample_ensemble_with_summary(tmp_path):
     assert code == 0
     payload = json.loads(summary.read_text())
     assert payload["parameters"]["seed"] == 5
-    assert 0.0 < payload["sampler"]["acceptance_rate"] < 1.0
-    assert payload["sampler"]["burn_in"] == 10_000
+    assert payload["sampler"] == {"method": "matrix-f"}
     assert "version" in payload
     assert len(csv.read_text().splitlines()) == 301
+    assert main(["sample-ensemble", "--ensemble", "laguerre", "--alpha", "1", "--dim", "2",
+                 "--n", "10", "--out", str(csv), "--summary-out", str(summary)]) == 0
+    assert json.loads(summary.read_text())["sampler"] == {"method": "ginibre-radial"}
 
 
 def test_simulate_outputs_paths(tmp_path):
