@@ -71,6 +71,7 @@ _PAIR_FLOAT_BUDGET = 2**16
 # summation from 8 on: the column route reproduces only the former
 _COLUMN_MAX_N = 7
 _FILL_FLOAT_BUDGET = 2**16  # the buffer that Euler noise is drawn into before it is put in place
+_BLOCK_FLOAT_BUDGET = 2**20  # Euler noise a chunk holds at once: steps drawn per block
 # the cores this process may run on: the most chunks _run_paths keeps in flight
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -271,7 +272,7 @@ def _snapshot_steps(snapshots_at, hs, dt, t) -> dict:
 
 def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n: int,
                noise_floats: int, start, step, observe, *, snapshots_at=None,
-               guard_key=None, max_chunk=None):
+               guard_key=None, max_chunk=None, draw=None):
     """Run n_paths paths in chunks; returns (terminal, snapshots, info).
 
     Path i draws only from path_generator(master_seed, i), so the output
@@ -287,6 +288,8 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     ...) noise, drawn from ``gens``, one generator per path;
     ``step(state, noise_i, h, i)`` returns the next state and its count of
     guarded paths; ``observe(state)`` returns (paths, n) ascending rows.
+    With ``draw(gens, paths, k)``, the next k steps' noise, a chunk holds
+    _BLOCK_FLOAT_BUDGET floats of it at a time, read in each path's order.
     ``info[guard_key]`` is the guarded fraction of path-steps.
     """
     if n_paths < 1:
@@ -305,14 +308,18 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     snaps = {ts: np.empty((n_paths, n)) for ts in (snapshots_at or [])}
 
     def chunk_gens(rows):
-        return (path_generator(master_seed, i) for i in range(rows.start, rows.stop))
+        return [path_generator(master_seed, i) for i in range(rows.start, rows.stop)]
 
     def run_chunk(rows, gens):
         """Step one chunk to the horizon; its noise is freed on return."""
-        state, noise = start(rows, gens, n_steps)
+        block = n_steps if draw is None else max(
+            1, _BLOCK_FLOAT_BUDGET // (len(gens) * noise_floats))
+        state, noise = start(rows, iter(gens), min(block, n_steps))
         guarded = 0
         for i, h in enumerate(hs):
-            state, events = step(state, noise[i], h, i)
+            if i and i % block == 0:
+                noise = draw(iter(gens), len(gens), min(block, n_steps - i))
+            state, events = step(state, noise[i % block], h, i)
             guarded += events
             if (i + 1) in snap_steps:
                 rows_now = observe(state)
@@ -345,7 +352,7 @@ def _run_chunks_threaded(run_chunk, chunks, chunk_gens, workers: int) -> int:
         for rows in chunks:
             if len(pending) == workers:
                 guarded += pending.pop(0).result()
-            pending.append(pool.submit(run_chunk, rows, iter(list(chunk_gens(rows)))))
+            pending.append(pool.submit(run_chunk, rows, chunk_gens(rows)))
         for done in pending:
             guarded += done.result()
     return guarded
@@ -449,7 +456,8 @@ def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots
 
     return _run_paths(Scheme.EULER_GUARDED, cfg, n_paths, master_seed, n, n, start, step,
                       lambda state: state[0], snapshots_at=snapshots_at,
-                      guard_key="guard_fraction", max_chunk=_PAIR_FLOAT_BUDGET // (n * n))
+                      guard_key="guard_fraction", max_chunk=_PAIR_FLOAT_BUDGET // (n * n),
+                      draw=lambda gens, c, k: _step_major_normals(gens, c, k, n))
 
 
 def _laguerre_vol(x: np.ndarray) -> np.ndarray:

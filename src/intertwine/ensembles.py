@@ -2,12 +2,11 @@
 
 The Pickrell ensemble (heavy-tailed, density prop. to
 Vdm^2 prod x^alpha (1+x)^(-2N-alpha-s), finite mass iff s > -1) is the
-invariant law of the Pickrell diffusion.  It is drawn exactly and i.i.d. at
-every real s, alpha > -1, as the spectrum of a complex matrix-F built from
-two Bartlett-factored complex Wisharts.  The Laguerre ensemble
-(Vdm^2 prod x^alpha e^(-x)) is drawn at integer alpha as the radial part of
-Ginibre matrices.  It is not taken on authority: it enters tests only
-after its own validation gates (1-D flux balance, long-run simulation).
+invariant law of the Pickrell diffusion, drawn exactly as the spectrum of a
+complex matrix-F.  The Laguerre ensemble (Vdm^2 prod x^alpha e^(-x)), drawn
+at integer alpha as Ginibre radial parts, is not taken on authority: it
+enters tests only after its own validation gates (1-D flux balance,
+long-run simulation).
 A one-to-one change of variables u = x/(1+x) maps Pickrell to the Jacobi
 ensemble on [0,1]^N with second exponent beta = s.
 """
@@ -48,11 +47,10 @@ def pickrell_density_unnorm(params: PickrellParams, x) -> float:
 
 
 def _bartlett(dof: float, n: int, m: int, rng) -> np.ndarray:
-    """m lower-triangular Bartlett factors T of complex Wisharts T T* with
-    dof > n - 1 degrees of freedom: |T_ii|^2 ~ Gamma(dof - i), standard
-    complex normals below the diagonal.  Gamma draws are floored at the
-    smallest normal float: at a shape near 0 they underflow to 0, which
-    would make T singular."""
+    """m lower-triangular Bartlett factors T of complex Wisharts T T* with dof
+    > n - 1: |T_ii|^2 ~ Gamma(dof - i), floored at the smallest normal float
+    (at a shape near 0 it underflows to 0 and T is singular), and standard
+    complex normals below the diagonal."""
     t = np.zeros((m, n, n), dtype=complex)
     diag = np.arange(n)
     gam = rng.standard_gamma(dof - diag, size=(m, n))
@@ -64,22 +62,16 @@ def _bartlett(dof: float, n: int, m: int, rng) -> np.ndarray:
 
 
 def sample_pickrell(params: PickrellParams, n_samples: int, rng, *, return_info: bool = False):
-    """Exact i.i.d. draws from the Pickrell ensemble as an (n_samples, N)
-    array of ascending rows.
-
-    Pickrell(s, alpha, N) is the spectrum of the complex matrix-F B^-1 A,
-    with A and B independent complex Wisharts of N + alpha and N + s degrees
-    of freedom; it is that of C C* with C = T_B^-1 T_A for their Bartlett
-    factors, so each row holds the squared singular values of C (at N = 1,
-    a ratio of Gamma(alpha + 1) and Gamma(s + 1) draws).  Near s = -1 the
-    law's tail passes the float range: at s = -0.99 about 0.1% of rows end
-    in inf, and x_N / x_1 can pass the SVD's relative range, giving x_1 = 0.
-    """
+    """Exact i.i.d. draws from the Pickrell ensemble, (n_samples, N) ascending
+    rows: the spectrum of the complex matrix-F B^-1 A, for independent complex
+    Wisharts A and B of N + alpha and N + s degrees of freedom, taken as the
+    squared singular values of C = T_B^-1 T_A for their Bartlett factors.
+    Near s = -1 the law passes the float range: at s = -0.99 about 0.1% of
+    rows hold inf, and x_1 = 0 where x_N / x_1 passes the SVD's range."""
     if not params.s > -1:
         raise ValueError(f"s={params.s} must be > -1 for a finite ensemble")
-    n = params.n
-    t_b = _bartlett(n + params.s, n, n_samples, rng)
-    t_a = _bartlett(n + params.alpha, n, n_samples, rng)
+    t_b = _bartlett(params.n + params.s, params.n, n_samples, rng)
+    t_a = _bartlett(params.n + params.alpha, params.n, n_samples, rng)
     out = radial_part_many(np.linalg.solve(t_b, t_a))
     return (out, {"method": "matrix-f"}) if return_info else out
 

@@ -279,6 +279,22 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
             assert all(_same_bytes(snaps[ts], other[1][ts]) for ts in snaps)
 
 
+def test_euler_noise_in_blocks_is_the_noise_of_one_block(monkeypatch):
+    cfg = SdeConfig(1e-3, 0.2)
+    runs = [lambda: simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 500, 305,
+                                            snapshots_at=(0.05, 0.2)),
+            lambda: simulate_pickrell_paths(PickrellParams(1.0, 0.5, 8), np.arange(1.0, 9.0),
+                                            cfg, 10, 325, snapshots_at=(0.1,))]
+    ref = [run() for run in runs]  # one block of all 200 steps each
+    # 7 steps of 1,000 floats (snapshot at step 50 mid-block, a last block of 4 steps)
+    # and 87 steps of 80 floats (N = 8 draws path-major; a last block of 26 steps)
+    monkeypatch.setattr(diffusion, "_BLOCK_FLOAT_BUDGET", 7000)
+    for (term, snaps, info), run in zip(ref, runs):
+        got = run()
+        assert _same_bytes(term, got[0]) and info == got[2]
+        assert all(_same_bytes(snaps[ts], got[1][ts]) for ts in snaps)
+
+
 def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
     calls = []
     path_generator = diffusion.path_generator

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from intertwine import ensembles
 from intertwine.diffusion import PickrellParams, SdeConfig, simulate_laguerre_paths
 from intertwine.ensembles import (jacobi_ensemble_density_unnorm, jacobi_map,
                                   jacobi_map_inverse, laguerre_density_unnorm,
