@@ -49,7 +49,7 @@ def pickrell_density_unnorm(params: PickrellParams, x) -> float:
 def _bartlett(dof: float, n: int, m: int, rng) -> np.ndarray:
     """m lower-triangular Bartlett factors T of complex Wisharts T T* with dof
     > n - 1: |T_ii|^2 ~ Gamma(dof - i), floored at the smallest normal float
-    (at a shape near 0 it underflows to 0 and T is singular), and standard
+    (a shape near 0 underflows to 0 and would make T singular), and standard
     complex normals below the diagonal."""
     t = np.zeros((m, n, n), dtype=complex)
     diag = np.arange(n)
@@ -66,7 +66,7 @@ def sample_pickrell(params: PickrellParams, n_samples: int, rng, *, return_info:
     rows: the spectrum of the complex matrix-F B^-1 A, for independent complex
     Wisharts A and B of N + alpha and N + s degrees of freedom, taken as the
     squared singular values of C = T_B^-1 T_A for their Bartlett factors.
-    Near s = -1 the law passes the float range: at s = -0.99 about 0.1% of
+    Near s = -1 the law passes the float range: at s = -0.99 up to 0.1% of
     rows hold inf, and x_1 = 0 where x_N / x_1 passes the SVD's range."""
     if not params.s > -1:
         raise ValueError(f"s={params.s} must be > -1 for a finite ensemble")
