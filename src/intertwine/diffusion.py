@@ -19,21 +19,20 @@ Every simulator runs its paths through _run_paths, the one place where
 per-path streams, chunk sizes and threads are decided: path i draws only
 from rng.path_generator(master_seed, i), so an ensemble result is
 bit-reproducible for a fixed seed whatever the chunking and the core count.
-The runner keeps as many chunks in flight, one per thread, as the process's
-CPU affinity has cores and _CHUNK_FLOAT_BUDGET has room for their noise; a
-run of one chunk, as the small-N runs are at the usual sizes, or of chunks
-that each fill the budget, as the lifts' are, stays on the calling thread.
-A chunk's noise fits _CHUNK_FLOAT_BUDGET floats and is indexed step-major,
-(steps, paths, ...).  In the lifts and up to _COLUMN_MAX_N Euler particles
-it is also stored so, and each step reads one contiguous block: the paths'
-draws are made into a small buffer and copied into place.  Above
-_COLUMN_MAX_N particles each path is drawn in place and the runner reads a
-step-major view.  Euler chunks are further capped at _PAIR_FLOAT_BUDGET /
+All noise comes from one drawer, _step_major: a chunk draws the next block
+of steps when it reaches it, at most _BLOCK_FLOAT_BUDGET floats, indexed
+step-major (steps, paths, ...) so that each step reads one contiguous
+block; the paths' draws are made into a small buffer and copied into place.
+A chunk is at most _CHUNK_MAX_PATHS paths, and one step of its noise fits
+the block budget.  Euler chunks are further capped at _PAIR_FLOAT_BUDGET /
 N^2 paths.  Above _COLUMN_MAX_N particles the pair drift is built as (paths,
 N, N) tensors in two buffers of the chunk's own, reused by every step, which
 that cap keeps in cache; at or below it, column by column on (paths,)
 arrays, with the same operations per pair and the same sum order, so both
-routes give bit-identical drifts.
+routes give bit-identical drifts.  Only above _COLUMN_MAX_N do chunks run
+on threads, one per core of the process's CPU affinity: the tensor route's
+long numpy calls release the interpreter lock, the column route's many
+short ones do not.
 """
 
 from __future__ import annotations
@@ -63,16 +62,15 @@ __all__ = [
 ]
 
 _TIE_EPS = 1e-12
-# 64 MB of noise per chunk bounds the peak memory of back-to-back 4,000-path lifts;
-# a smaller cap would split, and slow, the 4,000-path small-N Euler runs
-_CHUNK_FLOAT_BUDGET = 2**23
+# at N = 2, chunks of 2^14 paths and more ran slower than 2^12-2^13 (2-core x86 host)
+_CHUNK_MAX_PATHS = 2**13
 _PAIR_FLOAT_BUDGET = 2**16
 # numpy sums fewer than 8 terms sequentially from +0 and switches to pairwise
 # summation from 8 on: the column route reproduces only the former
 _COLUMN_MAX_N = 7
-_FILL_FLOAT_BUDGET = 2**16  # the buffer that Euler noise is drawn into before it is put in place
-_BLOCK_FLOAT_BUDGET = 2**20  # Euler noise a chunk holds at once: steps drawn per block
-# the cores this process may run on: the most chunks _run_paths keeps in flight
+_FILL_FLOAT_BUDGET = 2**16  # the buffer that noise is drawn into before it is put in place
+_BLOCK_FLOAT_BUDGET = 2**20  # noise a chunk holds at once: steps drawn per block
+# the cores this process may run on: the most tensor-route chunks in flight
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -271,26 +269,25 @@ def _snapshot_steps(snapshots_at, hs, dt, t) -> dict:
 
 
 def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n: int,
-               noise_floats: int, start, step, observe, *, snapshots_at=None,
-               guard_key=None, max_chunk=None, draw=None):
+               noise_floats: int, start, draw, step, observe, *, snapshots_at=None,
+               guard_key=None, max_chunk=None):
     """Run n_paths paths in chunks; returns (terminal, snapshots, info).
 
     Path i draws only from path_generator(master_seed, i), so the output
-    depends neither on the chunk size nor on how many chunks run at once:
-    noise_floats per path and step, over the whole horizon, fit
-    _CHUNK_FLOAT_BUDGET floats per chunk, and max_chunk caps the chunk
-    further.  Chunks run on as many threads as the process has cores
-    (_CORES), as long as their noise together fits _CHUNK_FLOAT_BUDGET; with
-    one, they run one after another on the calling thread.  The generators
-    are made on the calling thread, in path order, and a chunk writes only
-    its own rows.  ``start(rows, gens, n_steps)`` returns the initial state
-    of the paths in the slice ``rows`` and their step-major (n_steps, paths,
-    ...) noise, drawn from ``gens``, one generator per path;
-    ``step(state, noise_i, h, i)`` returns the next state and its count of
-    guarded paths; ``observe(state)`` returns (paths, n) ascending rows.
-    With ``draw(gens, paths, k)``, the next k steps' noise, a chunk holds
-    _BLOCK_FLOAT_BUDGET floats of it at a time, read in each path's order.
-    ``info[guard_key]`` is the guarded fraction of path-steps.
+    depends neither on the chunk size nor on how many chunks run at once.
+    A chunk is at most _CHUNK_MAX_PATHS and max_chunk paths, and one step of
+    its noise, noise_floats per path, fits _BLOCK_FLOAT_BUDGET floats.  With
+    n > _COLUMN_MAX_N the chunks run on as many threads as the process has
+    cores (_CORES); otherwise, or with one core, one after another on the
+    calling thread.  The generators are made on the calling thread, in path
+    order, and a chunk writes only its own rows.  ``start(rows, gens)``
+    returns the initial state of the paths in the slice ``rows``, one
+    generator per path in ``gens``; ``draw(gens, paths, k)`` returns the
+    next k steps' step-major (k, paths, ...) noise, as many steps as fit
+    _BLOCK_FLOAT_BUDGET floats; ``step(state, noise_i, h, i)`` returns the
+    next state and its count of guarded paths; ``observe(state)`` returns
+    (paths, n) ascending rows.  ``info[guard_key]`` is the guarded fraction
+    of path-steps.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths={n_paths} must be >= 1")
@@ -299,11 +296,10 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     hs = cfg.step_sizes()
     snap_steps = _snapshot_steps(snapshots_at, hs, cfg.dt, cfg.t)
     n_steps = len(hs)
-    path_floats = max(1, n_steps * noise_floats)
-    chunk = max(1, min(n_paths, int(_CHUNK_FLOAT_BUDGET / path_floats),
+    chunk = max(1, min(n_paths, _CHUNK_MAX_PATHS, _BLOCK_FLOAT_BUDGET // noise_floats,
                        n_paths if max_chunk is None else max_chunk))
     chunks = [slice(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    workers = max(1, min(_CORES, len(chunks), int(_CHUNK_FLOAT_BUDGET // (chunk * path_floats))))
+    workers = min(_CORES, len(chunks)) if n > _COLUMN_MAX_N else 1
     terminal = np.empty((n_paths, n))
     snaps = {ts: np.empty((n_paths, n)) for ts in (snapshots_at or [])}
 
@@ -311,14 +307,14 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
         return [path_generator(master_seed, i) for i in range(rows.start, rows.stop)]
 
     def run_chunk(rows, gens):
-        """Step one chunk to the horizon; its noise is freed on return."""
-        block = n_steps if draw is None else max(
-            1, _BLOCK_FLOAT_BUDGET // (len(gens) * noise_floats))
-        state, noise = start(rows, iter(gens), min(block, n_steps))
+        """Step one chunk to the horizon, drawing its noise block by block."""
+        block = max(1, _BLOCK_FLOAT_BUDGET // (len(gens) * noise_floats))
+        state = start(rows, gens)
         guarded = 0
         for i, h in enumerate(hs):
-            if i and i % block == 0:
-                noise = draw(iter(gens), len(gens), min(block, n_steps - i))
+            if i % block == 0:
+                noise = None  # the spent block is freed before the next is drawn
+                noise = draw(gens, len(gens), min(block, n_steps - i))
             state, events = step(state, noise[i % block], h, i)
             guarded += events
             if (i + 1) in snap_steps:
@@ -373,28 +369,30 @@ def _sort_rows(x: np.ndarray) -> None:
             x[:, k] = lo
 
 
-def _step_major_normals(gens, c: int, n_steps: int, n: int) -> np.ndarray:
-    """(n_steps, c, n) standard normals; path k's (n_steps, n) draws come from
-    the k-th of ``gens``.  Above _COLUMN_MAX_N particles each path is drawn in
-    place into a (c, n_steps, n) array and a step-major view of it is returned,
-    so a step reads c strided rows of N floats.  At or below it, as many paths
-    as fit _FILL_FLOAT_BUDGET floats are drawn into one buffer at a time and
-    put in place one coordinate at a time, along the paths."""
-    if n > _COLUMN_MAX_N:
-        noise = np.empty((c, n_steps, n))
-        for path in noise:
-            next(gens).standard_normal(out=path)
-        return noise.transpose(1, 0, 2)
-    noise = np.empty((n_steps, c, n))
-    per_fill = max(1, min(c, _FILL_FLOAT_BUDGET // max(1, n_steps * n)))
-    buf = np.empty((per_fill, n_steps, n))
+def _step_major(gens, c: int, k: int, shape: tuple) -> np.ndarray:
+    """(k, c, *shape) standard normals; path p's (k, *shape) draws come from
+    the p-th of ``gens``.  As many paths as fit _FILL_FLOAT_BUDGET floats are
+    drawn into one buffer at a time and put in place one coordinate at a
+    time, along the paths."""
+    f = int(np.prod(shape))
+    noise = np.empty((k, c, f))
+    per_fill = max(1, min(c, _FILL_FLOAT_BUDGET // (k * f)))
+    buf = np.empty((per_fill, k, f))
+    gens = iter(gens)
     for lo in range(0, c, per_fill):
         block = buf[:c - lo]
         for path in block:
             next(gens).standard_normal(out=path)
-        for j in range(n):
+        for j in range(f):
             noise[:, lo:lo + len(block), j] = block[:, :, j].T
-    return noise
+    return noise.reshape(k, c, *shape)
+
+
+def _complex_noise(z: np.ndarray) -> np.ndarray:
+    """One step's (paths, m, n) complex lift noise from its (paths, 2, m, n) draws."""
+    g = np.empty(z[:, 0].shape, dtype=complex)
+    g.real, g.imag = z[:, 0], z[:, 1]
+    return g
 
 
 def _any_per_row(mask: np.ndarray) -> np.ndarray:
@@ -438,11 +436,11 @@ def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},) or ({n_paths}, {n})")
     _check_start(x0)
 
-    def start(rows, gens, n_steps):
+    def start(rows, gens):
         # the state carries the chunk's own (2, paths, n, n) pair workspace, reused by every step
         x = np.array(np.broadcast_to(x0, (n_paths, n))[rows])
         work = np.empty((2, x.shape[0], n, n)) if n > _COLUMN_MAX_N else None
-        return (_sanitize_rows(x)[0], work), _step_major_normals(gens, x.shape[0], n_steps, n)
+        return _sanitize_rows(x)[0], work
 
     def step(state, noise_i, h, i):
         x, work = state
@@ -454,10 +452,10 @@ def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots
         x, guarded = _sanitize_rows(x)
         return (x, work), int(guarded.sum())
 
-    return _run_paths(Scheme.EULER_GUARDED, cfg, n_paths, master_seed, n, n, start, step,
+    return _run_paths(Scheme.EULER_GUARDED, cfg, n_paths, master_seed, n, n, start,
+                      lambda gens, c, k: _step_major(gens, c, k, (n,)), step,
                       lambda state: state[0], snapshots_at=snapshots_at,
-                      guard_key="guard_fraction", max_chunk=_PAIR_FLOAT_BUDGET // (n * n),
-                      draw=lambda gens, c, k: _step_major_normals(gens, c, k, n))
+                      guard_key="guard_fraction", max_chunk=_PAIR_FLOAT_BUDGET // (n * n))
 
 
 def _laguerre_vol(x: np.ndarray) -> np.ndarray:
@@ -502,32 +500,29 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
     drawn from the path's own stream.  Returns (terminal, snapshots, info).
     """
     m = n + _check_alpha_int(alpha)
-    x0a = as_coords(x0, expected_dim=n) if x0 is not None else None
-    h0_diag = None
     if init == "diag":
-        if x0a is None:
+        if x0 is None:
             raise ValueError("init='diag' needs a starting configuration x0")
+        x0a = as_coords(x0, expected_dim=n)
         _check_start(x0a)
         h0_diag = np.zeros((m, n), dtype=complex)
         h0_diag[:n, :n] = np.diag(np.sqrt(x0a))
-    elif init != "ginibre":
+    elif init == "ginibre":
+        if x0 is not None:
+            raise ValueError("init='ginibre' draws its own start; x0 must be None")
+    else:
         raise ValueError(f"unknown init {init!r}")
 
-    def start(rows, gens, n_steps):
-        hmat = np.empty((rows.stop - rows.start, m, n), dtype=complex)
-        noise = np.empty((n_steps, rows.stop - rows.start, m, n), dtype=complex)
-        z = np.empty((n_steps, 2, m, n))  # one path's draw: real, then imaginary part per step
-        for k, gen in enumerate(gens):
-            # a stationary start is drawn first from the path's stream
-            hmat[k] = sample_ginibre(m, n, gen) if h0_diag is None else h0_diag
-            gen.standard_normal(out=z)
-            noise.real[:, k] = z[:, 0]
-            noise.imag[:, k] = z[:, 1]
-        return hmat, noise
+    def start(rows, gens):
+        if init == "diag":
+            return np.broadcast_to(h0_diag, (rows.stop - rows.start, m, n))
+        # a stationary start is drawn first from the path's stream
+        return np.array([sample_ginibre(m, n, gen) for gen in gens])
 
     return _run_paths(Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * m * n, start,
-                      lambda hmat, noise_i, h, i: (hmat * (1.0 - h / 2.0)
-                                                   + np.sqrt(h / 2.0) * noise_i, 0),
+                      lambda gens, c, k: _step_major(gens, c, k, (2, m, n)),
+                      lambda hmat, z, h, i: (hmat * (1.0 - h / 2.0)
+                                             + np.sqrt(h / 2.0) * _complex_noise(z), 0),
                       radial_part_many, snapshots_at=snapshots_at)
 
 
@@ -562,20 +557,12 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
     x0a = as_coords(x0, expected_dim=n)
     _check_start(x0a)
 
-    def start(rows, gens, n_steps):
-        c = rows.stop - rows.start
-        noise = np.empty((n_steps, c, n, n), dtype=complex)
-        z = np.empty((n_steps, 2, n, n))  # one path's draw, as in the Laguerre lift
-        for k, gen in enumerate(gens):
-            gen.standard_normal(out=z)
-            noise.real[:, k] = z[:, 0]
-            noise.imag[:, k] = z[:, 1]
-        return np.tile(x0a, (c, 1)), noise
-
     # eigvalsh sorts after every step; the sort orders a t = 0 start
     terminal, _, info = _run_paths(
-        Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * n * n, start,
-        lambda w, noise_i, h, i: _pickrell_lift_step(s, alpha, w, noise_i, h, i),
+        Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * n * n,
+        lambda rows, gens: np.tile(x0a, (rows.stop - rows.start, 1)),
+        lambda gens, c, k: _step_major(gens, c, k, (2, n, n)),
+        lambda w, z, h, i: _pickrell_lift_step(s, alpha, w, _complex_noise(z), h, i),
         lambda w: np.sort(np.clip(w, 0.0, None), axis=1), guard_key="clip_fraction")
     return terminal, info
 

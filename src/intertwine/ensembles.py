@@ -13,6 +13,8 @@ ensemble on [0,1]^N with second exponent beta = s.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .chamber import as_coords, vandermonde
@@ -67,12 +69,18 @@ def sample_pickrell(params: PickrellParams, n_samples: int, rng, *, return_info:
     Wisharts A and B of N + alpha and N + s degrees of freedom, taken as the
     squared singular values of C = T_B^-1 T_A for their Bartlett factors.
     Near s = -1 the law passes the float range: at s = -0.99 up to 0.1% of
-    rows hold inf, and x_1 = 0 where x_N / x_1 passes the SVD's range."""
+    rows hold inf, counted in one RuntimeWarning, and x_1 = 0 where x_N / x_1
+    passes the SVD's range."""
     if not params.s > -1:
         raise ValueError(f"s={params.s} must be > -1 for a finite ensemble")
     t_b = _bartlett(params.n + params.s, params.n, n_samples, rng)
     t_a = _bartlett(params.n + params.alpha, params.n, n_samples, rng)
-    out = radial_part_many(np.linalg.solve(t_b, t_a))
+    with np.errstate(over="ignore"):
+        out = radial_part_many(np.linalg.solve(t_b, t_a))
+    if n_inf := int(np.isinf(out).any(axis=1).sum()):
+        warnings.warn(f"{n_inf} of {n_samples} Pickrell draws at (s, alpha, N) = "
+                      f"({params.s}, {params.alpha}, {params.n}) passed the float range: inf",
+                      RuntimeWarning, stacklevel=1)
     return (out, {"method": "matrix-f"}) if return_info else out
 
 

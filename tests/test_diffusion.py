@@ -251,12 +251,12 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
     ref = {name: run() for name, run in runs.items()}
     again = {name: run() for name, run in runs.items()}
     # every run is one chunk at the default budgets; these end each in a ragged chunk:
-    # 48, 21, 3, 3 and 3 particle paths (pair budget 195 floats over N^2; N = 8 draws its
-    # noise path-major and steps through a step-major view of it) and 138 Laguerre-lift
-    # paths (360 noise floats each); a chunk's noise is then drawn 3, 2 and 1 paths at
-    # a time (fill budget 1300 floats over 200 N), so the last, 20-path Laguerre chunk
-    # and every 21-path Pickrell chunk end in a ragged fill too
-    monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
+    # 48, 21, 3, 3 and 3 particle paths (pair budget 195 floats over N^2) and 24 and 62
+    # Laguerre-lift paths (138 paths a chunk); a chunk's noise is then drawn 3, 2, 1 and
+    # 3 paths at a time (fill budget 1300 floats over 200 N, or over 30 steps of 12 lift
+    # floats), so the last, 20-path Laguerre chunk, every 21-path Pickrell chunk and the
+    # last, 62-path Ginibre-start lift chunk end in a ragged fill too
+    monkeypatch.setattr(diffusion, "_CHUNK_MAX_PATHS", 138)
     monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 3 * 49 + 48)
     monkeypatch.setattr(diffusion, "_FILL_FLOAT_BUDGET", 1300)
     threads = _noise_threads(monkeypatch)
@@ -266,8 +266,9 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
         for name, run in runs.items():
             threads.clear()
             chunked[name, cores] = run()
-            # a lift's chunk fills the float budget by itself, so lifts stay on the caller
-            if cores == 1 or "lift" in name:
+            # the column route (N <= 7, as in every lift here) stays on the caller,
+            # the tensor route goes to worker threads
+            if cores == 1 or "N8" not in name:
                 assert threads == {threading.get_ident()}, name
             else:
                 assert threads and threading.get_ident() not in threads, name
@@ -281,18 +282,58 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
 
 def test_euler_noise_in_blocks_is_the_noise_of_one_block(monkeypatch):
     cfg = SdeConfig(1e-3, 0.2)
+    lift = SdeConfig(1e-2, 0.29, Scheme.MATRIX_LIFT)
     runs = [lambda: simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 500, 305,
                                             snapshots_at=(0.05, 0.2)),
             lambda: simulate_pickrell_paths(PickrellParams(1.0, 0.5, 8), np.arange(1.0, 9.0),
-                                            cfg, 10, 325, snapshots_at=(0.1,))]
-    ref = [run() for run in runs]  # one block of all 200 steps each
-    # 7 steps of 1,000 floats (snapshot at step 50 mid-block, a last block of 4 steps)
-    # and 87 steps of 80 floats (N = 8 draws path-major; a last block of 26 steps)
+                                            cfg, 10, 325, snapshots_at=(0.1,)),
+            lambda: simulate_laguerre_matrix_paths(1, 2, None, lift, 200, 323, init="ginibre",
+                                                   snapshots_at=(0.15,)),
+            lambda: _three(*simulate_pickrell_matrix_paths(PickrellParams(1.0, 0.5, 3),
+                                                           (1.0, 2.0, 3.0), lift, 50, 326))]
+    ref = [run() for run in runs]  # one block of all steps each
+    # 7 steps of 1,000 floats (snapshot at step 50 mid-block, a last block of 4 steps),
+    # 87 steps of 80 floats (N = 8; a last block of 26 steps), 2 steps of 2,400 lift
+    # floats after the Ginibre start (snapshot at step 15 mid-block, a last block of 1
+    # step) and 7 steps of 900 (a last block of 1 step)
     monkeypatch.setattr(diffusion, "_BLOCK_FLOAT_BUDGET", 7000)
     for (term, snaps, info), run in zip(ref, runs):
         got = run()
         assert _same_bytes(term, got[0]) and info == got[2]
+        assert snaps.keys() == got[1].keys()
         assert all(_same_bytes(snaps[ts], got[1][ts]) for ts in snaps)
+
+
+def test_no_chunk_holds_more_noise_than_the_block_budget(monkeypatch):
+    """Every draw of every simulator returns at most _BLOCK_FLOAT_BUDGET
+    floats, also where a lift's noise per path-step caps its chunks."""
+    draws = []
+    run_paths = diffusion._run_paths
+
+    def recording(scheme, cfg, n_paths, master_seed, n, noise_floats, start, draw, *args,
+                  **kwargs):
+        def recorded(gens, c, k):
+            noise = draw(gens, c, k)
+            assert noise.shape[:2] == (k, c) and noise.size == k * c * noise_floats
+            draws.append((noise_floats, c, noise.size))
+            return noise
+        return run_paths(scheme, cfg, n_paths, master_seed, n, noise_floats, start, recorded,
+                         *args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "_run_paths", recording)
+    budget = 2000
+    monkeypatch.setattr(diffusion, "_BLOCK_FLOAT_BUDGET", budget)
+    lift = SdeConfig(1e-2, 0.05, Scheme.MATRIX_LIFT)
+    cfg = SdeConfig(1e-2, 0.05)
+    p = PickrellParams(1.0, 0.5, 3)
+    simulate_laguerre_paths(0.0, 2, (1.0, 2.0), cfg, 1500, 360)
+    simulate_pickrell_paths(p, (1.0, 2.0, 3.0), cfg, 100, 361)
+    simulate_laguerre_matrix_paths(1, 2, None, lift, 400, 362, init="ginibre")
+    simulate_pickrell_matrix_paths(p, (1.0, 2.0, 3.0), lift, 400, 363)
+    assert {floats for floats, _, _ in draws} == {2, 3, 12, 18}
+    assert max(size for _, _, size in draws) <= budget
+    # the lifts' chunks are capped at 166 and 111 paths, a step's noise fitting the budget
+    assert {c for floats, c, _ in draws if floats >= 12} == {166, 68, 111, 67}
 
 
 def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
@@ -374,10 +415,9 @@ def test_pickrell_matrix_paths_chunk_independent(monkeypatch):
     cfg = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)
     term, info = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
     again, info_again = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
-    # one chunk at the default budget; this one ends in a ragged chunk of 92 of the 300
-    # paths (208 paths of 240 noise floats each), whose noise fills the float budget, so
-    # the chunks run on the caller one at a time whatever the core count
-    monkeypatch.setattr(diffusion, "_CHUNK_FLOAT_BUDGET", 5e4)
+    # one chunk at the default cap; this one ends in a ragged chunk of 92 of the 300
+    # paths, and N = 2 keeps the chunks on the caller one at a time whatever the core count
+    monkeypatch.setattr(diffusion, "_CHUNK_MAX_PATHS", 208)
     threads = _noise_threads(monkeypatch)
     for cores in (1, 4):
         monkeypatch.setattr(diffusion, "_CORES", cores)
@@ -401,6 +441,16 @@ def test_t0_gives_ascending_rows_and_the_same_info_keys(simulate):
     assert np.allclose(term, [1.0, 2.0, 3.0], rtol=1e-12) and np.all(np.diff(term, axis=1) > 0)
     later = simulate(SdeConfig(1e-2, 0.02), SdeConfig(1e-2, 0.02, Scheme.MATRIX_LIFT))[2]
     assert info.keys() == later.keys() and info["n_steps"] == 0 and info["n_paths"] == 4
+
+
+def test_laguerre_lift_refuses_a_start_its_init_does_not_use():
+    lift = SdeConfig(1e-2, 0.1, Scheme.MATRIX_LIFT)
+    for x0, init, match in [(None, "diag", "needs a starting configuration"),
+                            ((1.0, 2.0), "ginibre", "x0 must be None"),
+                            ((-5.0, np.nan), "ginibre", "x0 must be None"),
+                            ((1.0, 2.0), "stationary", "unknown init")]:
+        with pytest.raises(ValueError, match=match):
+            simulate_laguerre_matrix_paths(1, 2, x0, lift, 3, 0, init=init)
 
 
 def test_matrix_lift_requires_scheme_tag():
@@ -496,15 +546,17 @@ def test_pickrell_spectral_step_couples_to_the_matrix_step(n):
 @pytest.mark.parametrize("lift, m, n", [("laguerre-diag", 3, 2), ("laguerre-ginibre", 3, 2),
                                          ("pickrell", 3, 3)])
 def test_lift_chunk_noise_bit_identical_to_the_complex_temporary_fill(monkeypatch, lift, m, n):
-    """Each lift draws its chunk noise into one reused float buffer and copies
-    it into the real and imaginary parts; every path's normals come out in
-    the order, and with the bits, of the per-path complex temporary."""
-    starts = []
+    """Each lift draws its chunk noise through the shared drawer, _step_major,
+    as (steps, paths, 2, m, n) floats and makes each step's complex noise of
+    them; every path's normals come out in the order, and with the bits, of
+    the per-path complex temporary, after the Ginibre start where there is one."""
+    calls = []
     run_paths = diffusion._run_paths
 
-    def capture(scheme, cfg, n_paths, master_seed, dim, noise_floats, start, *args, **kwargs):
-        starts.append((master_seed, start))
-        return run_paths(scheme, cfg, n_paths, master_seed, dim, noise_floats, start,
+    def capture(scheme, cfg, n_paths, master_seed, dim, noise_floats, start, draw, *args,
+                **kwargs):
+        calls.append((master_seed, start, draw))
+        return run_paths(scheme, cfg, n_paths, master_seed, dim, noise_floats, start, draw,
                          *args, **kwargs)
 
     monkeypatch.setattr(diffusion, "_run_paths", capture)
@@ -516,10 +568,13 @@ def test_lift_chunk_noise_bit_identical_to_the_complex_temporary_fill(monkeypatc
     else:
         simulate_laguerre_matrix_paths(m - n, n, None if ginibre else x0, cfg, 2, 351,
                                        init="ginibre" if ginibre else "diag")
-    [(seed, start)] = starts
+    [(seed, start, draw)] = calls
     paths, n_steps = range(7, 1507), 40
-    state, noise = start(slice(7, 1507), (diffusion.path_generator(seed, i) for i in paths),
-                         n_steps)
+    gens = [diffusion.path_generator(seed, i) for i in paths]
+    state = start(slice(7, 1507), gens)
+    z = draw(gens, len(gens), n_steps)
+    assert z.shape == (n_steps, len(gens), 2, m, n)
+    noise = np.stack([diffusion._complex_noise(step) for step in z])
     want_starts, want = ref_lift_chunk((diffusion.path_generator(seed, i) for i in paths),
                                        n_steps, m, n, ginibre=ginibre)
     assert same_bits(noise.view(float), want.view(float))

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from intertwine import ensembles
 from intertwine.diffusion import PickrellParams, SdeConfig, simulate_laguerre_paths
 from intertwine.ensembles import (jacobi_ensemble_density_unnorm, jacobi_map,
                                   jacobi_map_inverse, laguerre_density_unnorm,
@@ -79,8 +81,17 @@ def test_pickrell_rows_are_finite_positive_and_strictly_increasing(s, alpha, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pickrell_near_s_minus_one_draws_without_nan(n):
     # Gamma(0.01) draws underflow to 0 without the floor, and the solve fails
-    with np.errstate(over="ignore"):  # a few rows pass the float range: inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         x = sample_pickrell(PickrellParams(-0.99, 0.0, n), 20_000, generator(445))
+    # a few rows pass the float range: one warning from the sampler itself counts them
+    n_inf = {1: 0, 2: 4, 3: 16}[n]
+    assert int(np.isinf(x).any(axis=1).sum()) == n_inf
+    want = [f"{n_inf} of 20000 Pickrell draws at (s, alpha, N) = (-0.99, 0.0, {n}) "
+            "passed the float range: inf"] if n_inf else []
+    assert [str(w.message) for w in caught] == want
+    assert all(w.category is RuntimeWarning and w.filename == ensembles.__file__
+               for w in caught)
     assert not np.any(np.isnan(x)) and np.all(x >= 0)
     assert np.all(np.diff(x, axis=1) >= 0)
 
