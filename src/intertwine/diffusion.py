@@ -371,20 +371,23 @@ def _sort_rows(x: np.ndarray) -> None:
 
 def _step_major(gens, c: int, k: int, shape: tuple) -> np.ndarray:
     """(k, c, *shape) standard normals; path p's (k, *shape) draws come from
-    the p-th of ``gens``.  As many paths as fit _FILL_FLOAT_BUDGET floats are
-    drawn into one buffer at a time and put in place one coordinate at a
-    time, along the paths."""
+    the p-th of ``gens``.  They are drawn into a buffer of _FILL_FLOAT_BUDGET
+    floats, or of one step where that is more, and each fill is put in place
+    with one copy: as many whole paths as fit at a time, or, when one path's
+    k steps do not, that path's steps a run at a time (a generator fills in
+    two calls what it fills in one)."""
     f = int(np.prod(shape))
     noise = np.empty((k, c, f))
     per_fill = max(1, min(c, _FILL_FLOAT_BUDGET // (k * f)))
-    buf = np.empty((per_fill, k, f))
-    gens = iter(gens)
+    steps = max(1, min(k, _FILL_FLOAT_BUDGET // f))  # k when a fill holds whole paths
+    buf = np.empty((per_fill, steps, f))
     for lo in range(0, c, per_fill):
-        block = buf[:c - lo]
-        for path in block:
-            next(gens).standard_normal(out=path)
-        for j in range(f):
-            noise[:, lo:lo + len(block), j] = block[:, :, j].T
+        fill_gens = gens[lo:lo + per_fill]
+        for s in range(0, k, steps):
+            fill = buf[:len(fill_gens), :k - s]
+            for gen, path in zip(fill_gens, fill):
+                gen.standard_normal(out=path)
+            noise[s:s + fill.shape[1], lo:lo + len(fill)] = fill.swapaxes(0, 1)
     return noise.reshape(k, c, *shape)
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import hypothesis
 import numpy as np
@@ -255,7 +256,8 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
     # Laguerre-lift paths (138 paths a chunk); a chunk's noise is then drawn 3, 2, 1 and
     # 3 paths at a time (fill budget 1300 floats over 200 N, or over 30 steps of 12 lift
     # floats), so the last, 20-path Laguerre chunk, every 21-path Pickrell chunk and the
-    # last, 62-path Ginibre-start lift chunk end in a ragged fill too
+    # last, 62-path Ginibre-start lift chunk end in a ragged fill too; at N = 7 and 8 one
+    # path's 200 steps do not fit a fill and are drawn in runs of 185 and 162 steps
     monkeypatch.setattr(diffusion, "_CHUNK_MAX_PATHS", 138)
     monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 3 * 49 + 48)
     monkeypatch.setattr(diffusion, "_FILL_FLOAT_BUDGET", 1300)
@@ -334,6 +336,24 @@ def test_no_chunk_holds_more_noise_than_the_block_budget(monkeypatch):
     assert max(size for _, _, size in draws) <= budget
     # the lifts' chunks are capped at 166 and 111 paths, a step's noise fitting the budget
     assert {c for floats, c, _ in draws if floats >= 12} == {166, 68, 111, 67}
+
+
+def test_a_block_larger_than_the_fill_buffer_is_held_once():
+    """One N = 256 path (the pair cap's chunk there) draws a whole 8 MB block
+    of 4,096 steps; the drawer fills it a run of steps at a time, so it holds
+    the block and at most one fill buffer, and the path's normals keep the
+    order and bits of one draw."""
+    k = diffusion._BLOCK_FLOAT_BUDGET // 256
+    assert diffusion._PAIR_FLOAT_BUDGET // 256**2 == 1 and 256 * k > diffusion._FILL_FLOAT_BUDGET
+    tracemalloc.start()
+    try:
+        noise = diffusion._step_major([np.random.default_rng(9)], 1, k, (256,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert noise.shape == (k, 1, 256)
+    assert peak < noise.nbytes + 8 * diffusion._FILL_FLOAT_BUDGET + 2**16
+    assert same_bits(noise[:, 0], np.random.default_rng(9).standard_normal((k, 256)))
 
 
 def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
