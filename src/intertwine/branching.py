@@ -9,6 +9,11 @@ branching sum.  Under diffusive scaling (partitions ~ kappa * lambda,
 kappa -> infinity after taking square roots of coordinates) the kernel rows
 converge to the continuous (N+1 -> N) alpha-link of ``kernels``.
 
+One batched row serves every N: the branching weight B(m, l) is an
+m-part times an l-part, so the sum over each coordinate of the
+intermediate partition is a difference of one compensated prefix sum of
+the m-part, and every target of a row comes from the same few array passes.
+
 Gamma-heavy quantities are evaluated in log-space; scaling tests push
 arguments past 10^3 where direct Gamma overflows.
 
@@ -20,7 +25,6 @@ to one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +46,6 @@ __all__ = [
     "coef_A",
     "coef_c",
     "log_coef_c",
-    "discrete_kernel",
     "kernel_row",
     "compare_scaling_limit",
 ]
@@ -145,48 +148,64 @@ def mv_jacobi(lam, xs, params: JacobiParams) -> float:
     return float(np.linalg.det(mat) / den)
 
 
-def log_mv_jacobi_at_one(lam, n: int, params: JacobiParams) -> float:
-    """log of the (positive) closed-form value at the all-ones vector."""
-    lam = _as_partition(lam)
-    parts = lam.padded(n)
+def _log_c_rows(parts: np.ndarray, n: int, alpha: float) -> np.ndarray:
+    """log c per row of the (T, n) integer parts."""
+    out = np.full(len(parts), n * _lgamma(alpha + 1.0))
+    for i in range(1, n + 1):
+        k = parts[:, i - 1] + n - i
+        out += _lgamma(k + 1.0) - _lgamma(k + alpha + 1.0)
+    return out
+
+
+def _log_cp_rows(parts: np.ndarray, n: int, params: JacobiParams) -> np.ndarray:
+    """log c_lam P_lam(1_n) per row of the (T, n) integer parts.  The factors
+    Gamma(k_i+a+1)/Gamma(k_i+1) of P(1_n) cancel against c, so no large
+    log-gamma of a part enters, and at n = 1 the value is exactly 0."""
     a = params.alpha
     two_sigma = 2.0 * params.sigma
-    out = -n * (n - 1) / 2.0 * math.log(2.0)
+    out = np.full(len(parts), n * _lgamma(a + 1.0) - n * (n - 1) / 2.0 * math.log(2.0))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            out += math.log(parts[i - 1] - parts[j - 1] + j - i)
-            out += math.log(parts[i - 1] + parts[j - 1] + 2 * n - i - j + two_sigma)
-    for i in range(1, n + 1):
-        k = parts[i - 1] + n - i
-        out += _lgamma(k + a + 1.0) - _lgamma(k + 1.0) - _lgamma(n - i + a + 1.0) - _lgamma(i)
-    return float(out)
+            out += _libm(math.log, parts[:, i - 1] - parts[:, j - 1] + (j - i))
+            out += _libm(math.log, parts[:, i - 1] + parts[:, j - 1] + (2 * n - i - j) + two_sigma)
+        out -= _lgamma(n - i + a + 1.0) + _lgamma(i)
+    return out
+
+
+def log_mv_jacobi_at_one(lam, n: int, params: JacobiParams) -> float:
+    """log of the (positive) closed-form value at the all-ones vector."""
+    parts = np.array([_as_partition(lam).padded(n)])
+    return float(_log_cp_rows(parts, n, params)[0] - _log_c_rows(parts, n, params.alpha)[0])
 
 
 def mv_jacobi_at_one(lam, n: int, params: JacobiParams) -> float:
     return float(np.exp(log_mv_jacobi_at_one(lam, n, params)))
 
 
-def _log_l_block(l, a: float, b: float):
-    """log of (2l+a+b+1) Gamma(l+a+b+1), grouped so l = 0 has no pole:
-    there it equals Gamma(a+b+2) exactly."""
+def _log_B_m(m, params: JacobiParams):
+    """The m-part of log B(m, l), log 2 included."""
+    a, b = params.alpha, params.beta
+    m = np.asarray(m, dtype=float)
+    return (np.log(2.0 * m + a + b + 2.0) + _lgamma(m + b + 1.0) + _lgamma(m + 1.0)
+            - math.log(2.0) - _lgamma(m + a + b + 2.0) - _lgamma(m + a + 2.0))
+
+
+def _log_B_l(l, params: JacobiParams):
+    """The l-part of log B(m, l).  Its factor (2l+a+b+1) Gamma(l+a+b+1) is
+    grouped so l = 0 has no pole: there it equals Gamma(a+b+2) exactly."""
+    a, b = params.alpha, params.beta
     l = np.asarray(l, dtype=float)
     safe = np.where(l >= 1, l, 1.0)
-    general = np.log(2.0 * safe + a + b + 1.0) + _lgamma(safe + a + b + 1.0)
-    return np.where(l >= 1, general, _lgamma(a + b + 2.0))
+    block = np.where(l >= 1, np.log(2.0 * safe + a + b + 1.0) + _lgamma(safe + a + b + 1.0),
+                     _lgamma(a + b + 2.0))
+    return block + _lgamma(l + a + 1.0) - _lgamma(l + b + 1.0) - _lgamma(l + 1.0)
 
 
 def log_coef_B(m, l, params: JacobiParams):
     """log B(m, l); the weight is strictly positive for alpha, beta > -1."""
-    a, b = params.alpha, params.beta
-    m = np.asarray(m, dtype=float)
-    l = np.asarray(l, dtype=float)
-    if np.any(m < 0) or np.any(l < 0):
+    if np.any(np.asarray(m) < 0) or np.any(np.asarray(l) < 0):
         raise ValueError("B(m, l) needs m, l >= 0")
-    out = (np.log(2.0 * m + a + b + 2.0) + _lgamma(m + b + 1.0) + _lgamma(m + 1.0)
-           + _log_l_block(l, a, b) + _lgamma(l + a + 1.0)
-           - math.log(2.0) - _lgamma(m + a + b + 2.0) - _lgamma(m + a + 2.0)
-           - _lgamma(l + b + 1.0) - _lgamma(l + 1.0))
-    return out
+    return _log_B_m(m, params) + _log_B_l(l, params)
 
 
 def coef_B(m: int, l: int, params: JacobiParams) -> float:
@@ -203,13 +222,7 @@ def coef_A(mu, nu, n: int, params: JacobiParams) -> float:
 
 
 def log_coef_c(lam, n: int, alpha: float) -> float:
-    lam = _as_partition(lam)
-    parts = lam.padded(n)
-    out = n * _lgamma(alpha + 1.0)
-    for i in range(1, n + 1):
-        k = parts[i - 1] + n - i
-        out += _lgamma(k + 1.0) - _lgamma(k + alpha + 1.0)
-    return float(out)
+    return float(_log_c_rows(np.array([_as_partition(lam).padded(n)]), n, alpha)[0])
 
 
 def coef_c(lam, n: int, alpha: float) -> float:
@@ -217,39 +230,39 @@ def coef_c(lam, n: int, alpha: float) -> float:
     return float(np.exp(log_coef_c(lam, n, alpha)))
 
 
-def _mu_ranges(lam_p, nu_p, n):
-    """Per-coordinate bounds for the intermediate partition: the interlacing
-    constraints are independent boxes, so the branching sum over mu factors."""
-    ranges = []
-    for i in range(1, n + 1):
-        lo = max(lam_p[i], nu_p[i - 1])
-        hi = min(lam_p[i - 1], nu_p[i - 2]) if i >= 2 else lam_p[i - 1]
-        ranges.append((lo, hi))
-    return ranges
+def _row(lam, n: int, params: JacobiParams):
+    """Every target of the row at lam, as (T, n) integer parts in
+    lexicographic order, and its weight.
 
-
-def discrete_kernel(lam, nu, params: JacobiParams, n: int | None = None) -> float:
-    """Transition weight from a length-(N+1) partition to a length-N one.
-
-    Sums (c_nu / c_lam) A_{mu,nu} P_nu(1_N)/P_lam(1_{N+1}) over intermediate
-    partitions mu interlacing both; zero when no mu exists.
+    The weight of nu sums (c_nu / c_lam) A_{mu,nu} P_nu(1_N)/P_lam(1_{N+1})
+    over the intermediate partitions mu interlacing both.  Those constraints
+    are independent boxes lo_i <= mu_i <= hi_i, and B(m, l) is an m-part
+    times an l-part, so each coordinate's sum over mu_i is a difference of
+    one compensated prefix sum of the m-part.
     """
-    lam = _as_partition(lam)
-    nu = _as_partition(nu)
-    if n is None:
-        n = max(lam.length - 1, nu.length, 1)
-    lam_p = lam.padded(n + 1)
-    nu_p = nu.padded(n)
-    ranges = _mu_ranges(lam_p, nu_p, n)
-    if any(lo > hi for lo, hi in ranges):
-        return 0.0
-    log_base = (log_coef_c(nu, n, params.alpha) - log_coef_c(lam, n + 1, params.alpha)
-                + log_mv_jacobi_at_one(nu, n, params) - log_mv_jacobi_at_one(lam, n + 1, params))
-    total = np.exp(log_base)
-    for i, (lo, hi) in enumerate(ranges, start=1):
-        ms = np.arange(lo, hi + 1) + (n + 1) - i - 1
-        total *= np.exp(log_coef_B(ms, nu_p[i - 1] + (n + 1) - i - 1, params)).sum()
-    return float(total)
+    lam_p = np.array(_as_partition(lam).padded(n + 1))
+    # nu_i runs over [lam_{i+2}, lam_i] (lam_{N+2} = 0), non-increasing in i
+    lows = np.append(lam_p[2:], 0)[:n]
+    sizes = lam_p[:n] - lows + 1
+    nus = np.indices(sizes).reshape(n, int(np.prod(sizes))).T + lows
+    nus = nus[np.all(nus[:, :-1] >= nus[:, 1:], axis=1)]
+    ms = np.arange(lam_p[0] + n)  # every shifted argument m, l <= lam_1 + N - 1
+    f = np.exp(_log_B_m(ms, params))
+    cum = np.concatenate([[0.0], np.cumsum(f)])
+    # each prefix step's rounding error (TwoSum), summed apart: a window deep
+    # in the prefix sums keeps its relative precision where f decays fast
+    step = cum[1:] - cum[:-1]
+    err = np.concatenate([[0.0], np.cumsum((cum[:-1] - (cum[1:] - step)) + (f - step))])
+    log_l = _log_B_l(ms, params)
+    log_w = _log_cp_rows(nus, n, params) - _log_cp_rows(lam_p[None, :], n + 1, params)[0]
+    sums = 1.0
+    for i in range(n):
+        shift = n - 1 - i
+        lo = np.maximum(lam_p[i + 1], nus[:, i]) + shift
+        hi = (np.minimum(lam_p[i], nus[:, i - 1]) if i else lam_p[0]) + shift
+        log_w += log_l[nus[:, i] + shift]
+        sums = sums * ((cum[hi + 1] - cum[lo]) + (err[hi + 1] - err[lo]))
+    return nus, np.exp(log_w) * sums
 
 
 def kernel_row(lam, n: int, params: JacobiParams):
@@ -257,36 +270,8 @@ def kernel_row(lam, n: int, params: JacobiParams):
 
     Returns (list of Partition, array of probabilities).
     """
-    lam = _as_partition(lam)
-    lam_p = lam.padded(n + 1)
-    boxes = [range(lam_p[i + 2] if i + 2 <= n else 0, lam_p[i] + 1) for i in range(n)]
-    targets, probs = [], []
-    for nu_tuple in itertools.product(*boxes):
-        if any(nu_tuple[i] < nu_tuple[i + 1] for i in range(n - 1)):
-            continue
-        nu = Partition(nu_tuple)
-        targets.append(nu)
-        probs.append(discrete_kernel(lam, nu, params, n=n))
-    return targets, np.asarray(probs)
-
-
-def _kernel_row_1d(lam, params: JacobiParams):
-    """Vectorized single-coordinate row (used at scaled sizes)."""
-    lam = _as_partition(lam)
-    l1, l2 = lam.padded(2)
-    a, b = params.alpha, params.beta
-    ms = np.arange(0, l1 + 1, dtype=float)
-    f = np.exp(np.log(2.0 * ms + a + b + 2.0) + _lgamma(ms + b + 1.0) + _lgamma(ms + 1.0)
-               - math.log(2.0) - _lgamma(ms + a + b + 2.0) - _lgamma(ms + a + 2.0))
-    cum_f = np.cumsum(f)
-    nus = np.arange(0, l1 + 1)
-    lo = np.maximum(nus, l2)
-    tail = cum_f[l1] - np.where(lo >= 1, cum_f[np.maximum(lo - 1, 0)], 0.0)
-    log_g = _log_l_block(nus, a, b) + _lgamma(nus + a + 1.0) - _lgamma(nus + b + 1.0) - _lgamma(nus + 1.0)
-    # for single-part partitions nu, c_nu P_nu(1_1) = 1, so only lambda's factors remain
-    log_base = -log_coef_c(lam, 2, a) - log_mv_jacobi_at_one(lam, 2, params)
-    probs = np.exp(log_base + log_g) * tail
-    return nus, probs
+    nus, probs = _row(lam, n, params)
+    return [Partition(tuple(nu)) for nu in nus.tolist()], probs
 
 
 def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
@@ -311,18 +296,16 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
     scaled = lam.scaled(kappa)
     x_sq = np.sort(np.asarray(lam.parts, dtype=float) ** 2)
 
+    nus, probs = _row(scaled, n, params)
+    mass = float(probs.sum())
     if n == 1:
-        nus, probs = _kernel_row_1d(scaled, params)
-        mass = float(probs.sum())
         disc_cdf = np.cumsum(probs)
-        grid = (nus + 0.5) / kappa
+        grid = (nus[:, 0] + 0.5) / kappa
         cont_cdf = _cdf_1d_on_grid(params.alpha, x_sq, grid)
         sup = float(np.max(np.abs(disc_cdf - cont_cdf)))
         return {"sup_discrepancy": sup, "row_mass": mass, "kappa": kappa, "n": n}
 
-    targets, probs = kernel_row(scaled, n, params)
-    mass = float(probs.sum())
-    pts = np.array([t.padded(n)[::-1] for t in targets], dtype=float)  # ascending pairs
+    pts = nus[:, ::-1].astype(float)  # ascending pairs
     # continuous joint CDF from a cumulative midpoint table in the squared
     # coordinates (midpoint resolution ~ 1e-3 is ample on this grid of CDF queries)
     m_cells = 400

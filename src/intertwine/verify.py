@@ -335,6 +335,13 @@ def energy_perm_test(a, b, n_perm: int, rng, threshold: float = P_THRESHOLD,
         raise ValueError("energy test needs at least 100 points per sample")
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share a dimension")
+    # a non-finite row decides the test (in 1-D an inf makes every statistic
+    # inf, so all tie and p = 1); refuse it before any draw
+    for label, sample in (("a", a), ("b", b)):
+        bad = int(np.count_nonzero(~np.isfinite(sample).all(axis=1)))
+        if bad:
+            raise ValueError(f"energy test: {bad} of the {len(sample)} rows of sample {label} "
+                             "are not finite")
     full_na, full_nb = a.shape[0], b.shape[0]
     if a.shape[0] > max_points:
         a = a[rng.choice(a.shape[0], size=max_points, replace=False)]

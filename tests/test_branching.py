@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from intertwine.branching import (JacobiParams, _cum_density_table, _lgamma, coef_A, coef_B,
-                                  coef_c, compare_scaling_limit, discrete_kernel,
+                                  coef_c, compare_scaling_limit,
                                   jacobi_p, jacobi_p_at_one, kernel_row,
                                   leading_k, log_mv_jacobi_at_one, mv_jacobi,
                                   mv_jacobi_at_one)
@@ -174,9 +174,12 @@ def test_discrete_kernel_zero_partition():
 
 def test_discrete_kernel_hand_computed_row():
     # lambda = (1, 0), flat weight: both targets carry probability 1/2
-    assert discrete_kernel(Partition((1, 0)), Partition((0,)), P00) == pytest.approx(0.5)
-    assert discrete_kernel(Partition((1, 0)), Partition((1,)), P00) == pytest.approx(0.5)
-    assert discrete_kernel(Partition((2, 0)), Partition((5,)), P00) == 0.0
+    targets, probs = kernel_row(Partition((1, 0)), 1, P00)
+    table = {t.parts: p for t, p in zip(targets, probs)}
+    assert table == pytest.approx({(0,): 0.5, (1,): 0.5})
+    # (5,) does not interlace (2, 0), so it is no target
+    targets, _ = kernel_row(Partition((2, 0)), 1, P00)
+    assert [t.parts for t in targets] == [(0,), (1,), (2,)]
 
 
 def test_row_sums_are_one():
@@ -187,41 +190,38 @@ def test_row_sums_are_one():
                 assert abs(probs.sum() - 1.0) < 1e-10, (lam, n, params)
 
 
-def test_kernel_row_matches_vectorized_1d():
-    from intertwine.branching import _kernel_row_1d
-    params = JacobiParams(1.0, 0.5)
-    lam = Partition((5, 2))
-    targets, probs = kernel_row(lam, 1, params)
-    nus, fast = _kernel_row_1d(lam, params)
-    table = dict(zip(nus, fast))
-    for t, p in zip(targets, probs):
-        assert p == pytest.approx(table[t.parts[0] if t.parts else 0], rel=1e-12)
-
-
 def test_two_step_regrouping_equals_kernel():
     # grouping the double branching sum by the intermediate partition must
-    # reproduce the factored kernel evaluation exactly
-    params = JacobiParams(1.0, 0.0)
-    lam = Partition((3, 1, 0))
-    n = 2
-    targets, probs = kernel_row(lam, n, params)
-    lam_p = lam.padded(n + 1)
-    for t, p in zip(targets, probs):
-        nu_p = t.padded(n)
-        direct = 0.0
-        mu_boxes = [range(lam_p[i + 1], lam_p[i] + 1) for i in range(n)]
-        for mu in itertools.product(*mu_boxes):
-            if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-                continue
-            if any(nu_p[i] > mu[i] for i in range(n)):
-                continue
-            if any(i + 1 < n and nu_p[i] < mu[i + 1] for i in range(n)):
-                continue
-            direct += (coef_c(t, n, params.alpha) / coef_c(lam, n + 1, params.alpha)
-                       * coef_A(Partition(mu), t, n + 1, params)
+    # reproduce the factored kernel evaluation, whose sums over mu are
+    # differences of prefix sums
+    for lam_parts, params in [
+        ((3, 1, 0), JacobiParams(1.0, 0.0)),
+        ((5, 2), JacobiParams(1.0, 0.5)),
+        ((3, 2, 1, 0), JacobiParams(-0.4, 0.6)),
+        # scaled, with the m-part of B decaying like m^-5: the windows of mu_i
+        # lie deep in the prefix sums, and uncompensated sums miss by 6e-12
+        ((30, 20, 10), JacobiParams(2.0, 3.0)),
+    ]:
+        lam = Partition(lam_parts)
+        n = lam.length - 1
+        targets, probs = kernel_row(lam, n, params)
+        lam_p = lam.padded(n + 1)
+        mus = [mu for mu in itertools.product(*[range(lam_p[i + 1], lam_p[i] + 1)
+                                                for i in range(n)])
+               if all(mu[i] >= mu[i + 1] for i in range(n - 1))]
+        for t, p in zip(targets, probs):
+            nu_p = t.padded(n)
+            direct = 0.0
+            for mu in mus:
+                if any(nu_p[i] > mu[i] for i in range(n)):
+                    continue
+                if any(nu_p[i] < mu[i + 1] for i in range(n - 1)):
+                    continue
+                direct += coef_A(Partition(mu), t, n + 1, params)
+            direct *= (coef_c(t, n, params.alpha) / coef_c(lam, n + 1, params.alpha)
                        * math.exp(log_mv_jacobi_at_one(t, n, params)
                                   - log_mv_jacobi_at_one(lam, n + 1, params)))
-        assert direct == pytest.approx(p, rel=1e-12, abs=1e-15)
+            assert direct == pytest.approx(p, rel=1e-12, abs=1e-15), (lam_parts, params, t)
 
 
 def test_scaling_limit_small_kappa():

@@ -79,17 +79,23 @@ def test_simulate_outputs_paths(tmp_path):
 
 
 def test_branching_row_and_limit(tmp_path, capsys):
-    f = tmp_path / "row.csv"
-    code = main(["branching", "--alpha", "0", "--beta", "0", "--lam", "2,1",
-                 "--out", str(f), "--kappa", "40"])
-    out = capsys.readouterr().out
-    assert code == 0
-    lines = f.read_text().splitlines()
-    assert lines[0] == "nu1,probability"
-    probs = [float(line.split(",")[-1]) for line in lines[1:]]
-    assert sum(probs) == pytest.approx(1.0, abs=1e-10)
-    payload = json.loads(out)
-    assert payload["result"]["sup_discrepancy"] < 0.05
+    # N = 1, and N = 2 with its two-dimensional limit.  The CSV keeps 9
+    # significant digits, so its rows sum to 1 within 5e-9 only; the three
+    # N = 1 rows happen to round to an exact sum
+    for lam, kappa, header, tol in (("2,1", "40", "nu1,probability", 1e-10),
+                                    ("3,2,1", "10", "nu1,nu2,probability", 5e-9)):
+        f = tmp_path / "row.csv"
+        code = main(["branching", "--alpha", "0", "--beta", "0", "--lam", lam,
+                     "--out", str(f), "--kappa", kappa])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = f.read_text().splitlines()
+        assert lines[0] == header
+        probs = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert sum(probs) == pytest.approx(1.0, abs=tol)
+        payload = json.loads(out)
+        assert payload["result"]["n"] == lam.count(",")
+        assert payload["result"]["sup_discrepancy"] < 0.05
 
 
 def test_verify_identities_suite(tmp_path):

@@ -117,6 +117,27 @@ def test_energy_test_requires_min_size():
     assert rep.p_value == 0.01 and not rep.passed
 
 
+def test_energy_test_refuses_non_finite_rows():
+    data = generator(30)
+    a = data.normal(size=(200, 2))
+    b = data.normal(size=(3000, 2))
+    rng = generator(31)
+    state = rng.bit_generator.state
+    # in 1-D one inf row made the observed and every permuted statistic inf,
+    # so the test passed with p = 1 although b is shifted by 5
+    with pytest.raises(ValueError, match="1 of the 201 rows of sample a are not finite"):
+        energy_perm_test(np.r_[a[:, 0], np.inf], b[:, 0] + 5.0, 99, rng)
+    # in d >= 2 the statistic came out NaN and the test failed at the floor p
+    b_bad = b.copy()
+    b_bad[[3, 2999], 0] = np.nan
+    b_bad[5] = -np.inf
+    with pytest.raises(ValueError, match="3 of the 3000 rows of sample b are not finite"):
+        energy_perm_test(a, b_bad, 99, rng)
+    # refused before any draw: subsampling b would have drawn from rng
+    assert rng.bit_generator.state == state
+    assert energy_perm_test(a, b, 99, rng).passed
+
+
 def test_energy_test_subsamples_large_inputs():
     rng = generator(4)
     a = rng.normal(size=6000)
