@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from intertwine.branching import (JacobiParams, _cum_density_table, _lgamma, coef_A, coef_B,
                                   coef_c, compare_scaling_limit,
                                   jacobi_p, jacobi_p_at_one, kernel_row,
-                                  leading_k, log_mv_jacobi_at_one, mv_jacobi,
+                                  leading_k, log_coef_B, log_coef_c,
+                                  log_mv_jacobi_at_one, mv_jacobi,
                                   mv_jacobi_at_one)
 from intertwine.chamber import Partition
 from intertwine.rng import generator
@@ -188,6 +189,23 @@ def test_row_sums_are_one():
             for lam in partitions_up_to(6, n + 1):
                 _, probs = kernel_row(lam, n, params)
                 assert abs(probs.sum() - 1.0) < 1e-10, (lam, n, params)
+
+
+def test_kernel_row_matches_vectorized_1d():
+    # at N = 1 each target (k,) sums B(m, k) over m in [max(k, l2), l1], and
+    # c_nu P_nu(1_1) = 1 for one-part nu, so only lambda's factors remain
+    params = JacobiParams(1.0, 0.5)
+    lam = Partition((5, 2))
+    l1, l2 = lam.padded(2)
+    targets, probs = kernel_row(lam, 1, params)
+    ks = np.arange(0, l1 + 1)
+    ms = np.arange(0, l1 + 1)
+    window = (ms[None, :] >= np.maximum(ks, l2)[:, None]) & (ms[None, :] <= l1)
+    b_grid = np.exp(log_coef_B(ms[None, :], ks[:, None], params))
+    fast = (np.where(window, b_grid, 0.0).sum(axis=1)
+            * math.exp(-log_coef_c(lam, 2, params.alpha) - log_mv_jacobi_at_one(lam, 2, params)))
+    assert [t.parts[0] if t.parts else 0 for t in targets] == list(ks)
+    assert probs == pytest.approx(fast, rel=1e-12)
 
 
 def test_two_step_regrouping_equals_kernel():
