@@ -3,7 +3,10 @@
 
 Prints the sup-CDF discrepancy between the rescaled kernel row at
 kappa * lambda and the continuous limit law for a geometric ladder of kappa
-values.  The discrepancy should decay roughly like 1/kappa.  CSV on stdout.
+values.  The discrepancy decays roughly like 1/kappa at N = 1 and, since the
+two-dimensional CDF is integrated by the error-controlled cubature, at N = 2
+as well: ``--lam 3,2,1`` reads 2.4e-2, 1.1e-2, 6.2e-3, 3.1e-3, 1.5e-3 at
+kappa = 25 ... 400.  CSV on stdout.
 """
 
 import argparse

@@ -7,7 +7,8 @@ all-ones vector through a closed product formula, yields a Markov kernel
 from partitions of length N+1 to partitions of length N via a two-step
 branching sum.  Under diffusive scaling (partitions ~ kappa * lambda,
 kappa -> infinity after taking square roots of coordinates) the kernel rows
-converge to the continuous (N+1 -> N) alpha-link of ``kernels``.
+converge to the continuous (N+1 -> N) alpha-link of ``kernels``, whose CDF
+the Gauss panel cubature of ``verify`` gives ``compare_scaling_limit``.
 
 One batched row serves every N: the branching weight B(m, l) is an
 m-part times an l-part, so the sum over each coordinate of the
@@ -280,8 +281,10 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
 
     The discrete variable Z/kappa is compared, through the change of
     variables y = nu^2 (weight 2 nu d nu per coordinate), against the
-    continuous (N+1 -> N) alpha-link at x = lambda^2.  CDFs are compared on
-    the lattice midpoints (k + 1/2)/kappa.  Returns a dict with the sup
+    continuous (N+1 -> N) alpha-link at x = lambda^2, whose CDF the Gauss
+    panel cubature of ``verify`` gives to 1.49e-8.  CDFs are compared on the
+    lattice midpoints (k + 1/2)/kappa at N = 1, and at N = 2 on the 12 x 12
+    grid j lambda_1/12 - 1/(2 kappa).  Returns a dict with the sup
     discrepancy and the row mass.
     """
     lam = _as_partition(lam)
@@ -293,44 +296,33 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
         raise ValueError("scaling comparison supports N = 1 or 2")
     if len(set(lam.parts)) != lam.length or min(lam.parts) < 1:
         raise ValueError("lambda needs distinct positive parts")
-    scaled = lam.scaled(kappa)
     x_sq = np.sort(np.asarray(lam.parts, dtype=float) ** 2)
 
-    nus, probs = _row(scaled, n, params)
-    mass = float(probs.sum())
+    nus, probs = _row(lam.scaled(kappa), n, params)
     if n == 1:
-        disc_cdf = np.cumsum(probs)
         grid = (nus[:, 0] + 0.5) / kappa
-        cont_cdf = _cdf_1d_on_grid(params.alpha, x_sq, grid)
-        sup = float(np.max(np.abs(disc_cdf - cont_cdf)))
-        return {"sup_discrepancy": sup, "row_mass": mass, "kappa": kappa, "n": n}
-
-    pts = nus[:, ::-1].astype(float)  # ascending pairs
-    # continuous joint CDF from a cumulative midpoint table in the squared
-    # coordinates (midpoint resolution ~ 1e-3 is ample on this grid of CDF queries)
-    m_cells = 400
-    cum, step = _cum_density_table(params.alpha, x_sq, m_cells)
-    grid1 = np.linspace(0.0, lam.parts[0], 13)[1:] - 0.5 / kappa
-    sup = 0.0
-    for a_v in grid1:
-        for b_v in grid1:
-            d_val = probs[(pts[:, 0] <= a_v * kappa) & (pts[:, 1] <= b_v * kappa)].sum()
-            i = min(int(a_v**2 / step), m_cells) - 1
-            j = min(int(b_v**2 / step), m_cells) - 1
-            c_val = cum[i, j] if (i >= 0 and j >= 0) else 0.0
-            sup = max(sup, abs(d_val - c_val))
-    return {"sup_discrepancy": float(sup), "row_mass": mass, "kappa": kappa, "n": n}
+        sup = np.max(np.abs(np.cumsum(probs) - _cdf_1d_on_grid(params.alpha, x_sq, grid)))
+    else:
+        pts = nus[:, ::-1].astype(float)  # ascending pairs
+        grid1 = np.linspace(0.0, lam.parts[0], 13)[1:] - 0.5 / kappa
+        sup = 0.0
+        for a_v in grid1:
+            for b_v in grid1:
+                d_val = probs[(pts[:, 0] <= a_v * kappa) & (pts[:, 1] <= b_v * kappa)].sum()
+                c_val = _cdf_2d(params.alpha, x_sq, a_v, b_v) if min(a_v, b_v) > 0 else 0.0
+                sup = max(sup, abs(d_val - c_val))
+    return {"sup_discrepancy": float(sup), "row_mass": float(probs.sum()), "kappa": kappa, "n": n}
 
 
-def _cum_density_table(alpha: float, x_sq: np.ndarray, m_cells: int):
-    """Cumulative midpoint sums of the (3 -> 2) link density at x_sq on an
-    m_cells x m_cells grid over [0, max x_sq]^2; returns (table, cell side)."""
-    step = float(x_sq[-1]) / m_cells
-    mids = (np.arange(m_cells) + 0.5) * step
-    i, j = np.triu_indices(m_cells)
-    dens = np.zeros((m_cells, m_cells))
-    dens[i, j] = density_lambda_plus_rows(alpha, x_sq, np.column_stack([mids[i], mids[j]]))
-    return dens.cumsum(axis=0).cumsum(axis=1) * step * step, step
+def _cdf_2d(alpha: float, x_sq: np.ndarray, a_v: float, b_v: float) -> float:
+    """P(sqrt(Y_1) <= a_v, sqrt(Y_2) <= b_v) for a_v, b_v > 0, Y ~ continuous (3 -> 2)
+    link at x_sq.  The inner range ends on a panel edge, so no root finder runs."""
+    from .verify import quad_cell
+
+    b = b_v * b_v
+    bounds = [(0.0, min(a_v * a_v, x_sq[1])), (lambda y1: np.maximum(y1, x_sq[0]), min(b, x_sq[2]))]
+    return quad_cell(lambda ys: density_lambda_plus_rows(alpha, x_sq, ys), bounds, _CDF_TOL,
+                     breaks=(*x_sq, b), alpha=alpha).value
 
 
 def _cdf_1d_on_grid(alpha: float, x_sq: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .ensembles import sample_laguerre_many, sample_pickrell
 from .kernels import (KernelParams, sample_L_many, sample_lambda_eq_many,
                       sample_lambda_plus_many)
 from .rng import generator, named_seed
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def version_string() -> str:
@@ -160,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
     p.add_argument("--suite", default="all",
-                   choices=["identities", "intertwine", "invariance", "consistency",
-                            "flow", "branching-limit", "all"])
+                   choices=[*SUITES, "all"])
     p.add_argument("--n-samples", type=int, default=None)
     p.add_argument("--n-perm", type=int, default=None)
     p.add_argument("--dt", type=float, default=None)

@@ -461,13 +461,13 @@ def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots
                       guard_key="guard_fraction", max_chunk=_PAIR_FLOAT_BUDGET // (n * n))
 
 
+# the volatilities see only rows that _sanitize_rows has reflected to x >= 0
 def _laguerre_vol(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(2.0 * np.clip(x, 0.0, None))
+    return np.sqrt(2.0 * x)
 
 
 def _pickrell_vol(x: np.ndarray) -> np.ndarray:
-    xc = np.clip(x, 0.0, None)
-    return np.sqrt(2.0 * xc * (1.0 + xc))
+    return np.sqrt(2.0 * x * (1.0 + x))
 
 
 def simulate_laguerre_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int, master_seed: int,

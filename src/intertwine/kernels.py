@@ -209,9 +209,17 @@ def _cell_rejection(lo: np.ndarray, hi: np.ndarray, power: float, rng) -> np.nda
     on the cell lo <= y <= hi: each y_k is proposed by inverting its CDF and
     the row accepted with Vdm(y) / prod_{k<l} (hi_l - lo_k) <= 1.  Every
     pending row is proposed once per round, so a row still pending after
-    round k has been tried exactly k times; RETRY_CAP rounds raise."""
+    round k has been tried exactly k times; RETRY_CAP rounds raise.  A row
+    whose cell pins two adjacent coordinates (lo**power == hi**power) to one
+    float has Vdm(y) = 0 in every proposal, and is refused before any draw."""
     m, n = lo.shape
     lo_p, hi_p = lo**power, hi**power
+    pin = np.where(lo_p == hi_p, lo_p ** (1.0 / power), np.nan)  # the proposal's bits
+    stuck = np.argwhere(pin[:, 1:] == pin[:, :-1])
+    if stuck.size:
+        row, k = stuck[0]
+        raise ValueError(f"no proposal can be accepted in row {row}: coordinates {k + 1} "
+                         f"and {k + 2} of its cell are both pinned to {float(pin[row, k])!r}")
     env = gap_products(hi, lo)
     out = np.empty((m, n))
     pending = np.ones(m, dtype=bool)

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from intertwine.branching import (JacobiParams, _cum_density_table, _lgamma, coef_A, coef_B,
+from intertwine.branching import (JacobiParams, _cdf_2d, _lgamma, coef_A, coef_B,
                                   coef_c, compare_scaling_limit,
                                   jacobi_p, jacobi_p_at_one, kernel_row,
                                   leading_k, log_coef_B, log_coef_c,
                                   log_mv_jacobi_at_one, mv_jacobi,
                                   mv_jacobi_at_one)
 from intertwine.chamber import Partition
+from intertwine.kernels import KernelParams, sample_lambda_plus_many
 from intertwine.rng import generator
 
-from helpers import partitions_up_to, ref_density_lambda_plus
+from helpers import partitions_up_to
 
 P00 = JacobiParams(0.0, 0.0)
 
@@ -256,20 +257,28 @@ def test_scaling_limit_two_dimensional():
     res = compare_scaling_limit(Partition((3, 2, 1)), 25, P00)
     assert abs(res["row_mass"] - 1.0) < 1e-9
     assert res["sup_discrepancy"] < 0.1
+    # the discrepancy is the kernel's, so it decays like 1/kappa: 0.26 of the
+    # kappa = 25 value at kappa = 100; an integrator error would stall it
+    far = compare_scaling_limit(Partition((3, 2, 1)), 100, P00)
+    assert far["sup_discrepancy"] <= 0.35 * res["sup_discrepancy"]
+    # at kappa = 2 one grid point sits at 0, where the CDF is 0
+    assert compare_scaling_limit(Partition((3, 2, 1)), 2, P00)["sup_discrepancy"] < 0.3
 
 
-def test_cum_density_table_matches_scalar_loop():
-    # the midpoint table behind the N = 2 comparison, against the per-point loop
+@pytest.mark.parametrize("alpha", [-0.5, 2.0])
+def test_two_dimensional_cdf_matches_link_draws(alpha):
+    # the continuous CDF of the N = 2 comparison, on its kappa = 25 grid,
+    # against the empirical CDF of exact link draws
     x_sq = np.array([1.0, 4.0, 9.0])
-    m_cells = 120
-    for alpha in (0.0, 0.5):
-        cum, step = _cum_density_table(alpha, x_sq, m_cells)
-        mids = (np.arange(m_cells) + 0.5) * (float(x_sq[-1]) / m_cells)
-        dens = np.zeros((m_cells, m_cells))
-        for i, y1 in enumerate(mids):
-            for j in range(i, m_cells):
-                dens[i, j] = ref_density_lambda_plus(alpha, x_sq, (y1, mids[j]))
-        assert np.array_equal(cum, dens.cumsum(axis=0).cumsum(axis=1) * step * step)
+    n = 200_000
+    ys = sample_lambda_plus_many(KernelParams(alpha, 2), x_sq, n, generator(503))
+    grid = np.linspace(0.0, 3.0, 13)[1:] - 0.5 / 25
+    for a_v in grid:
+        for b_v in grid:
+            p = _cdf_2d(alpha, x_sq, a_v, b_v)
+            emp = np.count_nonzero((ys[:, 0] <= a_v * a_v) & (ys[:, 1] <= b_v * b_v)) / n
+            se = math.sqrt(p * (1.0 - p) / n)
+            assert abs(emp - p) <= 4.5 * se + 1.5e-8, (alpha, a_v, b_v, emp, p)
 
 
 def test_jacobi_params_validation():

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from intertwine.cli import main
+from intertwine.cli import build_parser, main
+from intertwine.verify import SUITES
 
 
 def run_cli(args, tmp_path=None):
@@ -110,6 +111,12 @@ def test_verify_identities_suite(tmp_path):
     f2 = tmp_path / "report2.json"
     assert main(["verify", "--suite", "identities", "--seed", "7", "--out", str(f2)]) == 0
     assert f.read_bytes() == f2.read_bytes()
+
+
+def test_every_suite_parses():
+    # the --suite choices are the keys of verify.SUITES, not a copy of them
+    for suite in [*SUITES, "all"]:
+        assert build_parser().parse_args(["verify", "--suite", suite]).suite == suite
 
 
 def test_config_file_defaults_and_override(tmp_path):
@@ -239,19 +246,22 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_exact_calculus_and_the_flow_run_without_scipy():
     # with sys.modules["scipy"] = None every scipy import raises: the import,
     # the benchmark's warm-up call, a Gauss-Jacobi normalization, the
-    # identities and branching-limit suites and an N = 50 flow check need none
+    # identities and branching-limit suites, the N = 2 scaling comparison
+    # and an N = 50 flow check need none
     code = """
 import sys
 sys.modules["scipy"] = None
 import intertwine.cli
+from intertwine.branching import JacobiParams, compare_scaling_limit
 from intertwine.chamber import BoundaryPoint
 from intertwine.verify import check_flow_convergence, check_kernel_normalization, run_suite
 reports = [check_kernel_normalization("L", 0.0, (1.0, 2.0)),
            check_kernel_normalization("lambda_eq", 0.5, (1.0, 2.0)),
            *run_suite("identities", 1), *run_suite("branching-limit", 1, kappa=20),
            check_flow_convergence(0.0, 50, BoundaryPoint((), 3.0), (0.25, 0.5), 20, 1e-3, 1)]
-print(len(reports), all(rep.passed for rep in reports))
+limit = compare_scaling_limit((3, 2, 1), 10, JacobiParams(0.0, 0.0))
+print(len(reports), all(rep.passed for rep in reports), limit["sup_discrepancy"] < 0.05)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["32", "True"]
+    assert proc.stdout.split() == ["32", "True", "True"]

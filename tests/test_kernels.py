@@ -271,13 +271,34 @@ class _CountingRng:
         return self.rng.uniform(size=size)
 
 
+_CLOSE = np.nextafter(np.nextafter(1.3, 2.0), 2.0)
+
+
+def test_cell_rejection_refuses_a_row_no_proposal_can_pass():
+    # lo = hi with a tie in row 2: every proposal has Vdm(y) = 0 there
+    lo = np.array([[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]])
+    rng = _CountingRng(112)
+    with pytest.raises(ValueError, match="row 2: coordinates 1 and 2 .* pinned to 1.0$"):
+        kernels._cell_rejection(lo, np.ones((3, 2)), 1.0, rng)
+    assert rng.sizes == []
+    # under y^0.1 two sources an ulp apart collapse to one float; the
+    # refusal comes before the RETRY_CAP = 10**7 rounds, some 300 s
+    x = np.array([[1.3, np.nextafter(1.3, 2.0), _CLOSE]])
+    rng = generator(112)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="row 0: coordinates 2 and 3"):
+        sample_lambda_eq_each(-0.9, x, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_cell_rejection_stops_at_retry_cap(monkeypatch):
     monkeypatch.setattr(kernels, "RETRY_CAP", 3)
-    # lo = hi with a tie: every proposal has Vdm(y) = 0, so no row is ever accepted
+    # six coordinates proposed on one interval: Vdm(y) / env is a product of
+    # 15 gaps under 1, so a valid row is all but never accepted
     rng = _CountingRng(112)
-    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="exceeded 3 attempts"):
-        kernels._cell_rejection(np.ones((4, 2)), np.ones((4, 2)), 1.0, rng)
-    assert rng.sizes == [(4, 2), 4] * 3  # three rounds, each proposing every row
+    with pytest.raises(RuntimeError, match="exceeded 3 attempts"):
+        kernels._cell_rejection(np.zeros((4, 6)), np.ones((4, 6)), 1.0, rng)
+    assert rng.sizes == [(4, 6), 4] * 3  # three rounds, each proposing every row
     # an N = 1 cell has an empty envelope: every row is accepted in the first round
     rng = _CountingRng(112)
     assert np.array_equal(kernels._cell_rejection(np.ones((4, 1)), np.ones((4, 1)), 1.0, rng),
@@ -303,16 +324,23 @@ def _sampler_inputs(draw):
 def _outcome(sample, rng):
     try:
         return sample(rng)
-    except RuntimeError as stop:  # the rejection routine's round cap
-        return str(stop)
+    except (RuntimeError, ValueError) as stop:  # the round cap, or a refused cell
+        return stop
 
 
 def _same_draws(sample, ref, seed):
-    """Equal draws, or the same round-cap error, and equal final states."""
+    """Equal draws, or the same round-cap error, and equal final states; a
+    cell that no proposal can pass is refused where the reference runs to
+    its cap."""
     rng, replay = generator(seed), generator(seed)
     ours, theirs = _outcome(sample, rng), _outcome(ref, replay)
-    if isinstance(ours, str):
-        assert isinstance(theirs, str) and "exceeded" in ours and "exceeded" in theirs
+    if isinstance(ours, ValueError):
+        assert "no proposal can be accepted" in str(ours)
+        assert isinstance(theirs, RuntimeError) and "exceeded" in str(theirs)
+        return
+    if isinstance(ours, RuntimeError):
+        assert isinstance(theirs, RuntimeError)
+        assert "exceeded" in str(ours) and "exceeded" in str(theirs)
     else:
         assert same_bits(ours, theirs)
     assert rng.bit_generator.state == replay.bit_generator.state
@@ -348,17 +376,14 @@ def _one_source(draw):
     return draw(st.integers(0, 2**32 - 1)), draw(_ALPHAS), np.array(x), draw(st.integers(1, 40))
 
 
-_CLOSE = np.nextafter(np.nextafter(1.3, 2.0), 2.0)
-
-
 @hypothesis.given(_one_source())
 @hypothesis.example((0, -0.9, np.array([1.3, np.nextafter(1.3, 2.0), _CLOSE, 2.0]), 3))
 def test_path_b_draws_as_the_many_samplers(inputs):
     # path B of the two-path checks pushes m copies of one source through
     # verify._push; it draws the bits that the per-link sample_*_many drew.
     # Under y^(alpha+1) with alpha near -1, coordinates an ulp or two apart
-    # can collapse a cell so that no row is ever accepted; a low round cap
-    # makes that the same fast error on both sides.
+    # can collapse a cell so that no row is ever accepted: the samplers
+    # refuse it, where the reference runs to its (here low) round cap.
     seed, alpha, x, m = inputs
     cap = 200
     for kind, x_k, ref in (("L", x, ref_sample_L_each),
