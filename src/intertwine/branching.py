@@ -316,12 +316,13 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
 
 def _cdf_2d(alpha: float, x_sq: np.ndarray, a_v: float, b_v: float) -> float:
     """P(sqrt(Y_1) <= a_v, sqrt(Y_2) <= b_v) for a_v, b_v > 0, Y ~ continuous (3 -> 2)
-    link at x_sq.  The inner range ends on a panel edge, so no root finder runs."""
+    link at x_sq: the mass of the link's cell with its upper corner clipped to
+    (a_v^2, b_v^2).  b_v^2 is a break, since the inner range empties past y_1 = b_v^2."""
     from .verify import quad_cell
 
     b = b_v * b_v
-    bounds = [(0.0, min(a_v * a_v, x_sq[1])), (lambda y1: np.maximum(y1, x_sq[0]), min(b, x_sq[2]))]
-    return quad_cell(lambda ys: density_lambda_plus_rows(alpha, x_sq, ys), bounds, _CDF_TOL,
+    cell = ((0.0, x_sq[0]), (min(a_v * a_v, x_sq[1]), min(b, x_sq[2])))
+    return quad_cell(lambda ys: density_lambda_plus_rows(alpha, x_sq, ys), cell, _CDF_TOL,
                      breaks=(*x_sq, b), alpha=alpha).value
 
 

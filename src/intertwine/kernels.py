@@ -6,8 +6,9 @@ alpha-deformed links on the non-negative chamber are ``density_lambda_eq``
 (dimension N to N, lower-interlacing cell) and ``density_lambda_plus``
 (dimension N+1 to N), whose per-coordinate weight integrates y^alpha/z^(alpha+1)
 over the overlap interval, with the conventions x_0 = 0 and y_{N+1} = inf.
-Each density is evaluated row-wise (``density_*_rows``: one source point x,
-many points y); the scalar ``density_*`` are its one-point form.
+Each density is evaluated row-wise (``density_*_rows``: one source point x
+for every row y, or (m, N') source rows paired with the m rows y); the
+scalar ``density_*`` are its one-point form.
 
 Each source is checked once, where its cell is made: ``_source`` wants it
 finite and strictly increasing, with x_1 > 0 for the alpha-links, and returns
@@ -104,22 +105,26 @@ def _refuse(x: np.ndarray, bad, need: str):
 
 def _density_rows(kind: str, x, Y) -> tuple:
     """What the three ``density_*_rows`` start from: the checked source x,
-    the rows y of Y (target dimension), the mask of rows in x's cell, Vdm(y)
-    per row and Vdm(x)."""
-    xa, lo, hi = _source(kind, x, 1)
+    one vector or rows paired with Y's, the rows y of Y (target dimension),
+    the mask of rows in x's cell, Vdm(y) per row and Vdm(x) per source row."""
+    x = np.asarray(x, dtype=float)
+    xa, lo, hi = _source(kind, x, 2 if x.ndim == 2 else 1)
     ya = np.asarray(Y, dtype=float)
-    if ya.ndim != 2 or ya.shape[1] != lo.size:
-        raise ValueError(f"dimension mismatch: expected rows of length {lo.size}, "
+    if ya.ndim != 2 or ya.shape[1] != lo.shape[-1]:
+        raise ValueError(f"dimension mismatch: expected rows of length {lo.shape[-1]}, "
                          f"got shape {ya.shape}")
+    if xa.ndim == 2 and xa.shape[0] != ya.shape[0]:
+        raise ValueError(f"row-count mismatch: {len(xa)} source rows for {len(ya)} rows y")
     return (xa, ya, in_cell(ya, lo, hi), vandermonde_rows(ya),
-            float(vandermonde_rows(xa[None, :])[0]))
+            vandermonde_rows(np.atleast_2d(xa)))
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` of the ``math`` module over a 1-D array.  numpy's SIMD log,
+    """``fn`` of the ``math`` module over a 1-D array, read one Python number
+    at a time through a memoryview, never as one list.  numpy's SIMD log,
     expm1 and pow can round differently from the C library in the last bit;
     the link weights keep the C library's values."""
-    return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
+    return np.fromiter(map(fn, memoryview(values)), dtype=float, count=values.size)
 
 
 def density_L_rows(x, Y) -> np.ndarray:
@@ -136,7 +141,7 @@ def density_lambda_eq_rows(alpha: float, x, Y) -> np.ndarray:
     xa, ya, ok, num, den = _density_rows("lambda_eq", x, Y)
     with np.errstate(all="ignore"):
         ratio = np.prod(ya**alpha / xa ** (alpha + 1), axis=1)
-        out = shifted_factorial(alpha + 1, xa.size) * ratio * num / den
+        out = shifted_factorial(alpha + 1, ya.shape[1]) * ratio * num / den
     out[(ya[:, 0] == 0.0) & (alpha < 0)] = math.inf
     return np.where(ok, out, 0.0)
 

@@ -4,15 +4,16 @@ Distribution-level identities (intertwinings, invariance, consistency,
 boundary coherence) are certified by two-path Monte Carlo and an energy
 distance permutation test; analytic identities (eigenfunctions, conjugation
 identities, drift forms, kernel normalizations) are checked by exact
-calculus and a Gauss panel cubature: fixed-order tensor Gauss rules on
-panels cut at the interlacing cell's break points (Gauss-Jacobi for the
-y^alpha factor at y = 0), with an error estimate from a rerun at doubled
-order that must meet the check's tolerance.  Both rules come from one
-Golub-Welsch eigenproblem solved by numpy, so exact calculus loads no
-scipy module.  Every check returns a
-TestReport whose metadata records seeds and sizes, and all randomness flows
-from named streams derived from one master seed, so reruns are
-bit-identical.
+calculus and a Gauss panel cubature over an interlacing cell as
+``chamber.link_cell`` returns it: fixed-order tensor Gauss rules on panels
+cut at the cell's break points (Gauss-Jacobi for the y^alpha factor at
+y = 0), with an error estimate from a rerun at doubled order that must meet
+the check's tolerance.  Both rules come from one Golub-Welsch eigenproblem
+solved by numpy, so exact calculus loads no scipy module.  An integrand over
+the source of a link (the two-step decomposition) evaluates the link on
+source rows paired with its target rows.  Every check returns a TestReport
+whose metadata records seeds and sizes, and all randomness flows from named
+streams derived from one master seed, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .diffusion import (PickrellParams, SdeConfig, boundary_flow,  # noqa: F401
                         simulate_laguerre_matrix_paths, simulate_laguerre_paths,
                         simulate_pickrell_paths)
 from .ensembles import sample_pickrell
-# density_L and the three sample_*_many stay bound here for perfbench/spans.py,
-# which wraps them by this path
-from .kernels import (KernelParams, density_L, density_L_rows,  # noqa: F401
+# density_L, density_lambda_eq, density_lambda_plus and the three
+# sample_*_many stay bound here for perfbench/spans.py, which wraps them by this path
+from .kernels import (density_L, density_L_rows,  # noqa: F401
                       density_lambda_eq, density_lambda_eq_rows, density_lambda_plus,
                       density_lambda_plus_rows, sample_L_each, sample_L_many,
                       sample_lambda_eq_each, sample_lambda_eq_many,
@@ -198,55 +199,37 @@ def _split(lo: float, hi: float, points) -> np.ndarray:
     return np.array(sorted({lo, hi, *inner}), dtype=float)
 
 
-def _crossings(fns, lo: float, hi: float) -> list:
-    """Points in (lo, hi) where one of the functions changes sign."""
-    out = []
-    for fn in fns:
-        if fn(lo) * fn(hi) < 0:
-            from scipy.optimize import brentq  # no suite cell has such a crossing
-
-            out.append(brentq(fn, lo, hi))
-    return out
-
-
-def quad_cell(f, bounds, tol: float = 1e-8, breaks=(), alpha: float = 0.0) -> Quadrature:
-    """Gauss panel cubature over up to two coordinates, with an error estimate.
+def quad_cell(f, cell, tol: float = 1e-8, breaks=(), alpha: float = 0.0) -> Quadrature:
+    """Gauss panel cubature over an interlacing cell, with an error estimate.
 
     ``f`` is row-wise: it maps an (m, d) array of points to m values.
-    ``bounds`` is a list of (lo, hi) pairs, one per coordinate; entries of
-    the inner pair may be vectorized callables of the first coordinate
-    (interlacing cells have such staircase bounds).  Every coordinate range
-    is cut into panels at the ``breaks`` inside it, where the integrand or
-    an inner bound is not smooth; the first coordinate is also cut where an
-    inner bound crosses a break or the two inner bounds meet.  Each panel
-    gets a tensor Gauss-Legendre rule, Gauss-Jacobi on panels starting at 0
-    when the integrand carries a factor y^alpha there.  The rule runs at
-    orders QUAD_ORDER and 2 QUAD_ORDER; the larger gives the value, and the
-    panel-wise sum of |difference| the error estimate, which must not exceed
-    ``tol``.
+    ``cell = (lo, hi)``, in d = 1 or 2 coordinates as ``chamber.link_cell``
+    returns it, is the set of ascending points of the box lo <= y <= hi:
+    y_2 runs over [max(y_1, lo_2), hi_2].  Every coordinate range is cut
+    into panels at the ``breaks`` inside it, where the integrand is not
+    smooth; the first coordinate is also cut at lo_2, where the inner range
+    turns.  Each panel gets a tensor Gauss-Legendre rule, Gauss-Jacobi on
+    panels starting at 0 when the integrand carries a factor y^alpha there.
+    The rule runs at orders QUAD_ORDER and 2 QUAD_ORDER; the larger gives
+    the value, and the panel-wise sum of |difference| the error estimate,
+    which must not exceed ``tol``, so an undeclared kink or jump raises.
     """
-    if len(bounds) not in (1, 2):
-        raise ValueError("quad_cell supports dimensions 1 and 2")
-    lo1, hi1 = bounds[0]
-    if not lo1 < hi1:
-        raise ValueError(f"need lo < hi, got [{lo1}, {hi1}]")
-    if len(bounds) == 1:
-        return quad_intervals(f, _split(lo1, hi1, breaks), tol, alpha)[1]
-    lo2, hi2 = (b if callable(b) else (lambda y1, c=b: np.full(np.shape(y1), float(c)))
-                for b in bounds[1])
-    kinks = [lambda y1, c=c, g=g: g(y1) - c for c in breaks for g in (lo2, hi2)]
-    kinks.append(lambda y1: hi2(y1) - lo2(y1))
-    edges1 = _split(lo1, hi1, breaks)
-    crossings = [c for a, b in zip(edges1[:-1], edges1[1:]) for c in _crossings(kinks, a, b)]
-    edges1 = _split(lo1, hi1, [*breaks, *crossings])
+    lo, hi = np.asarray(cell, dtype=float)
+    if lo.size not in (1, 2):
+        raise ValueError("quad_cell supports cells of dimension 1 and 2")
+    if not lo[0] < hi[0]:
+        raise ValueError(f"need lo < hi, got [{lo[0]}, {hi[0]}]")
+    edges1 = _split(lo[0], hi[0], (*breaks, *lo[1:]))
+    if lo.size == 1:
+        return quad_intervals(f, edges1, tol, alpha)[1]
     totals = np.zeros((2, edges1.size - 1))
     n_eval = 0
     for p, (a, b) in enumerate(zip(edges1[:-1], edges1[1:])):
-        mid = 0.5 * (a + b)
-        inner = [c for c in breaks if lo2(mid) < c < hi2(mid)]
+        inner = sorted(c for c in breaks if max(0.5 * (a + b), lo[1]) < c < hi[1])
         for o, k in enumerate((QUAD_ORDER, 2 * QUAD_ORDER)):
             y1, w1 = _panel_nodes(a, b, k, alpha)
-            cuts = np.column_stack([lo2(y1), *(np.full(k, c) for c in sorted(inner)), hi2(y1)])
+            cuts = np.column_stack([np.maximum(y1, lo[1]), *(np.full(k, c) for c in inner),
+                                    np.full(k, hi[1])])
             y2, w2 = _panel_nodes(cuts[:, :-1], cuts[:, 1:], k, alpha)
             pts = np.column_stack([np.broadcast_to(y1[:, None, None], y2.shape).ravel(),
                                    y2.ravel()])
@@ -713,17 +696,13 @@ def check_pickrell_drift_forms(seed, n_draws: int = 100, threshold: float = 1e-1
 def check_kernel_normalization(kind, alpha, x, tol: float = 1e-6) -> TestReport:
     """Total mass of a kernel density over its interlacing cell equals 1."""
     xa = as_coords(x)
-    lo, hi = link_cell(kind, xa)
-    if lo.size > 2:
+    cell = link_cell(kind, xa)
+    if cell[0].size > 2:
         raise ValueError("normalization quadrature supports N <= 2")
-    bounds = [(lo[0], hi[0])]
-    if lo.size == 2:
-        # y2 in [max(y1, lo_2), hi_2], exact for every kind: lo_2 >= hi_1 but for lambda_plus
-        bounds.append((lambda y1: np.maximum(y1, lo[1]), hi[1]))
     f = {"L": lambda ys: density_L_rows(xa, ys),
          "lambda_eq": lambda ys: density_lambda_eq_rows(alpha, xa, ys),
          "lambda_plus": lambda ys: density_lambda_plus_rows(alpha, xa, ys)}[kind]
-    q = quad_cell(f, bounds, tol=tol * 0.1, breaks=tuple(xa), alpha=0.0 if kind == "L" else alpha)
+    q = quad_cell(f, cell, tol=tol * 0.1, breaks=tuple(xa), alpha=0.0 if kind == "L" else alpha)
     x_list = [float(v) for v in xa]
     return TestReport.deterministic(f"normalization-{kind}[alpha={alpha},x={x_list}]",
                                     abs(q.value - 1.0), tol,
@@ -735,22 +714,22 @@ def check_decomposition(alpha, x=(1.0, 2.0), n_grid: int = 20, tol: float = 1e-6
     """The (2 -> 1) alpha-link factors through the parameter-free link
     followed by the equal-dimension alpha-link; pointwise quadrature check."""
     xa = as_coords(x, expected_dim=2)
-    params = KernelParams(alpha, 1)
     ys = np.linspace(xa[1] * 0.02, xa[1] * 0.98, n_grid)
+    direct = density_lambda_plus_rows(alpha, xa, ys[:, None])
     # the source point z of the second link, the integration variable, runs
     # over the L cell of x clipped by y
     (z_lo,), (z_hi,) = link_cell("L", xa)
     worst = quad_err = 0.0
     n_eval = 0
-    for y in ys:
-        direct = density_lambda_plus(params, xa, (y,))
+    for y, d in zip(ys, direct):
         lo = max(z_lo, y)
         composed = 0.0
         if lo < z_hi:
-            q = quad_cell(lambda zs: density_L_rows(xa, zs) * np.array(
-                [density_lambda_eq(params, z, (y,)) for z in zs]), [(lo, z_hi)], tol=tol * 1e-2)
+            q = quad_cell(lambda zs: density_L_rows(xa, zs)
+                          * density_lambda_eq_rows(alpha, zs, np.full(zs.shape, y)),
+                          ((lo,), (z_hi,)), tol=tol * 1e-2)
             composed, quad_err, n_eval = q.value, max(quad_err, q.err), n_eval + q.n_eval
-        worst = max(worst, abs(direct - composed))
+        worst = max(worst, abs(d - composed))
     return TestReport.deterministic(f"decomposition[alpha={alpha}]", worst, tol,
                                     {"alpha": alpha, "x": list(xa), "n_grid": n_grid,
                                      "quad_err": quad_err, "n_eval": n_eval})

@@ -124,20 +124,6 @@ def ref_cell_mask(kind, x, rows):
     return ascending & (ya[:, 0] >= 0) & np.all((lo_ind <= ya) & (ya <= xa[1:]), axis=1)
 
 
-def ref_normalization_bounds(kind, x):
-    """``verify.check_kernel_normalization``'s integration bounds as written
-    per kind before they came from the link's cell."""
-    xa = np.asarray(x, dtype=float)
-    if kind == "L":
-        return [(xa[k], xa[k + 1]) for k in range(xa.size - 1)]
-    if kind == "lambda_eq":
-        lows = np.concatenate([[0.0], xa[:-1]])
-        return [(lows[k], xa[k]) for k in range(xa.size)]
-    if xa.size == 2:
-        return [(0.0, xa[1])]
-    return [(0.0, xa[1]), (lambda y1: np.maximum(y1, xa[0]), xa[2])]
-
-
 def ref_rejection_fill(propose, accept_ratio, m, n, rng, retry_cap=10**7):
     """The row-wise rejection loop the link samplers shared before the
     single cell routine, with its propose/ratio callbacks."""

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from intertwine import ensembles
 from intertwine.diffusion import PickrellParams, SdeConfig, simulate_laguerre_paths
@@ -117,14 +117,20 @@ def test_pickrell_mcmc_sum_marginal_vs_quadrature():
     # panels doubling in length along the (1+x)^-5 tails, which one fixed-order
     # Gauss panel per coordinate does not resolve to 1e-9
     tail = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    total = quad_cell(density, [(0.0, 25.0), (lambda x1: x1, 60.0)], tol=1e-9, breaks=tail).value
+    total = quad_cell(density, ((0.0, 0.0), (25.0, 60.0)), tol=1e-9, breaks=tail).value
+
+    def bin_mass(x1_lo, x1_hi, x2_lo):
+        # {a <= x1 + x2 < b} is no interlacing cell: scipy's adaptive rule, one
+        # piece per formula of the lower bound of x2
+        return integrate.dblquad(lambda x2, x1: density([(x1, x2)])[0], x1_lo, x1_hi,
+                                 x2_lo, lambda x1: b - x1, epsabs=1e-11)[0]
+
     edges = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 7.0]
     n_bad = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        # the lower bound of x2 has a kink at x1 = a/2
-        prob = quad_cell(density, [(0.0, b / 2),
-                                   (lambda x1: np.maximum(x1, a - x1), lambda x1: b - x1)],
-                         tol=1e-9, breaks=(a / 2,)).value / total
+        # the lower bound of x2 is a - x1 up to x1 = a/2 and x1 after it
+        prob = (bin_mass(0.0, a / 2, lambda x1: a - x1)
+                + bin_mass(a / 2, b / 2, lambda x1: x1)) / total
         emp = np.mean((sums >= a) & (sums < b))
         sigma = math.sqrt(prob * (1 - prob) / n)
         n_bad += abs(emp - prob) > 3 * sigma

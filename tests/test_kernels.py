@@ -113,6 +113,44 @@ def test_density_rows_match_scalar_bit_for_bit(inputs):
         assert _bits(v) == _bits(expected)
 
 
+@pytest.mark.parametrize("kind", ["L", "lambda_eq", "lambda_plus"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
+def test_paired_rows_match_one_row_forms_bit_for_bit(kind, n, alpha):
+    # source rows with a target in or near each one's cell, a third of them at
+    # y_1 = 0, where the alpha-links are infinite for alpha < 0
+    rng = np.random.default_rng(116)
+    m = 60
+    xs = np.cumsum(rng.uniform(0.05, 2.0, size=(m, n if kind == "lambda_eq" else n + 1)), axis=1)
+    lo, hi = link_cell(kind, xs)
+    ys = np.sort(lo + rng.uniform(-0.1, 1.1, size=lo.shape) * (hi - lo), axis=1)
+    ys[::3, 0] = 0.0
+    ys = np.sort(ys, axis=1)
+    params = KernelParams(alpha, n)
+    rows, one_row = {
+        "L": (lambda: density_L_rows(xs, ys), lambda x, y: density_L(x, y)),
+        "lambda_eq": (lambda: density_lambda_eq_rows(alpha, xs, ys),
+                      lambda x, y: density_lambda_eq(params, x, y)),
+        "lambda_plus": (lambda: density_lambda_plus_rows(alpha, xs, ys),
+                        lambda x, y: density_lambda_plus(params, x, y)),
+    }[kind]
+    values = rows()
+    assert same_bits(values, [one_row(x, y) for x, y in zip(xs, ys)])
+    at_zero = np.zeros(m, dtype=bool)
+    at_zero[::3] = in_cell(ys[::3], lo[::3], hi[::3])
+    assert np.all((values[at_zero] == math.inf) == (kind != "L" and alpha < 0))
+    assert np.count_nonzero(np.isfinite(values) & (values > 0)) >= m // 4
+
+
+def test_paired_rows_refuse_a_row_count_mismatch():
+    xs = np.array([_GOOD, _GOOD])
+    for call in (lambda: density_L_rows(xs, np.ones((3, 2))),
+                 lambda: density_lambda_eq_rows(0.5, xs, np.ones((1, 3))),
+                 lambda: density_lambda_plus_rows(0.5, xs, np.empty((0, 2)))):
+        with pytest.raises(ValueError, match="row-count mismatch: 2 source rows"):
+            call()
+
+
 def test_density_rows_edge_values():
     assert density_lambda_eq_rows(-0.5, (1.0, 2.0), [[0.0, 1.5]])[0] == math.inf
     assert density_lambda_plus_rows(-0.5, (1.0, 2.0), [[0.0]])[0] == math.inf
@@ -440,7 +478,8 @@ def test_links_refuse_a_source_of_the_wrong_shape(kind):
     ys = np.ones((1, _TARGET_DIM[kind]))
     for call, message in ((lambda: _EACH[kind](np.array(_GOOD), rng), r"as \(m, N\) rows"),
                           (lambda: _EACH[kind](np.empty((2, 0)), rng), "dimension >= "),
-                          (lambda: _ROWS[kind](np.array([_GOOD, _GOOD]), ys), "as one vector"),
+                          (lambda: _ROWS[kind](np.array([_GOOD, _GOOD]), ys), "row-count"),
+                          (lambda: _ROWS[kind](np.ones((1, 1, 3)), ys), "takes its source as"),
                           (lambda: _ROWS[kind]((), np.empty((1, 0))), "dimension >= ")):
         with pytest.raises(ValueError, match=message):
             call()
