@@ -3,7 +3,10 @@
 Subcommands: sample-kernel, sample-ensemble, simulate, boundary-flow,
 branching, verify.  Identical invocation plus seed gives byte-identical
 output; every JSON document embeds the resolved parameters and the version
-string.  Exit codes: 0 success / all checks passed, 1 check failure,
+string.  ``--config file.json`` holds a JSON object whose keys each name a
+flag of the subcommand, spelled with - or _; each value is read as that
+flag's argument, placed before the command line's own flags, which
+therefore win.  Exit codes: 0 success / all checks passed, 1 check failure,
 2 usage error.
 """
 
@@ -71,38 +74,20 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """Convert a config value as argparse converts the flag's argument text."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"config key {key}: {value!r} is not a flag value")
-    try:
-        value = (action.type or str)(str(value))
-    except ValueError:
-        raise ValueError(f"config key {key}: invalid {action.type.__name__} value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"config key {key}: {value!r} is not one of "
-                         f"{', '.join(map(str, action.choices))}")
-    return value
-
-
-def _apply_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Optional JSON config file; keys mirror flag names and become the
-    subcommand's defaults, so flags given on the command line win.  A key
-    that names no flag of the subcommand, or a value the flag would reject,
-    is a usage error."""
+def _config_flags(args: argparse.Namespace) -> list:
+    """The config file as --flag=value arguments, for argparse to convert and
+    check; a key naming no flag, or a value no string or number, is refused."""
     loaded = json.loads(Path(args.config).read_text())
     if not isinstance(loaded, dict):
         raise ValueError(f"config {args.config} must hold a JSON object")
     flags = set(vars(args)) - {"command"}
-    dests = {key: key.replace("-", "_") for key in loaded}
-    unknown = [key for key, dest in dests.items() if dest not in flags]
+    unknown = [key for key in loaded if key.replace("-", "_") not in flags]
     if unknown:
         raise ValueError(f"config keys match no flag of {args.command}: {', '.join(unknown)}")
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = subparsers.choices[args.command]
-    actions = {a.dest: a for a in command._actions}
-    command.set_defaults(**{dest: _config_value(actions[dest], key, loaded[key])
-                            for key, dest in dests.items()})
+    for key, value in loaded.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key {key}: {value!r} is not a flag value")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in loaded.items()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,8 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config_defaults(parser, args)
-            args = parser.parse_args(argv)  # argparse decides which flags were given
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         parser.exit(2, f"error: {exc}\n")

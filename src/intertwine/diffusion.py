@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chamber import BoundaryPoint, as_coords
+from .kernels import _require_alpha
 from .matrixmodel import _check_alpha_int, radial_part_many, sample_ginibre
 from .rng import path_generator
 
@@ -117,8 +118,7 @@ class PickrellParams:
     n: int
 
     def __post_init__(self):
-        if not self.alpha > -1:
-            raise ValueError(f"alpha={self.alpha} must be > -1")
+        _require_alpha(self.alpha)
         if self.n < 1:
             raise ValueError(f"n={self.n} must be >= 1")
 
@@ -227,6 +227,7 @@ def _require_distinct(x, n: int) -> np.ndarray:
 
 def laguerre_drift(alpha: float, n: int, x) -> np.ndarray:
     """Drift -x_i + alpha + N + sum_{j!=i} (x_i+x_j)/(x_i-x_j)."""
+    _require_alpha(alpha)
     return _laguerre_drift_rows(alpha, _require_distinct(x, n)[None, :])[0]
 
 
@@ -476,6 +477,7 @@ def simulate_laguerre_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int, master_s
 
     Returns (terminal (n_paths, n) ascending rows, snapshots dict, info dict).
     """
+    _require_alpha(alpha)
     return _run_euler(lambda x, h, work: _laguerre_drift_rows(alpha, x, h, work),
                       _laguerre_vol, x0, n, cfg, n_paths, master_seed, snapshots_at)
 

@@ -88,8 +88,13 @@ class TestReport:
                    meta=dict(meta or {}))
 
     @classmethod
-    def deterministic(cls, name, statistic, threshold, meta=None):
-        return cls(name=name, statistic=float(statistic), threshold=float(threshold),
+    def deterministic(cls, name, residuals, threshold, meta=None):
+        """Passes when the largest residual is within threshold; a NaN
+        residual fails, and an empty set of residuals is refused."""
+        if np.size(residuals) == 0:
+            raise ValueError(f"{name}: no residuals to check")
+        statistic = float(np.max(residuals))
+        return cls(name=name, statistic=statistic, threshold=float(threshold),
                    passed=bool(statistic <= threshold), p_value=None,
                    meta=dict(meta or {}))
 
@@ -600,7 +605,7 @@ def check_vandermonde_eigen(s, alpha, n, points, threshold: float = 1e-8) -> Tes
     """The Vandermonde factor is an eigenfunction of the summed one-particle
     generators, with eigenvalue N(N-1)(-4N+2-3s)/6; exact-calculus check."""
     lam = n * (n - 1) * (-4.0 * n + 2.0 - 3.0 * s) / 6.0
-    worst = 0.0
+    residuals = []
     for x in points:
         arr = as_coords(x, expected_dim=n)
         diff = arr[:, None] - arr[None, :]
@@ -609,8 +614,8 @@ def check_vandermonde_eigen(s, alpha, n, points, threshold: float = 1e-8) -> Tes
         q1 = (1.0 / diff**2).sum(axis=1)
         c1, c0 = generator_drift_coeffs(s, alpha, n)
         lhs = float(np.sum(arr * (1.0 + arr) * (s1**2 - q1) + (c1 * arr + c0) * s1))
-        worst = max(worst, abs(lhs - lam) / max(1.0, abs(lam)))
-    return TestReport.deterministic(f"vandermonde-eigenfunction[N={n},s={s}]", worst, threshold,
+        residuals.append(abs(lhs - lam) / max(1.0, abs(lam)))
+    return TestReport.deterministic(f"vandermonde-eigenfunction[N={n},s={s}]", residuals, threshold,
                                     {"s": s, "alpha": alpha, "n": n,
                                      "eigenvalue": lam, "n_points": len(points)})
 
@@ -628,7 +633,7 @@ def check_h_transform_identities(s, alpha, n, points, threshold: float = 1e-8) -
     if np.any(pts <= 0):
         raise ValueError("evaluation points must be positive")
     c_const, d_const = h_transform_constants(s, alpha, n)
-    worst = 0.0
+    residuals = []
     for g_coeffs in ([1.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]):
         g = np.polynomial.Polynomial(g_coeffs)
         # (i)
@@ -638,16 +643,16 @@ def check_h_transform_identities(s, alpha, n, points, threshold: float = 1e-8) -
         rhs = c_const * m_inv_g(pts) + _PowerForm(alpha + 1.0, -(2.0 * n + s + alpha + 1.0),
                                                   [1.0])(pts) * lg
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+        residuals.append(np.abs(lhs - rhs) / scale)
         # (ii)
         xag = _PowerForm(alpha, 0.0, g)
         lhs2 = xag.apply_generator(s + 2.0 * alpha - 2.0, -alpha, n + 1)(pts)
         lg2 = apply_generator_1d(s, alpha, n, g_coeffs, pts)
         rhs2 = d_const * xag(pts) + pts**alpha * lg2
         scale2 = np.maximum(1.0, np.maximum(np.abs(lhs2), np.abs(rhs2)))
-        worst = max(worst, float(np.max(np.abs(lhs2 - rhs2) / scale2)))
+        residuals.append(np.abs(lhs2 - rhs2) / scale2)
     return TestReport.deterministic(f"h-transform-identities[N={n},s={s},alpha={alpha}]",
-                                    worst, threshold,
+                                    residuals, threshold,
                                     {"s": s, "alpha": alpha, "n": n, "n_points": pts.size})
 
 
@@ -659,7 +664,7 @@ _DRIFT_FORMS = "pickrell-drift-forms"
 def check_h_constants(seed, n_draws: int = 100, threshold: float = 1e-12) -> TestReport:
     """d(s, alpha+1) - c(s + 2 alpha) = d(s, alpha) at random parameters."""
     rng = generator(named_seed(seed, _H_CONSTANTS))
-    worst = 0.0
+    residuals = []
     for _ in range(n_draws):
         s = rng.uniform(-3.0, 3.0)
         alpha = rng.uniform(-0.9, 3.0)
@@ -667,8 +672,8 @@ def check_h_constants(seed, n_draws: int = 100, threshold: float = 1e-12) -> Tes
         c_shift, _ = h_transform_constants(s + 2.0 * alpha, alpha, n)
         _, d_up = h_transform_constants(s, alpha + 1.0, n)
         _, d_base = h_transform_constants(s, alpha, n)
-        worst = max(worst, abs(d_up - c_shift - d_base) / max(1.0, abs(d_base)))
-    return TestReport.deterministic(_H_CONSTANTS, worst, threshold, {"n_draws": n_draws, "seed": seed})
+        residuals.append(abs(d_up - c_shift - d_base) / max(1.0, abs(d_base)))
+    return TestReport.deterministic(_H_CONSTANTS, residuals, threshold, {"n_draws": n_draws, "seed": seed})
 
 
 def check_pickrell_drift_forms(seed, n_draws: int = 100, threshold: float = 1e-10) -> TestReport:
@@ -676,7 +681,7 @@ def check_pickrell_drift_forms(seed, n_draws: int = 100, threshold: float = 1e-1
     from .diffusion import pickrell_drift, pickrell_drift_interaction_form
 
     rng = generator(named_seed(seed, _DRIFT_FORMS))
-    worst = 0.0
+    residuals = []
     for _ in range(n_draws):
         n = int(rng.integers(1, 5))
         params = PickrellParams(s=rng.uniform(-2, 3), alpha=rng.uniform(-0.9, 3), n=n)
@@ -684,8 +689,8 @@ def check_pickrell_drift_forms(seed, n_draws: int = 100, threshold: float = 1e-1
         x += np.arange(n) * 1e-3  # keep a safe gap
         d1 = pickrell_drift(params, x)
         d2 = pickrell_drift_interaction_form(params, x)
-        worst = max(worst, float(np.max(np.abs(d1 - d2) / np.maximum(1.0, np.abs(d1)))))
-    return TestReport.deterministic(_DRIFT_FORMS, worst, threshold, {"n_draws": n_draws, "seed": seed})
+        residuals.append(np.max(np.abs(d1 - d2) / np.maximum(1.0, np.abs(d1))))
+    return TestReport.deterministic(_DRIFT_FORMS, residuals, threshold, {"n_draws": n_draws, "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +724,7 @@ def check_decomposition(alpha, x=(1.0, 2.0), n_grid: int = 20, tol: float = 1e-6
     # the source point z of the second link, the integration variable, runs
     # over the L cell of x clipped by y
     (z_lo,), (z_hi,) = link_cell("L", xa)
-    worst = quad_err = 0.0
-    n_eval = 0
+    residuals, quad_err, n_eval = [], 0.0, 0
     for y, d in zip(ys, direct):
         lo = max(z_lo, y)
         composed = 0.0
@@ -729,8 +733,8 @@ def check_decomposition(alpha, x=(1.0, 2.0), n_grid: int = 20, tol: float = 1e-6
                           * density_lambda_eq_rows(alpha, zs, np.full(zs.shape, y)),
                           ((lo,), (z_hi,)), tol=tol * 1e-2)
             composed, quad_err, n_eval = q.value, max(quad_err, q.err), n_eval + q.n_eval
-        worst = max(worst, abs(d - composed))
-    return TestReport.deterministic(f"decomposition[alpha={alpha}]", worst, tol,
+        residuals.append(abs(d - composed))
+    return TestReport.deterministic(f"decomposition[alpha={alpha}]", residuals, tol,
                                     {"alpha": alpha, "x": list(xa), "n_grid": n_grid,
                                      "quad_err": quad_err, "n_eval": n_eval})
 
@@ -755,7 +759,7 @@ def flow_start_profile(omega: BoundaryPoint, n: int) -> np.ndarray:
         raise ValueError(f"need n >= {k} slots for the masses")
     spikes = [n * n * a for a in omega.alphas]
     m = n - k
-    rem = n * n * gamma_bar(omega)
+    rem = max(n * n * gamma_bar(omega), 0.0)  # a roundoff-negative gamma_bar spreads no mass
     if m == 0:
         if rem > 1e-9 * max(1.0, omega.gamma) * n * n:
             raise ValueError("no slots left for the unassigned mass")
@@ -784,7 +788,7 @@ def check_flow_convergence(alpha, n, omega_start: BoundaryPoint, t_grid, n_paths
     _, snaps, info = simulate_laguerre_paths(alpha, n, x0, SdeConfig(dt=dt, t=t_grid[-1]),
                                              n_paths, named_seed(seed, "paths"),
                                              snapshots_at=t_grid)
-    worst = 0.0
+    residuals = []
     track = {}
     for ts in t_grid:
         rows = snaps[ts]
@@ -793,12 +797,12 @@ def check_flow_convergence(alpha, n, omega_start: BoundaryPoint, t_grid, n_paths
         alpha1_hat = float(rows[:, -1].mean()) / n**2
         alpha1_flow = flow.alphas[0] if flow.alphas else 0.0
         dev = abs(gamma_hat - flow.gamma) + abs(alpha1_hat - alpha1_flow)
-        worst = max(worst, dev)
+        residuals.append(dev)
         track[f"t={ts}"] = {"gamma_hat": gamma_hat, "gamma_flow": flow.gamma,
                             "alpha1_hat": alpha1_hat, "alpha1_flow": alpha1_flow,
                             "gamma_var": float(rows.sum(axis=1).var() / n**4)}
     return TestReport.deterministic(f"boundary-flow[N={n},gamma0={omega_start.gamma}]",
-                                    worst, threshold,
+                                    residuals, threshold,
                                     {"seed": seed, "alpha": alpha, "n": n, "dt": dt,
                                      "n_paths": n_paths, "guard_fraction": info["guard_fraction"],
                                      "track": track})
@@ -873,13 +877,13 @@ def _suite_branching_limit(seed, sizes):
     kappa = sizes.get("kappa", 200)
     params = JacobiParams(0.0, 0.0)
     reports = []
-    worst = 0.0
+    residuals = []
     for lam_parts in [(1,), (2,), (1, 1), (2, 1), (3, 2, 1), (2, 2, 2)]:
         lam = Partition(lam_parts)
         n = max(1, lam.length - 1)
         _, probs = kernel_row(lam, n, params)
-        worst = max(worst, abs(probs.sum() - 1.0))
-    reports.append(TestReport.deterministic("branching-row-sums", worst, 1e-10, {}))
+        residuals.append(abs(probs.sum() - 1.0))
+    reports.append(TestReport.deterministic("branching-row-sums", residuals, 1e-10, {}))
     res_hi = compare_scaling_limit(Partition((2, 1)), kappa, params)
     res_lo = compare_scaling_limit(Partition((2, 1)), max(10, kappa // 10), params)
     reports.append(TestReport.deterministic("branching-scaling-limit",

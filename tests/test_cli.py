@@ -146,10 +146,10 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, config, message", [
     (["simulate", "--process", "laguerre", "--x0", "1", "--t", "0.1"], {"paths": "ten"},
-     "config key paths: invalid int value 'ten'"),
+     "argument --paths: invalid int value: 'ten'"),
     (["simulate", "--process", "laguerre", "--x0", "1", "--t", "0.1"], {"dt": [0.01]},
      "config key dt: [0.01] is not a flag value"),
-    (["verify"], {"suite": "everything"}, "config key suite: 'everything' is not one of"),
+    (["verify"], {"suite": "everything"}, "argument --suite: invalid choice: 'everything'"),
 ])
 def test_config_value_rejected_by_its_flag_exits_2(tmp_path, capsys, argv, config, message):
     cfg = tmp_path / "cfg.json"
@@ -168,6 +168,33 @@ def test_config_values_converted_like_flags(tmp_path):
     assert main(base + ["--config", str(cfg), "--out", str(out_cfg)]) == 0
     assert main(base + ["--paths", "10", "--dt", "0.01", "--out", str(out_flags)]) == 0
     assert out_cfg.read_bytes() == out_flags.read_bytes()
+
+
+def test_config_key_spelled_with_underscore_or_negative_value_matches_flags(tmp_path):
+    base = ["sample-ensemble", "--ensemble", "laguerre", "--dim", "2", "--n", "10"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"summary_out": str(tmp_path / "cfg.json.out")}))
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(base + ["--summary-out", str(tmp_path / "flags.json.out"),
+                        "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "cfg.json.out").read_bytes() == (tmp_path / "flags.json.out").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # a negative number is read as the flag's argument, not as a flag
+    base = ["sample-kernel", "--kernel", "lambda-eq", "--x", "1,2", "--n", "50", "--seed", "3"]
+    cfg.write_text(json.dumps({"alpha": -0.5}))
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(base + ["--alpha", "-0.5", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_config_abbreviated_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pat": 3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--process", "laguerre", "--x0", "1", "--t", "0.1",
+              "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "config keys match no flag of simulate: pat" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--paths", "--pat", "--paths=3"])

@@ -51,6 +51,20 @@ def test_pickrell_params_validation():
         PickrellParams(1.0, 0.0, 0)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, math.nan])
+def test_laguerre_simulator_and_drift_refuse_alpha_at_most_minus_one(alpha):
+    # the Pickrell parameters refuse it with the same message
+    with pytest.raises(ValueError, match=f"^alpha={alpha} must be > -1"):
+        laguerre_drift(alpha, 2, (1.0, 2.0))
+    with pytest.raises(ValueError, match=f"^alpha={alpha} must be > -1"):
+        simulate_laguerre_paths(alpha, 2, (1.0, 2.0), SdeConfig(1e-3, 0.5), 200, 1)
+    with pytest.raises(ValueError, match=f"^alpha={alpha} must be > -1"):
+        PickrellParams(1.0, alpha, 2)
+    assert laguerre_drift(-0.5, 2, (1.0, 2.0)) == pytest.approx([-2.5, 2.5])
+    terminal, _, info = simulate_laguerre_paths(-0.5, 2, (1.0, 2.0), SdeConfig(1e-2, 0.1), 5, 1)
+    assert terminal.shape == (5, 2) and info["n_steps"] == 10
+
+
 def test_laguerre_drift_examples():
     assert laguerre_drift(0.0, 1, (3.0,)) == pytest.approx([-2.0])
     assert laguerre_drift(0.0, 2, (1.0, 2.0)) == pytest.approx([-2.0, 3.0])

@@ -32,6 +32,14 @@ def test_report_deterministic_invariant(stat, threshold):
     assert rep.passed == (stat <= threshold)
 
 
+def test_report_deterministic_fails_on_nan_and_refuses_no_residuals():
+    with np.errstate(all="ignore"):
+        rep = TestReport.deterministic("t", [0.0, np.nan], 1.0)
+    assert not rep.passed and math.isnan(rep.statistic)
+    with pytest.raises(ValueError, match="no residuals"):
+        TestReport.deterministic("t", [], 1.0)
+
+
 def test_quad_1d_examples():
     assert quad_1d(lambda x: x, 0, 1, tol=1e-12) == pytest.approx(0.5, abs=1e-10)
     val = quad_1d(lambda y: math.log(2 / max(1.0, y)), 0, 2, tol=1e-10, points=[1.0])
@@ -246,6 +254,17 @@ def test_vandermonde_eigen_hand_cases():
     assert rep2.meta["eigenvalue"] == pytest.approx(-3.0)  # N(N-1)(-4N+2-3s)/6
 
 
+def test_exact_checks_fail_at_a_tie_and_refuse_no_points():
+    # a tied point divides by zero: its NaN residual must fail the check
+    with np.errstate(all="ignore"):
+        rep = check_vandermonde_eigen(1.0, 0.0, 2, [np.array([1.0, 1.0])])
+    assert not rep.passed and math.isnan(rep.statistic)
+    with pytest.raises(ValueError, match="no residuals"):
+        check_vandermonde_eigen(1.0, 0.0, 2, [])
+    with pytest.raises(ValueError, match="no residuals"):
+        check_h_transform_identities(1.0, 0.5, 2, [])
+
+
 def test_h_transform_identities_pass():
     rng = generator(9)
     for s, alpha, n in [(1.0, 0.5, 2), (-0.5, 1.5, 3), (2.0, 0.0, 1)]:
@@ -311,6 +330,16 @@ def test_flow_start_profile_embedding():
     assert gamma_bar(emb) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         flow_start_profile(BoundaryPoint((0.1, 0.1), 0.2), 1)
+
+
+def test_flow_start_profile_clamps_a_roundoff_negative_free_mass():
+    # gamma_bar = -1e-13 passes BoundaryPoint's slack; the ramp spreads no mass
+    omega = BoundaryPoint((0.7, 0.3), 1 - 1e-13)
+    assert gamma_bar(omega) < 0
+    x0 = flow_start_profile(omega, 4)
+    assert np.all(x0 >= 0) and np.all(np.diff(x0) > 0)
+    emb = embed_boundary(x0)
+    assert emb.alphas[:2] == pytest.approx((0.7, 0.3), abs=1e-12)
 
 
 def test_intertwine_trivial_at_t0():
