@@ -4,10 +4,11 @@ Subcommands: sample-kernel, sample-ensemble, simulate, boundary-flow,
 branching, verify.  Identical invocation plus seed gives byte-identical
 output; every JSON document embeds the resolved parameters and the version
 string.  ``--config file.json`` holds a JSON object whose keys each name a
-flag of the subcommand, spelled with - or _; each value is read as that
-flag's argument, placed before the command line's own flags, which
-therefore win.  Exit codes: 0 success / all checks passed, 1 check failure,
-2 usage error.
+flag of the subcommand other than --config, spelled with - or _; each value
+is read as that flag's argument, placed before the command line's own
+flags, which therefore win.  A required flag must be on the command line,
+since argparse checks it before the config is read.  Exit codes: 0
+success / all checks passed, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _config_flags(args: argparse.Namespace) -> list:
     loaded = json.loads(Path(args.config).read_text())
     if not isinstance(loaded, dict):
         raise ValueError(f"config {args.config} must hold a JSON object")
-    flags = set(vars(args)) - {"command"}
+    flags = set(vars(args)) - {"command", "config"}
     unknown = [key for key in loaded if key.replace("-", "_") not in flags]
     if unknown:
         raise ValueError(f"config keys match no flag of {args.command}: {', '.join(unknown)}")
@@ -219,14 +220,13 @@ def _cmd_branching(args) -> int:
     n = max(1, lam.length - 1)
     targets, probs = kernel_row(lam, n, params)
     rows = [list(t.padded(n)) + [p] for t, p in zip(targets, probs)]
+    # an unsupported kappa or dimension fails before the row is written
+    res = None if args.kappa is None else compare_scaling_limit(lam, args.kappa, params)
     _write_csv(args.out, [f"nu{i + 1}" for i in range(n)] + ["probability"], rows)
-    if args.kappa is not None:
-        res = compare_scaling_limit(lam, args.kappa, params)
-        payload = {"parameters": {"alpha": args.alpha, "beta": args.beta,
-                                  "lam": list(lam.parts), "kappa": args.kappa},
-                   "result": {k: v for k, v in res.items()},
-                   "version": version_string()}
-        _write_json(None, payload)
+    if res is not None:
+        _write_json(None, {"parameters": {"alpha": args.alpha, "beta": args.beta,
+                                          "lam": list(lam.parts), "kappa": args.kappa},
+                           "result": dict(res), "version": version_string()})
     return 0
 
 

@@ -569,30 +569,20 @@ def apply_generator_1d(s, alpha, n, coeffs, x):
     return out if out.ndim else float(out)
 
 
-class _PowerForm:
-    """Function x^a (1+x)^b P(x); closed under the generators' calculus."""
+def _generator_on_power(c1, c0, a, b, p):
+    """The generator x(1+x) d^2 + (c1 x + c0) d applied to x^a (1+x)^b P(x),
+    as the polynomial Q of the result x^(a-1) (1+x)^(b-1) Q(x)."""
+    xp = np.polynomial.Polynomial([0.0, 1.0])
+    one_px = np.polynomial.Polynomial([1.0, 1.0])
+    # f' = x^(a-1)(1+x)^(b-1) [a(1+x)P + b x P + x(1+x)P']
+    p1 = a * one_px * p + b * xp * p + xp * one_px * p.deriv()
+    p2 = (a - 1.0) * one_px * p1 + (b - 1.0) * xp * p1 + xp * one_px * p1.deriv()
+    # x(1+x) f'' and (c1 x + c0) f' both live at exponents (a-1, b-1)
+    return p2 + np.polynomial.Polynomial([c0, c1]) * p1
 
-    def __init__(self, a, b, poly):
-        self.a = float(a)
-        self.b = float(b)
-        self.poly = poly if isinstance(poly, np.polynomial.Polynomial) else np.polynomial.Polynomial(poly)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return x**self.a * (1.0 + x) ** self.b * self.poly(x)
-
-    def apply_generator(self, s, alpha, n, hat=False) -> "_PowerForm":
-        xp = np.polynomial.Polynomial([0.0, 1.0])
-        one_px = np.polynomial.Polynomial([1.0, 1.0])
-        p = self.poly
-        # f' = x^(a-1)(1+x)^(b-1) [a(1+x)P + b x P + x(1+x)P']
-        p1 = self.a * one_px * p + self.b * xp * p + xp * one_px * p.deriv()
-        a1, b1 = self.a - 1.0, self.b - 1.0
-        p2 = a1 * one_px * p1 + b1 * xp * p1 + xp * one_px * p1.deriv()
-        c1, c0 = generator_drift_coeffs(s, alpha, n, hat=hat)
-        drift_poly = np.polynomial.Polynomial([c0, c1])
-        # x(1+x) f'' and (c1 x + c0) f' both live at exponents (a-1, b-1)
-        return _PowerForm(a1, b1, p2 + drift_poly * p1)
+def _power_form(a, b, p, x):
+    return x**a * (1.0 + x) ** b * p(x)
 
 
 def h_transform_constants(s, alpha, n):
@@ -605,16 +595,14 @@ def check_vandermonde_eigen(s, alpha, n, points, threshold: float = 1e-8) -> Tes
     """The Vandermonde factor is an eigenfunction of the summed one-particle
     generators, with eigenvalue N(N-1)(-4N+2-3s)/6; exact-calculus check."""
     lam = n * (n - 1) * (-4.0 * n + 2.0 - 3.0 * s) / 6.0
-    residuals = []
-    for x in points:
-        arr = as_coords(x, expected_dim=n)
-        diff = arr[:, None] - arr[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s1 = (1.0 / diff).sum(axis=1)
-        q1 = (1.0 / diff**2).sum(axis=1)
-        c1, c0 = generator_drift_coeffs(s, alpha, n)
-        lhs = float(np.sum(arr * (1.0 + arr) * (s1**2 - q1) + (c1 * arr + c0) * s1))
-        residuals.append(abs(lhs - lam) / max(1.0, abs(lam)))
+    arr = np.reshape(np.asarray(points, dtype=float), (len(points), n))
+    diff = arr[:, :, None] - arr[:, None, :]
+    diff[:, np.arange(n), np.arange(n)] = np.inf
+    s1 = (1.0 / diff).sum(axis=2)
+    q1 = (1.0 / diff**2).sum(axis=2)
+    c1, c0 = generator_drift_coeffs(s, alpha, n)
+    lhs = np.sum(arr * (1.0 + arr) * (s1**2 - q1) + (c1 * arr + c0) * s1, axis=1)
+    residuals = np.abs(lhs - lam) / max(1.0, abs(lam))
     return TestReport.deterministic(f"vandermonde-eigenfunction[N={n},s={s}]", residuals, threshold,
                                     {"s": s, "alpha": alpha, "n": n,
                                      "eigenvalue": lam, "n_points": len(points)})
@@ -633,24 +621,21 @@ def check_h_transform_identities(s, alpha, n, points, threshold: float = 1e-8) -
     if np.any(pts <= 0):
         raise ValueError("evaluation points must be positive")
     c_const, d_const = h_transform_constants(s, alpha, n)
+    # (outer exponents (a, b), upstairs drift (c1, c0), constant, downstairs (s, alpha))
+    table = [((alpha + 1.0, -(2.0 * n + s + alpha + 1.0)),
+              generator_drift_coeffs(s, alpha, n + 1, hat=True), c_const, (s, alpha + 1.0)),
+             ((alpha, 0.0), generator_drift_coeffs(s + 2.0 * alpha - 2.0, -alpha, n + 1),
+              d_const, (s, alpha))]
+    one = np.polynomial.Polynomial([1.0])
     residuals = []
     for g_coeffs in ([1.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]):
         g = np.polynomial.Polynomial(g_coeffs)
-        # (i)
-        m_inv_g = _PowerForm(alpha + 1.0, -(2.0 * n + s + alpha + 1.0), g)
-        lhs = m_inv_g.apply_generator(s, alpha, n + 1, hat=True)(pts)
-        lg = apply_generator_1d(s, alpha + 1.0, n, g_coeffs, pts)
-        rhs = c_const * m_inv_g(pts) + _PowerForm(alpha + 1.0, -(2.0 * n + s + alpha + 1.0),
-                                                  [1.0])(pts) * lg
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        residuals.append(np.abs(lhs - rhs) / scale)
-        # (ii)
-        xag = _PowerForm(alpha, 0.0, g)
-        lhs2 = xag.apply_generator(s + 2.0 * alpha - 2.0, -alpha, n + 1)(pts)
-        lg2 = apply_generator_1d(s, alpha, n, g_coeffs, pts)
-        rhs2 = d_const * xag(pts) + pts**alpha * lg2
-        scale2 = np.maximum(1.0, np.maximum(np.abs(lhs2), np.abs(rhs2)))
-        residuals.append(np.abs(lhs2 - rhs2) / scale2)
+        for (a, b), (c1, c0), const, (s_down, alpha_down) in table:
+            lhs = _power_form(a - 1.0, b - 1.0, _generator_on_power(c1, c0, a, b, g), pts)
+            lg = apply_generator_1d(s_down, alpha_down, n, g_coeffs, pts)
+            rhs = const * _power_form(a, b, g, pts) + _power_form(a, b, one, pts) * lg
+            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            residuals.append(np.abs(lhs - rhs) / scale)
     return TestReport.deterministic(f"h-transform-identities[N={n},s={s},alpha={alpha}]",
                                     residuals, threshold,
                                     {"s": s, "alpha": alpha, "n": n, "n_points": pts.size})

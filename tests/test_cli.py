@@ -79,6 +79,19 @@ def test_simulate_outputs_paths(tmp_path):
     assert lines[0] == "x1,x2" and len(lines) == 41
 
 
+@pytest.mark.parametrize("lam, kappa, message", [
+    ("4,3,2,1", "10", "supports N = 1 or 2"),
+    ("2,1", "0", "kappa=0 must be a positive integer"),
+])
+def test_branching_bad_kappa_writes_nothing(tmp_path, capsys, lam, kappa, message):
+    out = tmp_path / "row.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["branching", "--lam", lam, "--kappa", kappa, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_branching_row_and_limit(tmp_path, capsys):
     # N = 1, and N = 2 with its two-dimensional limit.  The CSV keeps 9
     # significant digits, so its rows sum to 1 within 5e-9 only; the three
@@ -135,13 +148,15 @@ def test_config_file_defaults_and_override(tmp_path):
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
+    # --config names the file and is no flag a config can set
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tt": 0.69, "threads": 4, "gamma0": 2.0}))
+    cfg.write_text(json.dumps({"tt": 0.69, "threads": 4, "gamma0": 2.0, "config": "nope.json"}))
     with pytest.raises(SystemExit) as exc:
         main(["boundary-flow", "--gamma0", "3", "--t", "0", "--config", str(cfg)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "tt" in err and "threads" in err and "gamma0" not in err
+    listed = err.split("match no flag of boundary-flow: ")[1].strip()
+    assert listed.split(", ") == ["tt", "threads", "config"]
 
 
 @pytest.mark.parametrize("argv, config, message", [

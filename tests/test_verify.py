@@ -235,13 +235,58 @@ def test_apply_generator_1d():
         (2 - 2 * n - s) * x + alpha + 1)
     # power rule: the conjugating power x^alpha is an eigenfunction of the
     # shifted-parameter generator with eigenvalue d = -alpha(2N+s+alpha-1)
-    from intertwine.verify import _PowerForm, h_transform_constants
+    from intertwine.verify import _generator_on_power, _power_form, h_transform_constants
+    one = np.polynomial.Polynomial([1.0])
     for s, alpha, n in [(1.0, 0.5, 1), (2.0, 1.3, 3), (-0.5, 0.9, 2)]:
-        f = _PowerForm(alpha, 0.0, [1.0])
-        lf = f.apply_generator(s + 2 * alpha - 2.0, -alpha, n + 1)
+        c1, c0 = generator_drift_coeffs(s + 2 * alpha - 2.0, -alpha, n + 1)
+        q = _generator_on_power(c1, c0, alpha, 0.0, one)
         _, d = h_transform_constants(s, alpha, n)
         for x in (0.3, 1.0, 2.7):
-            assert lf(x) == pytest.approx(d * x**alpha, rel=1e-12)
+            assert _power_form(alpha - 1.0, -1.0, q, x) == pytest.approx(d * x**alpha, rel=1e-12)
+
+
+def test_generator_on_power_at_zero_exponents_is_apply_generator_1d():
+    # at (a, b) = (0, 0) the power form is the polynomial itself, and the
+    # result x^-1 (1+x)^-1 Q(x) is the generator applied to it
+    from intertwine.verify import _generator_on_power, _power_form
+    polys = [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
+             [0.0, 0.0, 0.0, 0.0, 1.0], [0.5, -1.0, 2.0, 0.25, -0.75]]
+    for s, alpha, n in [(1.0, 0.5, 1), (2.0, 1.3, 3), (-0.5, 0.9, 2), (0.3, -0.6, 5)]:
+        c1, c0 = generator_drift_coeffs(s, alpha, n)
+        for coeffs in polys:
+            q = _generator_on_power(c1, c0, 0.0, 0.0, np.polynomial.Polynomial(coeffs))
+            for x in (0.3, 1.0, 2.7):
+                assert _power_form(-1.0, -1.0, q, x) == pytest.approx(
+                    apply_generator_1d(s, alpha, n, coeffs, x), rel=1e-12)
+
+
+def _vandermonde_residual(s, alpha, n, x):
+    """The eigenfunction check at one point, as a per-point loop computes it."""
+    lam = n * (n - 1) * (-4.0 * n + 2.0 - 3.0 * s) / 6.0
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, np.inf)
+    s1 = (1.0 / diff).sum(axis=1)
+    q1 = (1.0 / diff**2).sum(axis=1)
+    c1, c0 = generator_drift_coeffs(s, alpha, n)
+    lhs = float(np.sum(x * (1.0 + x) * (s1**2 - q1) + (c1 * x + c0) * s1))
+    return abs(lhs - lam) / max(1.0, abs(lam))
+
+
+@hypothesis.given(st.integers(1, 9), st.floats(-3.0, 3.0), st.floats(-0.9, 3.0),
+                  st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_exact_checks_are_batch_independent(n, s, alpha, m, seed):
+    # one call on m points reports, bit for bit, the largest statistic of the
+    # m one-point calls: no point's residual depends on the others, and the
+    # batched Vandermonde pass sums in the order of the per-point loop
+    rng = generator(seed)
+    pts = [np.sort(rng.uniform(0.1, 5.0, size=n)) + np.arange(n) * 1e-2 for _ in range(m)]
+    rep = check_vandermonde_eigen(s, alpha, n, pts)
+    assert rep.statistic == max(check_vandermonde_eigen(s, alpha, n, [p]).statistic for p in pts)
+    assert rep.statistic == max(_vandermonde_residual(s, alpha, n, p) for p in pts)
+    xs = rng.uniform(0.1, 5.0, size=m)
+    rep = check_h_transform_identities(s, alpha, n, xs)
+    assert rep.statistic == max(check_h_transform_identities(s, alpha, n, [x]).statistic
+                                for x in xs)
 
 
 def test_vandermonde_eigen_hand_cases():
