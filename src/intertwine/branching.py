@@ -7,8 +7,11 @@ all-ones vector through a closed product formula, yields a Markov kernel
 from partitions of length N+1 to partitions of length N via a two-step
 branching sum.  Under diffusive scaling (partitions ~ kappa * lambda,
 kappa -> infinity after taking square roots of coordinates) the kernel rows
-converge to the continuous (N+1 -> N) alpha-link of ``kernels``, whose CDF
-the Gauss panel cubature of ``verify`` gives ``compare_scaling_limit``.
+converge to the continuous (N+1 -> N) alpha-link of ``kernels``.
+``compare_scaling_limit`` reads both CDFs off one grid: the discrete one
+from the row's targets, the continuous one from the panel masses of one
+Gauss panel cubature of ``verify`` over the link's cell, cut at every grid
+line.
 
 One batched row serves every N: the branching weight B(m, l) is an
 m-part times an l-part, so the sum over each coordinate of the
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chamber import Partition, gap_products
+from .chamber import Partition, gap_products, link_cell
 # density_lambda_plus stays bound here for perfbench/spans.py, which wraps it by this path
 from .kernels import _libm, density_lambda_plus, density_lambda_plus_rows  # noqa: F401
 
@@ -281,11 +284,13 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
 
     The discrete variable Z/kappa is compared, through the change of
     variables y = nu^2 (weight 2 nu d nu per coordinate), against the
-    continuous (N+1 -> N) alpha-link at x = lambda^2, whose CDF the Gauss
-    panel cubature of ``verify`` gives to 1.49e-8.  CDFs are compared on the
-    lattice midpoints (k + 1/2)/kappa at N = 1, and at N = 2 on the 12 x 12
-    grid j lambda_1/12 - 1/(2 kappa).  Returns a dict with the sup
-    discrepancy and the row mass.
+    continuous (N+1 -> N) alpha-link at x = lambda^2.  Both CDFs are read
+    off one grid, the lattice midpoints (k + 1/2)/kappa at N = 1 and the
+    12 x 12 grid j lambda_1/12 - 1/(2 kappa) at N = 2: the discrete one
+    from the row's targets, the continuous one from the panel masses of one
+    Gauss panel cubature of ``verify`` over the link's cell, cut at every
+    grid line so each panel lies in one grid cell, to 1.49e-8.  Returns a
+    dict with the sup discrepancy and the row mass.
     """
     lam = _as_partition(lam)
     if int(kappa) != kappa or kappa < 1:
@@ -301,38 +306,35 @@ def compare_scaling_limit(lam, kappa: int, params: JacobiParams):
     nus, probs = _row(lam.scaled(kappa), n, params)
     if n == 1:
         grid = (nus[:, 0] + 0.5) / kappa
-        sup = np.max(np.abs(np.cumsum(probs) - _cdf_1d_on_grid(params.alpha, x_sq, grid)))
     else:
-        pts = nus[:, ::-1].astype(float)  # ascending pairs
-        grid1 = np.linspace(0.0, lam.parts[0], 13)[1:] - 0.5 / kappa
-        sup = 0.0
-        for a_v in grid1:
-            for b_v in grid1:
-                d_val = probs[(pts[:, 0] <= a_v * kappa) & (pts[:, 1] <= b_v * kappa)].sum()
-                c_val = _cdf_2d(params.alpha, x_sq, a_v, b_v) if min(a_v, b_v) > 0 else 0.0
-                sup = max(sup, abs(d_val - c_val))
+        grid = np.linspace(0.0, lam.parts[0], 13)[1:] - 0.5 / kappa
+    sup = np.max(np.abs(_grid_cdf(nus[:, ::-1], probs, grid * kappa)  # ascending targets
+                        - _link_cdf(params.alpha, x_sq, grid)))
     return {"sup_discrepancy": float(sup), "row_mass": float(probs.sum()), "kappa": kappa, "n": n}
 
 
-def _cdf_2d(alpha: float, x_sq: np.ndarray, a_v: float, b_v: float) -> float:
-    """P(sqrt(Y_1) <= a_v, sqrt(Y_2) <= b_v) for a_v, b_v > 0, Y ~ continuous (3 -> 2)
-    link at x_sq: the mass of the link's cell with its upper corner clipped to
-    (a_v^2, b_v^2).  b_v^2 is a break, since the inner range empties past y_1 = b_v^2."""
+def _link_cdf(alpha: float, x_sq: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """P(sqrt(Y) <= g per coordinate) at each node g of grid^N, Y ~ continuous
+    (N+1 -> N) link at x_sq, from one cubature over the link's cell cut at
+    every grid line, so each panel lies in one grid cell."""
     from .verify import quad_cell
 
-    b = b_v * b_v
-    cell = ((0.0, x_sq[0]), (min(a_v * a_v, x_sq[1]), min(b, x_sq[2])))
-    return quad_cell(lambda ys: density_lambda_plus_rows(alpha, x_sq, ys), cell, _CDF_TOL,
-                     breaks=(*x_sq, b), alpha=alpha).value
+    cuts = np.maximum(grid, 0.0) ** 2  # the CDF is 0 at a node at or below 0
+    q = quad_cell(lambda ys: density_lambda_plus_rows(alpha, x_sq, ys),
+                  link_cell("lambda_plus", x_sq), _CDF_TOL, breaks=(*x_sq, *cuts), alpha=alpha)
+    return _grid_cdf(q.corners, q.masses, cuts)
 
 
-def _cdf_1d_on_grid(alpha: float, x_sq: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """CDF of sqrt(Y), Y ~ continuous link at x_sq, at the grid points."""
-    from .verify import quad_intervals
-
-    ends = np.minimum(grid, math.sqrt(x_sq[-1])) ** 2
-    edges = np.unique(np.concatenate([[0.0], ends, x_sq]))
-    parts, _ = quad_intervals(lambda ys: density_lambda_plus_rows(alpha, x_sq, ys), edges,
-                              _CDF_TOL, alpha)
-    cum = np.concatenate([[0.0], np.cumsum(parts)])
-    return cum[np.searchsorted(edges, ends)]
+def _grid_cdf(points, weights, grid) -> np.ndarray:
+    """The weight of the (m, d) points at or below each node of the product
+    grid grid^d (grid ascending): a histogram over the grid cells, the cell
+    of a point being the first node at or above it in each coordinate,
+    summed cumulatively along each axis.  Points above the last node count
+    at no node."""
+    idx = np.searchsorted(grid, points, side="left")
+    inside = np.all(idx < grid.size, axis=1)
+    cdf = np.zeros((grid.size,) * points.shape[1])
+    np.add.at(cdf, tuple(idx[inside].T), weights[inside])
+    for axis in range(cdf.ndim):
+        cdf = cdf.cumsum(axis)
+    return cdf

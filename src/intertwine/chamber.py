@@ -73,6 +73,8 @@ class Partition:
 
     def __post_init__(self):
         parts = tuple(int(p) for p in self.parts)
+        if parts != tuple(self.parts):
+            raise ValueError(f"non-integral part in {tuple(self.parts)}")
         object.__setattr__(self, "parts", parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts}")

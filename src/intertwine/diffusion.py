@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chamber import BoundaryPoint, as_coords
-from .kernels import _require_alpha
+from .kernels import _require_alpha, _require_dim
 from .matrixmodel import _check_alpha_int, radial_part_many, sample_ginibre
 from .rng import path_generator
 
@@ -119,8 +119,7 @@ class PickrellParams:
 
     def __post_init__(self):
         _require_alpha(self.alpha)
-        if self.n < 1:
-            raise ValueError(f"n={self.n} must be >= 1")
+        _require_dim(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +477,7 @@ def simulate_laguerre_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int, master_s
     Returns (terminal (n_paths, n) ascending rows, snapshots dict, info dict).
     """
     _require_alpha(alpha)
+    _require_dim(n)
     return _run_euler(lambda x, h, work: _laguerre_drift_rows(alpha, x, h, work),
                       _laguerre_vol, x0, n, cfg, n_paths, master_seed, snapshots_at)
 
@@ -504,6 +504,7 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
     [diag(sqrt(x0)); 0]; ``init='ginibre'`` starts from the stationary law,
     drawn from the path's own stream.  Returns (terminal, snapshots, info).
     """
+    _require_dim(n)
     m = n + _check_alpha_int(alpha)
     if init == "diag":
         if x0 is None:

@@ -52,6 +52,11 @@ def _require_alpha(alpha) -> None:
         raise ValueError(f"alpha={alpha} must be > -1")
 
 
+def _require_dim(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n={n} must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Link parameters: alpha > -1 and the target dimension n.  The source
@@ -62,8 +67,7 @@ class KernelParams:
 
     def __post_init__(self):
         _require_alpha(self.alpha)
-        if self.n < 1:
-            raise ValueError(f"n={self.n} must be >= 1")
+        _require_dim(self.n)
 
 
 def shifted_factorial(x: float, n: int) -> float:

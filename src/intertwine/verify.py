@@ -8,9 +8,10 @@ calculus and a Gauss panel cubature over an interlacing cell as
 ``chamber.link_cell`` returns it: fixed-order tensor Gauss rules on panels
 cut at the cell's break points (Gauss-Jacobi for the y^alpha factor at
 y = 0), with an error estimate from a rerun at doubled order that must meet
-the check's tolerance.  Both rules come from one Golub-Welsch eigenproblem
-solved by numpy, so exact calculus loads no scipy module.  An integrand over
-the source of a link (the two-step decomposition) evaluates the link on
+the check's tolerance, and each panel's mass, which a CDF on the panels'
+grid sums.  Both rules come from one Golub-Welsch eigenproblem solved by
+numpy, so exact calculus loads no scipy module.  An integrand over the
+source of a link (the two-step decomposition) evaluates the link on
 source rows paired with its target rows.  Every check returns a TestReport
 whose metadata records seeds and sizes, and all randomness flows from named
 streams derived from one master seed, so reruns are bit-identical.
@@ -44,7 +45,6 @@ __all__ = [
     "TestReport",
     "quad_1d",
     "quad_cell",
-    "quad_intervals",
     "Quadrature",
     "energy_perm_test",
     "check_intertwine_laguerre",
@@ -137,15 +137,18 @@ def quad_1d(f, a: float, b: float, tol: float = 1e-10, points=None) -> float:
 
 
 QUAD_ORDER = 16  # Gauss points per panel and coordinate; the error estimate doubles it
-QUAD_BLOCK = 2048  # integrand rows per call of a 1-D rule, bounding temporary memory
+QUAD_BLOCK = 2048  # integrand rows per call, bounding temporary memory
 
 
 class Quadrature(NamedTuple):
-    """A cubature result: value, error estimate and integrand evaluations."""
+    """A cubature result: value, error estimate and integrand evaluations,
+    and per panel its mass and upper corner, shape (panels, d)."""
 
     value: float
     err: float
     n_eval: int
+    masses: np.ndarray
+    corners: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -215,59 +218,45 @@ def quad_cell(f, cell, tol: float = 1e-8, breaks=(), alpha: float = 0.0) -> Quad
     smooth; the first coordinate is also cut at lo_2, where the inner range
     turns.  Each panel gets a tensor Gauss-Legendre rule, Gauss-Jacobi on
     panels starting at 0 when the integrand carries a factor y^alpha there.
-    The rule runs at orders QUAD_ORDER and 2 QUAD_ORDER; the larger gives
-    the value, and the panel-wise sum of |difference| the error estimate,
-    which must not exceed ``tol``, so an undeclared kink or jump raises.
+    The rule runs on all panels at once at orders QUAD_ORDER and 2 QUAD_ORDER;
+    the larger gives the panel masses, and the sum over panels of |difference|
+    the error estimate, which bounds every partial sum of the masses and must
+    not exceed ``tol``, so an undeclared kink or jump raises.
     """
     lo, hi = np.asarray(cell, dtype=float)
     if lo.size not in (1, 2):
         raise ValueError("quad_cell supports cells of dimension 1 and 2")
     if not lo[0] < hi[0]:
         raise ValueError(f"need lo < hi, got [{lo[0]}, {hi[0]}]")
-    edges1 = _split(lo[0], hi[0], (*breaks, *lo[1:]))
-    if lo.size == 1:
-        return quad_intervals(f, edges1, tol, alpha)[1]
-    totals = np.zeros((2, edges1.size - 1))
-    n_eval = 0
-    for p, (a, b) in enumerate(zip(edges1[:-1], edges1[1:])):
-        inner = sorted(c for c in breaks if max(0.5 * (a + b), lo[1]) < c < hi[1])
-        for o, k in enumerate((QUAD_ORDER, 2 * QUAD_ORDER)):
-            y1, w1 = _panel_nodes(a, b, k, alpha)
-            cuts = np.column_stack([np.maximum(y1, lo[1]), *(np.full(k, c) for c in inner),
-                                    np.full(k, hi[1])])
-            y2, w2 = _panel_nodes(cuts[:, :-1], cuts[:, 1:], k, alpha)
-            pts = np.column_stack([np.broadcast_to(y1[:, None, None], y2.shape).ravel(),
-                                   y2.ravel()])
-            totals[o, p] = np.sum((w1[:, None, None] * w2).ravel() * f(pts))
-            n_eval += pts.shape[0]
-    err = float(np.sum(np.abs(totals[1] - totals[0])))
-    return _converged(Quadrature(float(totals[1].sum()), err, n_eval), tol)
-
-
-def quad_intervals(f, edges, tol: float, alpha: float = 0.0):
-    """Integrals of a row-wise 1-D integrand over each [edges[i], edges[i+1]]
-    (edges sorted, repeats allowed), all panels in one pass with the rule of
-    :func:`quad_cell`.  Returns the per-interval values and their Quadrature
-    total; the error estimate bounds every partial sum and must not exceed
-    ``tol``."""
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    vals = np.zeros((2, lo.size))
+    edges = _split(lo[0], hi[0], (*breaks, *lo[1:]))
+    # one row (lo_1, hi_1[, lo_2, hi_2]) per panel; y_2's lower bound is max(y_1, lo_2)
+    box = np.column_stack([edges[:-1], edges[1:]])
+    if lo.size == 2:
+        # each outer panel's inner range, cut at the breaks above its midpoint:
+        # no break lies inside an outer panel, so these lie above all of it
+        panels = []
+        for a, b in box:
+            inner = sorted({c for c in breaks if max(0.5 * (a + b), lo[1]) < c < hi[1]})
+            panels += [(a, b, l, u) for l, u in zip([lo[1], *inner], [*inner, hi[1]])]
+        box = np.array(panels)
+    masses = np.zeros((2, len(box)))
     n_eval = 0
     for o, k in enumerate((QUAD_ORDER, 2 * QUAD_ORDER)):
-        step = max(1, QUAD_BLOCK // k)
-        for i in range(0, lo.size, step):
-            y, w = _panel_nodes(lo[i:i + step], hi[i:i + step], k, alpha)
-            vals[o, i:i + step] = np.sum(w * f(y.reshape(-1, 1)).reshape(y.shape), axis=1)
-            n_eval += y.size
-    err = float(np.sum(np.abs(vals[1] - vals[0])))
-    return vals[1], _converged(Quadrature(float(vals[1].sum()), err, n_eval), tol)
-
-
-def _converged(q: Quadrature, tol: float) -> Quadrature:
-    if not q.err <= tol:
-        raise RuntimeError(f"cubature did not converge: value={q.value}, err={q.err} > tol={tol}")
-    return q
+        y, w = _panel_nodes(box[:, 0], box[:, 1], k, alpha)
+        pts = y[..., None]
+        if lo.size == 2:
+            y2, w2 = _panel_nodes(np.maximum(y, box[:, 2:3]), np.broadcast_to(box[:, 3:], y.shape),
+                                  k, alpha)
+            w = w[..., None] * w2
+            pts = np.stack([np.broadcast_to(y[..., None], y2.shape), y2], axis=-1)
+        rows = pts.reshape(-1, lo.size)
+        vals = np.concatenate([f(rows[i:i + QUAD_BLOCK]) for i in range(0, len(rows), QUAD_BLOCK)])
+        masses[o] = np.sum((w * vals.reshape(w.shape)).reshape(len(box), -1), axis=1)
+        n_eval += len(rows)
+    value, err = float(masses[1].sum()), float(np.sum(np.abs(masses[1] - masses[0])))
+    if not err <= tol:
+        raise RuntimeError(f"cubature did not converge: value={value}, err={err} > tol={tol}")
+    return Quadrature(value, err, n_eval, masses[1], box[:, 1::2])
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from intertwine.branching import (JacobiParams, _cdf_2d, _lgamma, coef_A, coef_B,
+from intertwine import verify
+from intertwine.branching import (JacobiParams, _lgamma, _link_cdf, coef_A, coef_B,
                                   coef_c, compare_scaling_limit,
                                   jacobi_p, jacobi_p_at_one, kernel_row,
                                   leading_k, log_coef_B, log_coef_c,
                                   log_mv_jacobi_at_one, mv_jacobi,
                                   mv_jacobi_at_one)
 from intertwine.chamber import Partition
-from intertwine.kernels import KernelParams, sample_lambda_plus_many
+from intertwine.kernels import (KernelParams, density_lambda_plus_rows,
+                                sample_lambda_plus_many)
 from intertwine.rng import generator
 
 from helpers import partitions_up_to
@@ -243,6 +245,14 @@ def test_two_step_regrouping_equals_kernel():
             assert direct == pytest.approx(p, rel=1e-12, abs=1e-15), (lam_parts, params, t)
 
 
+def test_non_integral_partition_is_refused():
+    # (2.5, 1) used to become (2, 1) and give that partition's row
+    for call in (lambda: kernel_row((2.5, 1), 1, P00),
+                 lambda: compare_scaling_limit((2.5, 1), 10, P00)):
+        with pytest.raises(ValueError, match="non-integral"):
+            call()
+
+
 def test_scaling_limit_small_kappa():
     res = compare_scaling_limit(Partition((2, 1)), 50, P00)
     assert abs(res["row_mass"] - 1.0) < 1e-10
@@ -273,12 +283,52 @@ def test_two_dimensional_cdf_matches_link_draws(alpha):
     n = 200_000
     ys = sample_lambda_plus_many(KernelParams(alpha, 2), x_sq, n, generator(503))
     grid = np.linspace(0.0, 3.0, 13)[1:] - 0.5 / 25
-    for a_v in grid:
-        for b_v in grid:
-            p = _cdf_2d(alpha, x_sq, a_v, b_v)
+    cdf = _link_cdf(alpha, x_sq, grid)
+    for a_v, row in zip(grid, cdf):
+        for b_v, p in zip(grid, row):
             emp = np.count_nonzero((ys[:, 0] <= a_v * a_v) & (ys[:, 1] <= b_v * b_v)) / n
             se = math.sqrt(p * (1.0 - p) / n)
             assert abs(emp - p) <= 4.5 * se + 1.5e-8, (alpha, a_v, b_v, emp, p)
+
+
+def _cdf_per_node(alpha, x_sq, a_v, b_v):
+    """P(sqrt(Y_1) <= a_v, sqrt(Y_2) <= b_v), a_v, b_v > 0, as one cubature of
+    its own: the link's cell with its upper corner clipped to (a_v^2, b_v^2),
+    and b_v^2 a break, since the inner range empties past y_1 = b_v^2."""
+    b = b_v * b_v
+    cell = ((0.0, x_sq[0]), (min(a_v * a_v, x_sq[1]), min(b, x_sq[2])))
+    return verify.quad_cell(lambda ys: density_lambda_plus_rows(alpha, x_sq, ys), cell, 1.49e-8,
+                            breaks=(*x_sq, b), alpha=alpha).value
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.0])
+def test_two_dimensional_grid_cdf_matches_per_node_cubature(alpha):
+    x_sq = np.array([1.0, 4.0, 9.0])
+    grid = np.linspace(0.0, 3.0, 13)[1:] - 0.5 / 25
+    cdf = _link_cdf(alpha, x_sq, grid)
+    ref = [[_cdf_per_node(alpha, x_sq, a_v, b_v) for b_v in grid] for a_v in grid]
+    assert np.max(np.abs(cdf - ref)) <= 3e-8
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.0])
+def test_one_dimensional_grid_cdf_matches_cubature_to_each_node(alpha):
+    # the lattice midpoints of (2, 1) at kappa = 10, the last past sqrt(x_2) = 2
+    x_sq = np.array([1.0, 4.0])
+    grid = (np.arange(21) + 0.5) / 10
+    cdf = _link_cdf(alpha, x_sq, grid)
+    ref = [verify.quad_cell(lambda ys: density_lambda_plus_rows(alpha, x_sq, ys),
+                            ((0.0,), (min(g * g, 4.0),)), 1.49e-8, breaks=(1.0,), alpha=alpha).value
+           for g in grid]
+    assert np.max(np.abs(cdf - ref)) <= 3e-8
+
+
+@pytest.mark.parametrize("lam", [(2, 1), (3, 2, 1)])
+def test_scaling_limit_makes_one_cubature(lam, monkeypatch):
+    calls = []
+    quad_cell = verify.quad_cell
+    monkeypatch.setattr(verify, "quad_cell", lambda *a, **k: calls.append(1) or quad_cell(*a, **k))
+    compare_scaling_limit(Partition(lam), 10, P00)
+    assert len(calls) == 1
 
 
 def test_jacobi_params_validation():

@@ -122,5 +122,11 @@ def test_partition_validation_and_helpers():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((-1,))
+    # integral floats and numpy integers are kept as ints; 2.5 is refused, not truncated
+    assert Partition((2.0, np.int64(1))).parts == (2, 1)
+    assert all(type(v) is int for v in Partition((2.0, np.int64(1))).parts)
+    for parts in [(2.5, 1), (2, 0.5)]:
+        with pytest.raises(ValueError, match="non-integral"):
+            Partition(parts)
     with pytest.raises(ValueError):
         p.padded(2)

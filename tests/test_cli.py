@@ -248,6 +248,8 @@ def test_bad_value_exits_2():
     ["sample-kernel", "--kernel", "l", "--x", "1,inf", "--n", "3"],
     ["simulate", "--process", "laguerre", "--x0", "1", "--t", "inf", "--paths", "2"],
     ["simulate", "--process", "pickrell", "--x0", "nan,1", "--t", "0.01", "--paths", "2"],
+    ["simulate", "--process", "laguerre", "--x0", ",", "--t", "0.1"],
+    ["simulate", "--process", "laguerre-matrix", "--x0", ",", "--t", "0.1"],
 ])
 def test_degenerate_input_exits_2(args, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -49,6 +49,17 @@ def test_pickrell_params_validation():
         PickrellParams(1.0, -1.0, 1)
     with pytest.raises(ValueError):
         PickrellParams(1.0, 0.0, 0)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        PickrellParams(1.0, 0.0, 2.5)
+    assert PickrellParams(1.0, 0.0, np.int64(2)).n == 2
+
+
+@pytest.mark.parametrize("simulate", [simulate_laguerre_paths, simulate_laguerre_matrix_paths])
+@pytest.mark.parametrize("n", [0, 1.0])
+def test_laguerre_simulators_refuse_a_dimension_below_one_or_not_integral(simulate, n):
+    # n = 0 used to reach a division by n * n in the chunking
+    with pytest.raises(ValueError, match="integer >= 1"):
+        simulate(0.0, n, np.ones(int(n)), SdeConfig(0.01, 0.1), 2, 1)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, math.nan])

@@ -283,6 +283,10 @@ def test_kernel_params_validation():
         KernelParams(-1.0, 1)
     with pytest.raises(ValueError):
         KernelParams(0.0, 0)
+    # a dimension is an integer, numpy's included; 2.5 used to pass and fail later
+    with pytest.raises(ValueError, match="integer >= 1"):
+        KernelParams(0.0, 2.5)
+    assert KernelParams(0.0, np.int64(2)).n == 2
 
 
 def test_kernel_params_dimension_must_match_x():

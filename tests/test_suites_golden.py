@@ -10,6 +10,15 @@ chunks under the pair-workspace budget, the last ragged) pins the chunks run
 at once on a multi-core host and one at a time on one core.  Regenerate,
 only when a random stream changes on purpose, with
 ``PYTHONPATH=src python tests/test_suites_golden.py``.
+
+``data/golden_exact_suites.json`` holds the full-precision reports of the
+two exact suites, ``identities`` and ``branching-limit``, at seed 7.  Names,
+verdicts, meta keys and integer meta must match exactly, thresholds exactly
+at the nine significant digits a report prints, and every float within
+1e-9 relative or 1e-13 absolute: a change to the cubature's panels or to
+the order of a sum moves a rounding-level value (a threshold too, where a
+check derives it from a statistic), and a wrong rule or panel moves far
+more.  The same command regenerates it.
 """
 
 import json
@@ -20,9 +29,11 @@ import pytest
 from intertwine.chamber import BoundaryPoint
 from intertwine.verify import (check_consistency, check_flow_convergence,
                                check_intertwine_laguerre, check_intertwine_pickrell,
-                               check_invariance_pickrell, check_shifted_intertwine)
+                               check_invariance_pickrell, check_shifted_intertwine, run_suite)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.json"
+GOLDEN_EXACT = GOLDEN.with_name("golden_exact_suites.json")
+EXACT_SUITES, EXACT_SEED = ("identities", "branching-limit"), 7
 N, N_PERM, DT, T = 200, 99, 0.05, 0.5
 
 CASES = {
@@ -64,6 +75,42 @@ def test_report_matches_golden(case, golden):
     assert got["statistic"] == pytest.approx(want["statistic"], rel=1e-7)
 
 
+def _exact_reports(suite):
+    """The suite's reports at full precision, as JSON gives them back."""
+    return json.loads(json.dumps(
+        [{"name": r.name, "statistic": r.statistic, "threshold": r.threshold,
+          "passed": r.passed, "meta": r.meta} for r in run_suite(suite, EXACT_SEED)],
+        default=lambda v: v.item()))  # numpy scalars
+
+
+def _assert_close(got, want, where):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-13), where
+    else:  # names, verdicts, integers
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("suite", EXACT_SUITES)
+def test_exact_suite_matches_golden(suite):
+    got, want = _exact_reports(suite), json.loads(GOLDEN_EXACT.read_text())[suite]
+    assert [r["name"] for r in got] == [r["name"] for r in want]
+    for g, w in zip(got, want):
+        assert g["passed"] == w["passed"], w["name"]
+        assert f'{g["threshold"]:.9g}' == f'{w["threshold"]:.9g}', w["name"]
+        _assert_close(g, w, w["name"])
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({case: make().to_dict() for case, make in CASES.items()},
                                  indent=1, sort_keys=True) + "\n")
+    GOLDEN_EXACT.write_text(json.dumps({suite: _exact_reports(suite) for suite in EXACT_SUITES},
+                                       indent=1, sort_keys=True) + "\n")

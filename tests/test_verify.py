@@ -77,6 +77,19 @@ def test_quad_cell_triangle():
     assert q.value == pytest.approx(0.375, abs=1e-14)
 
 
+@pytest.mark.parametrize("cell, breaks", [(((0.0,), (2.0,)), (0.5, 1.0)),
+                                          (((0.0, 0.5), (1.0, 2.0)), (0.25, 1.5))])
+def test_quad_cell_panel_masses_sum_to_value(cell, breaks):
+    def f(ys):  # the factor y_1^alpha the Gauss-Jacobi panels at 0 expect
+        return np.sqrt(ys[:, 0]) * np.exp(-ys.sum(axis=1))
+
+    q = verify.quad_cell(f, cell, tol=1e-12, breaks=breaks, alpha=0.5)
+    assert q.masses.sum() == q.value
+    assert q.corners.shape == (q.masses.size, len(cell[0]))
+    # every panel lies in the cell, below its upper corner
+    assert np.all(q.corners <= np.asarray(cell[1])) and np.all(q.masses > 0)
+
+
 def test_quad_cell_raises_on_undeclared_jump():
     # {2 y1 < 0.6, y2 < 0.6} inside the cell {0 < y1 < 1/2, y1 < y2 < 1}: a jump
     # in y1 at 0.3 and in y2 at 0.6; the area is int_0^0.3 (0.6 - y1) dy1 = 0.135
