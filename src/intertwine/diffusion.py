@@ -13,7 +13,7 @@ The guards only repair discretization artifacts (the continuum dynamics
 neither collide nor leave the chamber): negative coordinates are reflected
 by absolute value, coordinates are re-sorted, exact ties are nudged apart
 by 1e-12 (1+|x|), and per-pair repulsion kicks are clamped to half the pair
-distance per step (see _pairwise_sum).
+distance per step (see _pair_drift).
 
 Every simulator runs its paths through _run_paths, the one place where
 per-path streams, chunk sizes and threads are decided: path i draws only
@@ -21,8 +21,8 @@ from rng.path_generator(master_seed, i), so an ensemble result is
 bit-reproducible for a fixed seed whatever the chunking and the core count.
 All noise comes from one drawer, _step_major: a chunk draws the next block
 of steps when it reaches it, at most _BLOCK_FLOAT_BUDGET floats, indexed
-step-major (steps, paths, ...) so that each step reads one contiguous
-block; the paths' draws are made into a small buffer and copied into place.
+(steps, paths, *noise shape) so that each step reads one contiguous block;
+the paths' draws are made into a small buffer and copied into place.
 A chunk is at most _CHUNK_MAX_PATHS paths, and one step of its noise fits
 the block budget.  Euler chunks are further capped at _PAIR_FLOAT_BUDGET /
 N^2 paths.  Above _COLUMN_MAX_N particles the pair drift is built as (paths,
@@ -127,37 +127,10 @@ class PickrellParams:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_sum(x: np.ndarray, numer: np.ndarray, cap_dt: float | None = None,
-                  diff: np.ndarray | None = None) -> np.ndarray:
-    """sum_{j != i} numer_ij / (x_i - x_j), rows assumed pairwise distinct.
-
-    ``numer`` (m, n, n) is owned by the kernel: the ratios are written into
-    it, and the differences into ``diff`` (fresh when None).  With ``cap_dt``
-    set, each pair's term is clamped so that one Euler step of size cap_dt
-    displaces the pair by at most half its current distance.  Uncapped
-    explicit Euler overshoots once gap^2 < 2 dt (x_i + x_j) and ejects
-    particles; the continuum dynamics visit that region with probability
-    vanishing in dt, so the clamp only repairs discretization artifacts (it
-    is a guard, not a model change).
-    """
-    m, n = x.shape
-    if n == 1:
-        return np.zeros((m, 1))
-    diff = np.subtract(x[:, :, None], x[:, None, :], out=diff)
-    diff.reshape(m, n * n)[:, :: n + 1] = 1.0
-    ratio = np.divide(numer, diff, out=numer)
-    if cap_dt is not None:
-        cap = np.divide(np.abs(diff, out=diff), 2.0 * cap_dt, out=diff)
-        np.minimum(ratio, cap, out=ratio)
-        np.maximum(ratio, np.negative(cap, out=cap), out=ratio)
-    ratio.reshape(m, n * n)[:, :: n + 1] = 0.0
-    return ratio.sum(axis=2)
-
-
 def _pair_columns(x: np.ndarray, numer_of, cap_dt: float | None) -> np.ndarray:
-    """_pairwise_sum for n <= _COLUMN_MAX_N, one (m,) column per ordered pair.
+    """_pair_drift for n <= _COLUMN_MAX_N, one (m,) column per ordered pair.
 
-    Each term takes the tensor kernel's operations in its order; x_j - x_i
+    Each term takes the tensor route's operations in its order; x_j - x_i
     is exactly -(x_i - x_j), so a pair shares its difference and clamp.  Row
     i adds its terms in j order onto +0, as numpy's short-row sum does; the
     zero diagonal term is skipped, since adding +0 to a sum started at +0
@@ -181,18 +154,38 @@ def _pair_columns(x: np.ndarray, numer_of, cap_dt: float | None) -> np.ndarray:
     return out
 
 
-def _pair_drift(x: np.ndarray, numer_of, cap_dt: float | None,
-                work: np.ndarray | None) -> np.ndarray:
-    """sum_{j != i} numer_of(x_i, x_j) / (x_i - x_j), clamped as in
-    _pairwise_sum; ``work`` is the tensor route's (2, >= m, n, n) workspace.
-    A single row, as the public drifts pass, takes the tensor route: there
-    the cost is the number of numpy calls, not the arithmetic."""
+def _pair_drift(x: np.ndarray, numer_of, cap_dt: float | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """sum_{j != i} numer_of(x_i, x_j) / (x_i - x_j), rows assumed pairwise distinct.
+
+    With ``cap_dt`` set, each pair's term is clamped so that one Euler step
+    of size cap_dt displaces the pair by at most half its current distance.
+    Uncapped explicit Euler overshoots once gap^2 < 2 dt (x_i + x_j) and
+    ejects particles; the continuum dynamics visit that region with
+    probability vanishing in dt, so the clamp only repairs discretization
+    artifacts (it is a guard, not a model change).
+
+    More than one row of at most _COLUMN_MAX_N columns takes the column
+    route, _pair_columns.  Otherwise the terms are (m, n, n) tensors in
+    ``work``, a (2, >= m, n, n) workspace (fresh when None): the numerators,
+    then the ratios, in work[0] and the differences in work[1].  A single
+    row, as the public drifts pass, takes the tensor route: there the cost
+    is the number of numpy calls, not the arithmetic.
+    """
     m, n = x.shape
     if n <= _COLUMN_MAX_N and m > 1:
         return _pair_columns(x, numer_of, cap_dt)
     work = np.empty((2, m, n, n)) if work is None else work[:, :m]
-    numer = numer_of(x[:, :, None], x[:, None, :], out=work[0])
-    return _pairwise_sum(x, numer, cap_dt, work[1])
+    ratio = numer_of(x[:, :, None], x[:, None, :], out=work[0])
+    diff = np.subtract(x[:, :, None], x[:, None, :], out=work[1])
+    diff.reshape(m, n * n)[:, :: n + 1] = 1.0
+    np.divide(ratio, diff, out=ratio)
+    if cap_dt is not None:
+        cap = np.divide(np.abs(diff, out=diff), 2.0 * cap_dt, out=diff)
+        np.minimum(ratio, cap, out=ratio)
+        np.maximum(ratio, np.negative(cap, out=cap), out=ratio)
+    ratio.reshape(m, n * n)[:, :: n + 1] = 0.0
+    return ratio.sum(axis=2)
 
 
 def _laguerre_numer(xi, xj, out=None):
@@ -204,6 +197,10 @@ def _pickrell_numer(xi, xj, out=None):
     numer += xi
     numer += xj
     return numer
+
+
+def _interaction_numer(xi, xj, out=None):
+    return np.multiply(2.0 * xi, 1.0 + xi, out=out)
 
 
 def _laguerre_drift_rows(alpha: float, x: np.ndarray, cap_dt: float | None = None,
@@ -240,9 +237,7 @@ def pickrell_drift_interaction_form(params: PickrellParams, x) -> np.ndarray:
     """Equivalent drift (2-2N-s) x_i + alpha + 1 + sum_{j!=i} 2 x_i(1+x_i)/(x_i-x_j)."""
     n = params.n
     arr = _require_distinct(x, n)
-    xi = arr[None, :]
-    numer = (2.0 * xi * (1.0 + xi))[:, :, None] * np.ones((1, 1, n))
-    inter = _pairwise_sum(xi, numer)[0]
+    inter = _pair_drift(arr[None, :], _interaction_numer)[0]
     return (2.0 - 2.0 * n - params.s) * arr + params.alpha + 1.0 + inter
 
 
@@ -269,25 +264,24 @@ def _snapshot_steps(snapshots_at, hs, dt, t) -> dict:
 
 
 def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n: int,
-               noise_floats: int, start, draw, step, observe, *, snapshots_at=None,
+               noise_shape: tuple, start, step, observe, *, snapshots_at=None,
                guard_key=None, max_chunk=None):
     """Run n_paths paths in chunks; returns (terminal, snapshots, info).
 
     Path i draws only from path_generator(master_seed, i), so the output
     depends neither on the chunk size nor on how many chunks run at once.
     A chunk is at most _CHUNK_MAX_PATHS and max_chunk paths, and one step of
-    its noise, noise_floats per path, fits _BLOCK_FLOAT_BUDGET floats.  With
+    its noise, a ``noise_shape`` array per path, fits _BLOCK_FLOAT_BUDGET
+    floats, as does each block of steps it draws from _step_major.  With
     n > _COLUMN_MAX_N the chunks run on as many threads as the process has
     cores (_CORES); otherwise, or with one core, one after another on the
     calling thread.  The generators are made on the calling thread, in path
     order, and a chunk writes only its own rows.  ``start(rows, gens)``
     returns the initial state of the paths in the slice ``rows``, one
-    generator per path in ``gens``; ``draw(gens, paths, k)`` returns the
-    next k steps' step-major (k, paths, ...) noise, as many steps as fit
-    _BLOCK_FLOAT_BUDGET floats; ``step(state, noise_i, h, i)`` returns the
-    next state and its count of guarded paths; ``observe(state)`` returns
-    (paths, n) ascending rows.  ``info[guard_key]`` is the guarded fraction
-    of path-steps.
+    generator per path in ``gens``; ``step(state, noise_i, h, i)`` returns
+    the next state and its count of guarded paths; ``observe(state)``
+    returns (paths, n) ascending rows.  ``info[guard_key]`` is the guarded
+    fraction of path-steps.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths={n_paths} must be >= 1")
@@ -296,6 +290,7 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     hs = cfg.step_sizes()
     snap_steps = _snapshot_steps(snapshots_at, hs, cfg.dt, cfg.t)
     n_steps = len(hs)
+    noise_floats = int(np.prod(noise_shape))
     chunk = max(1, min(n_paths, _CHUNK_MAX_PATHS, _BLOCK_FLOAT_BUDGET // noise_floats,
                        n_paths if max_chunk is None else max_chunk))
     chunks = [slice(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
@@ -314,7 +309,7 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
         for i, h in enumerate(hs):
             if i % block == 0:
                 noise = None  # the spent block is freed before the next is drawn
-                noise = draw(gens, len(gens), min(block, n_steps - i))
+                noise = _step_major(gens, min(block, n_steps - i), noise_shape)
             state, events = step(state, noise[i % block], h, i)
             guarded += events
             if (i + 1) in snap_steps:
@@ -369,14 +364,14 @@ def _sort_rows(x: np.ndarray) -> None:
             x[:, k] = lo
 
 
-def _step_major(gens, c: int, k: int, shape: tuple) -> np.ndarray:
-    """(k, c, *shape) standard normals; path p's (k, *shape) draws come from
-    the p-th of ``gens``.  They are drawn into a buffer of _FILL_FLOAT_BUDGET
-    floats, or of one step where that is more, and each fill is put in place
-    with one copy: as many whole paths as fit at a time, or, when one path's
-    k steps do not, that path's steps a run at a time (a generator fills in
-    two calls what it fills in one)."""
-    f = int(np.prod(shape))
+def _step_major(gens, k: int, shape: tuple) -> np.ndarray:
+    """(k, len(gens), *shape) standard normals; path p's (k, *shape) draws
+    come from the p-th of ``gens``.  They are drawn into a buffer of
+    _FILL_FLOAT_BUDGET floats, or of one step where that is more, and each
+    fill is put in place with one copy: as many whole paths as fit at a
+    time, or, when one path's k steps do not, that path's steps a run at a
+    time (a generator fills in two calls what it fills in one)."""
+    c, f = len(gens), int(np.prod(shape))
     noise = np.empty((k, c, f))
     per_fill = max(1, min(c, _FILL_FLOAT_BUDGET // (k * f)))
     steps = max(1, min(k, _FILL_FLOAT_BUDGET // f))  # k when a fill holds whole paths
@@ -455,8 +450,7 @@ def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots
         x, guarded = _sanitize_rows(x)
         return (x, work), int(guarded.sum())
 
-    return _run_paths(Scheme.EULER_GUARDED, cfg, n_paths, master_seed, n, n, start,
-                      lambda gens, c, k: _step_major(gens, c, k, (n,)), step,
+    return _run_paths(Scheme.EULER_GUARDED, cfg, n_paths, master_seed, n, (n,), start, step,
                       lambda state: state[0], snapshots_at=snapshots_at,
                       guard_key="guard_fraction", max_chunk=_PAIR_FLOAT_BUDGET // (n * n))
 
@@ -525,8 +519,7 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
         # a stationary start is drawn first from the path's stream
         return np.array([sample_ginibre(m, n, gen) for gen in gens])
 
-    return _run_paths(Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * m * n, start,
-                      lambda gens, c, k: _step_major(gens, c, k, (2, m, n)),
+    return _run_paths(Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, (2, m, n), start,
                       lambda hmat, z, h, i: (hmat * (1.0 - h / 2.0)
                                              + np.sqrt(h / 2.0) * _complex_noise(z), 0),
                       radial_part_many, snapshots_at=snapshots_at)
@@ -565,9 +558,8 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
 
     # eigvalsh sorts after every step; the sort orders a t = 0 start
     terminal, _, info = _run_paths(
-        Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, 2 * n * n,
+        Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, (2, n, n),
         lambda rows, gens: np.tile(x0a, (rows.stop - rows.start, 1)),
-        lambda gens, c, k: _step_major(gens, c, k, (2, n, n)),
         lambda w, z, h, i: _pickrell_lift_step(s, alpha, w, _complex_noise(z), h, i),
         lambda w: np.sort(np.clip(w, 0.0, None), axis=1), guard_key="clip_fraction")
     return terminal, info

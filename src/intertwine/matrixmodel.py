@@ -134,6 +134,8 @@ def sample_P_omega_corner(omega: BoundaryPoint, m: int, n: int, rng, size: int |
     Ginibre and xi, eta independent standard complex Gaussian vectors; the
     one-entry characteristic function then equals char_F_omega.
     """
+    if m < 1 or n < 1:
+        raise ValueError("matrix dimensions must be >= 1")
     gb = gamma_bar(omega)
     if gb < -1e-12:
         raise ValueError(f"gamma_bar(omega)={gb} is negative")

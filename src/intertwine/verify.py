@@ -312,6 +312,8 @@ def energy_perm_test(a, b, n_perm: int, rng, threshold: float = P_THRESHOLD,
         raise ValueError("energy test needs at least 100 points per sample")
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share a dimension")
+    if a.shape[1] == 0:  # every distance is 0: the statistic would be 0 and p = 1
+        raise ValueError("energy test needs samples with at least one coordinate")
     # a non-finite row decides the test (in 1-D an inf makes every statistic
     # inf, so all tie and p = 1); refuse it before any draw
     for label, sample in (("a", a), ("b", b)):

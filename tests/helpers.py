@@ -208,9 +208,10 @@ def ref_sample_lambda_plus_each(alpha, xs, rng, retry_cap=10**7):
 
 
 def ref_pairwise_sum(x, numer, cap_dt=None):
-    """Mask-and-clip reference for ``diffusion._pairwise_sum``: the same
-    operations in the same order, on fresh arrays, with boolean-mask writes
-    on the diagonal and an array-bound ``np.clip``."""
+    """Mask-and-clip reference for ``diffusion._pair_drift`` given its
+    (m, n, n) numerator tensor: the tensor route's operations in the same
+    order, on fresh arrays, with boolean-mask writes on the diagonal and an
+    array-bound ``np.clip``."""
     m, n = x.shape
     if n == 1:
         return np.zeros((m, 1))

@@ -155,9 +155,15 @@ def test_drift_rows_bit_exact_against_mask_and_clip(x, cap_dt, s, alpha):
     want = -s * x + n + alpha + ref_pairwise_sum(x, 2.0 * xi * xj + xi + xj, cap_dt)
     for work in dirty:
         assert np.array_equal(diffusion._pickrell_drift_rows(s, alpha, x, cap_dt, work), want)
+    # the interaction form's numerator 2 x_i (1 + x_i), on rows: the column
+    # route at n <= _COLUMN_MAX_N with m > 1, the tensor route otherwise
+    numer = (2.0 * x * (1.0 + x))[:, :, None] * np.ones((1, 1, n))
+    want = ref_pairwise_sum(x, numer, cap_dt)
+    for work in dirty:
+        assert np.array_equal(diffusion._pair_drift(x, diffusion._interaction_numer, cap_dt,
+                                                    work), want)
     p = PickrellParams(s, alpha, n)
-    numer = (2.0 * x[:1] * (1.0 + x[:1]))[:, :, None] * np.ones((1, 1, n))
-    want = (2.0 - 2.0 * n - s) * x[0] + alpha + 1.0 + ref_pairwise_sum(x[:1], numer)[0]
+    want = (2.0 - 2.0 * n - s) * x[0] + alpha + 1.0 + ref_pairwise_sum(x[:1], numer[:1])[0]
     assert np.array_equal(pickrell_drift_interaction_form(p, x[0]), want)
 
 
@@ -335,19 +341,16 @@ def test_no_chunk_holds_more_noise_than_the_block_budget(monkeypatch):
     """Every draw of every simulator returns at most _BLOCK_FLOAT_BUDGET
     floats, also where a lift's noise per path-step caps its chunks."""
     draws = []
-    run_paths = diffusion._run_paths
+    step_major = diffusion._step_major
 
-    def recording(scheme, cfg, n_paths, master_seed, n, noise_floats, start, draw, *args,
-                  **kwargs):
-        def recorded(gens, c, k):
-            noise = draw(gens, c, k)
-            assert noise.shape[:2] == (k, c) and noise.size == k * c * noise_floats
-            draws.append((noise_floats, c, noise.size))
-            return noise
-        return run_paths(scheme, cfg, n_paths, master_seed, n, noise_floats, start, recorded,
-                         *args, **kwargs)
+    def recording(gens, k, shape):
+        noise = step_major(gens, k, shape)
+        c, noise_floats = len(gens), math.prod(shape)
+        assert noise.shape == (k, c, *shape) and noise.size == k * c * noise_floats
+        draws.append((noise_floats, c, noise.size))
+        return noise
 
-    monkeypatch.setattr(diffusion, "_run_paths", recording)
+    monkeypatch.setattr(diffusion, "_step_major", recording)
     budget = 2000
     monkeypatch.setattr(diffusion, "_BLOCK_FLOAT_BUDGET", budget)
     lift = SdeConfig(1e-2, 0.05, Scheme.MATRIX_LIFT)
@@ -372,7 +375,7 @@ def test_a_block_larger_than_the_fill_buffer_is_held_once():
     assert diffusion._PAIR_FLOAT_BUDGET // 256**2 == 1 and 256 * k > diffusion._FILL_FLOAT_BUDGET
     tracemalloc.start()
     try:
-        noise = diffusion._step_major([np.random.default_rng(9)], 1, k, (256,))
+        noise = diffusion._step_major([np.random.default_rng(9)], k, (256,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -598,10 +601,9 @@ def test_lift_chunk_noise_bit_identical_to_the_complex_temporary_fill(monkeypatc
     calls = []
     run_paths = diffusion._run_paths
 
-    def capture(scheme, cfg, n_paths, master_seed, dim, noise_floats, start, draw, *args,
-                **kwargs):
-        calls.append((master_seed, start, draw))
-        return run_paths(scheme, cfg, n_paths, master_seed, dim, noise_floats, start, draw,
+    def capture(scheme, cfg, n_paths, master_seed, dim, noise_shape, start, *args, **kwargs):
+        calls.append((master_seed, noise_shape, start))
+        return run_paths(scheme, cfg, n_paths, master_seed, dim, noise_shape, start,
                          *args, **kwargs)
 
     monkeypatch.setattr(diffusion, "_run_paths", capture)
@@ -613,11 +615,11 @@ def test_lift_chunk_noise_bit_identical_to_the_complex_temporary_fill(monkeypatc
     else:
         simulate_laguerre_matrix_paths(m - n, n, None if ginibre else x0, cfg, 2, 351,
                                        init="ginibre" if ginibre else "diag")
-    [(seed, start, draw)] = calls
+    [(seed, noise_shape, start)] = calls
     paths, n_steps = range(7, 1507), 40
     gens = [diffusion.path_generator(seed, i) for i in paths]
     state = start(slice(7, 1507), gens)
-    z = draw(gens, len(gens), n_steps)
+    z = diffusion._step_major(gens, n_steps, noise_shape)
     assert z.shape == (n_steps, len(gens), 2, m, n)
     noise = np.stack([diffusion._complex_noise(step) for step in z])
     want_starts, want = ref_lift_chunk((diffusion.path_generator(seed, i) for i in paths),

@@ -117,6 +117,16 @@ def test_corner_model_degenerate_omega():
     rng = generator(210)
     assert np.all(sample_P_omega_corner(BoundaryPoint((), 0.0), 3, 2, rng) == 0.0)
     assert tuple(sample_lambda_omega_many(0, 2, BoundaryPoint((), 0.0), rng, 1)[0]) == (0.0, 0.0)
+    # a zero dimension gave an empty corner, a negative one numpy's error;
+    # both are refused before any draw
+    omega, state = BoundaryPoint((0.5,), 1.0), rng.bit_generator.state
+    for m, n in ((0, 2), (2, 0), (-1, 2), (2, -3)):
+        with pytest.raises(ValueError, match="matrix dimensions must be >= 1"):
+            sample_P_omega_corner(omega, m, n, rng)
+    for alpha in (0, 1):
+        with pytest.raises(ValueError, match="matrix dimensions must be >= 1"):
+            sample_lambda_omega_many(alpha, 0, omega, rng, 3)
+    assert rng.bit_generator.state == state
 
 
 def test_boundary_kernel_coherence_through_links():

@@ -132,6 +132,10 @@ def test_energy_test_requires_min_size():
     with pytest.raises(ValueError, match="n_perm=10"):
         check_intertwine_laguerre(0.0, 1, (1.0, 2.0), 0.5, 20_000, 1e-3, 1, n_perm=10,
                                   alpha_mismatch=2.0)
+    # samples with no coordinates: every distance was 0, so the test passed
+    # with statistic 0 and p = 1 whatever the samples
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        energy_perm_test(np.zeros((200, 0)), np.ones((200, 0)), 99, rng)
     rep = energy_perm_test(np.ones(200), np.zeros(200), 99, rng)
     assert rep.p_value == 0.01 and not rep.passed
 
