@@ -6,7 +6,8 @@
         --out BENCH_small_n.json
 
 BASE (the parent) and HEAD (the change) are checkouts that hold
-src/intertwine and perfbench/, such as a `git archive` of each commit.  For
+src/intertwine, perfbench/ and BENCHMARK.json, such as a `git archive` of
+each commit; a root that lacks one is refused before any run.  For
 each workload the script runs ``perfbench/run.py --trace 0`` ``--pairs``
 times in each root, then ``--trace 1`` ``--trace-runs`` times in each root.
 Every run of one root is followed by the same run of the other, and the root
@@ -99,6 +100,10 @@ def main(argv=None) -> int:
     if args.pairs < 3 or args.trace_runs < 3:
         ap.error("medians need at least 3 runs per root")
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
+    for side, root in roots.items():
+        for need in ("src/intertwine", "perfbench", "BENCHMARK.json"):
+            if not (root / need).exists():
+                ap.error(f"{side} root {root} has no {need}")
     seeds = [int(tok) for tok in args.seeds.split(",")]
     spec = json.loads((roots["head"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}

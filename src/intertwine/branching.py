@@ -36,7 +36,8 @@ import numpy as np
 
 from .chamber import Partition, gap_products, link_cell
 # density_lambda_plus stays bound here for perfbench/spans.py, which wraps it by this path
-from .kernels import _libm, density_lambda_plus, density_lambda_plus_rows  # noqa: F401
+from .kernels import (_libm, _require_alpha, density_lambda_plus,  # noqa: F401
+                      density_lambda_plus_rows)
 
 __all__ = [
     "JacobiParams",
@@ -79,10 +80,8 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if not self.alpha > -1:
-            raise ValueError(f"alpha={self.alpha} must be > -1")
-        if not self.beta > -1:
-            raise ValueError(f"beta={self.beta} must be > -1")
+        _require_alpha(self.alpha)
+        _require_alpha(self.beta, "beta")
 
     @property
     def sigma(self) -> float:

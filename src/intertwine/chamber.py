@@ -193,5 +193,14 @@ def embed_boundary(x) -> BoundaryPoint:
 
 
 def gamma_bar(omega: BoundaryPoint) -> float:
-    """Mass not carried by the alphas: gamma - sum(alphas) >= 0."""
-    return omega.gamma - sum(omega.alphas)
+    """Mass not carried by the alphas: gamma - sum(alphas), or 0 where that
+    is negative, the roundoff BoundaryPoint admits."""
+    return max(omega.gamma - sum(omega.alphas), 0.0)
+
+
+def _check_start(x: np.ndarray, name: str) -> None:
+    """Refuse a start or link source ``name`` that is not finite and non-negative."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite, got {x}")
+    if np.any(x < 0):
+        raise ValueError(f"{name} must be non-negative")

@@ -13,7 +13,7 @@ The guards only repair discretization artifacts (the continuum dynamics
 neither collide nor leave the chamber): negative coordinates are reflected
 by absolute value, coordinates are re-sorted, exact ties are nudged apart
 by 1e-12 (1+|x|), and per-pair repulsion kicks are clamped to half the pair
-distance per step (see _pair_drift).
+distance per step (see _pair_drift).  ``verify`` unties by _sanitize_rows too.
 
 Every simulator runs its paths through _run_paths, the one place where
 per-path streams, chunk sizes and threads are decided: path i draws only
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chamber import BoundaryPoint, as_coords
+from .chamber import BoundaryPoint, _check_start, as_coords
 from .kernels import _require_alpha, _require_dim
 from .matrixmodel import _check_alpha_int, radial_part_many, sample_ginibre
 from .rng import path_generator
@@ -110,7 +110,7 @@ class SdeConfig:
 @dataclass(frozen=True)
 class PickrellParams:
     """Pickrell parameters of the diffusion and of the ensemble it leaves
-    invariant: any real s, alpha > -1, dimension n.  Sampling the ensemble
+    invariant: any finite s, alpha > -1, dimension n.  Sampling the ensemble
     additionally requires s > -1 (finite total mass)."""
 
     s: float
@@ -118,6 +118,8 @@ class PickrellParams:
     n: int
 
     def __post_init__(self):
+        if not np.isfinite(self.s):
+            raise ValueError(f"s={self.s} must be finite")
         _require_alpha(self.alpha)
         _require_dim(self.n)
 
@@ -421,18 +423,11 @@ def _sanitize_rows(x: np.ndarray) -> tuple:
     return x, guarded
 
 
-def _check_start(x0: np.ndarray) -> None:
-    if not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be finite, got {x0}")
-    if np.any(x0 < 0):
-        raise ValueError("x0 must be non-negative")
-
-
 def _run_euler(drift_rows, vol_rows, x0, n, cfg, n_paths, master_seed, snapshots_at):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((n,), (n_paths, n)):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},) or ({n_paths}, {n})")
-    _check_start(x0)
+    _check_start(x0, "x0")
 
     def start(rows, gens):
         # the state carries the chunk's own (2, paths, n, n) pair workspace, reused by every step
@@ -504,7 +499,7 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
         if x0 is None:
             raise ValueError("init='diag' needs a starting configuration x0")
         x0a = as_coords(x0, expected_dim=n)
-        _check_start(x0a)
+        _check_start(x0a, "x0")
         h0_diag = np.zeros((m, n), dtype=complex)
         h0_diag[:n, :n] = np.diag(np.sqrt(x0a))
     elif init == "ginibre":
@@ -554,7 +549,7 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
     """
     s, alpha, n = params.s, params.alpha, params.n
     x0a = as_coords(x0, expected_dim=n)
-    _check_start(x0a)
+    _check_start(x0a, "x0")
 
     # eigvalsh sorts after every step; the sort orders a t = 0 start
     terminal, _, info = _run_paths(

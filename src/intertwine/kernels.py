@@ -47,9 +47,9 @@ RETRY_CAP = 10**7
 _ALPHA_LOG_BRANCH = 1e-10
 
 
-def _require_alpha(alpha) -> None:
-    if not alpha > -1:
-        raise ValueError(f"alpha={alpha} must be > -1")
+def _require_alpha(alpha, name: str = "alpha") -> None:
+    if not -1 < alpha < math.inf:  # NaN fails too
+        raise ValueError(f"{name}={alpha} must be > -1 and finite")
 
 
 def _require_dim(n) -> None:
@@ -220,9 +220,15 @@ def _cell_rejection(lo: np.ndarray, hi: np.ndarray, power: float, rng) -> np.nda
     pending row is proposed once per round, so a row still pending after
     round k has been tried exactly k times; RETRY_CAP rounds raise.  A row
     whose cell pins two adjacent coordinates (lo**power == hi**power) to one
-    float has Vdm(y) = 0 in every proposal, and is refused before any draw."""
+    float has Vdm(y) = 0 in every proposal, one whose hi**power overflows
+    proposes inf or nan: both are refused before any draw."""
     m, n = lo.shape
-    lo_p, hi_p = lo**power, hi**power
+    with np.errstate(over="ignore"):  # an overflowing row is refused below
+        lo_p, hi_p = lo**power, hi**power
+    if not np.isfinite(hi_p).all():
+        row = int(np.argmax(~np.isfinite(hi_p).all(axis=1)))
+        raise ValueError(f"row {row} cannot be proposed at alpha={power - 1.0!r}: its cell "
+                         f"top {hi[row]} to the power alpha + 1 overflows")
     pin = np.where(lo_p == hi_p, lo_p ** (1.0 / power), np.nan)  # the proposal's bits
     stuck = np.argwhere(pin[:, 1:] == pin[:, :-1])
     if stuck.size:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chamber import BoundaryPoint, as_coords, gamma_bar
+from .chamber import BoundaryPoint, _check_start, as_coords, gamma_bar
 
 __all__ = [
     "sample_ginibre",
@@ -92,8 +92,7 @@ def sample_lambda_plus_via_matrices_many(alpha, x, n_samples: int, rng) -> np.nd
     """
     ai = _check_alpha_int(alpha)
     xa = as_coords(x)
-    if np.any(xa < 0):
-        raise ValueError("x must be non-negative")
+    _check_start(xa, "x")
     np1 = xa.size
     n = np1 - 1
     if n < 1:
@@ -110,8 +109,7 @@ def sample_lambda_eq_via_matrices_many(alpha, z, n_samples: int, rng) -> np.ndar
     """Radial part of (corner of Haar(N+alpha+1)) diag(sqrt(z)), batched."""
     ai = _check_alpha_int(alpha)
     za = as_coords(z)
-    if np.any(za < 0):
-        raise ValueError("z must be non-negative")
+    _check_start(za, "z")
     n = za.size
     v = sample_haar(n + ai + 1, rng, size=n_samples)
     block = corner(v, n + ai, n)
@@ -137,9 +135,6 @@ def sample_P_omega_corner(omega: BoundaryPoint, m: int, n: int, rng, size: int |
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be >= 1")
     gb = gamma_bar(omega)
-    if gb < -1e-12:
-        raise ValueError(f"gamma_bar(omega)={gb} is negative")
-    gb = max(gb, 0.0)
     batch = () if size is None else (size,)
     x = GAUSS_COEF * np.sqrt(gb) * (
         rng.standard_normal(batch + (m, n)) + 1j * rng.standard_normal(batch + (m, n))

@@ -28,13 +28,13 @@ import numpy as np
 
 from .chamber import BoundaryPoint, as_coords, embed_boundary, gamma_bar, link_cell
 # simulate_laguerre_matrix_paths stays bound here for perfbench/spans.py
-from .diffusion import (PickrellParams, SdeConfig, boundary_flow,  # noqa: F401
+from .diffusion import (PickrellParams, SdeConfig, _sanitize_rows, boundary_flow,  # noqa: F401
                         simulate_laguerre_matrix_paths, simulate_laguerre_paths,
                         simulate_pickrell_paths)
 from .ensembles import sample_pickrell
 # density_L, density_lambda_eq, density_lambda_plus and the three
 # sample_*_many stay bound here for perfbench/spans.py, which wraps them by this path
-from .kernels import (density_L, density_L_rows,  # noqa: F401
+from .kernels import (_require_dim, density_L, density_L_rows,  # noqa: F401
                       density_lambda_eq, density_lambda_eq_rows, density_lambda_plus,
                       density_lambda_plus_rows, sample_L_each, sample_L_many,
                       sample_lambda_eq_each, sample_lambda_eq_many,
@@ -375,18 +375,14 @@ def _energy_stats(pooled, labels, na, nb) -> np.ndarray:
 
 
 def interiorize_rows(rows: np.ndarray) -> np.ndarray:
-    """Sorted copies with a positive floor of 1e-12 and ties nudged apart.
+    """Sorted copies floored at 1e-12, ties nudged apart as the Euler engine
+    nudges them (``diffusion._sanitize_rows``).
 
     Simulated states can sit exactly on the chamber boundary (a
     discretization artifact of measure zero in the continuum); kernel
     densities need strictly interior inputs.
     """
-    rows = np.sort(np.asarray(rows, dtype=float), axis=1)
-    rows[:, 0] = np.maximum(rows[:, 0], 1e-12)
-    for k in range(1, rows.shape[1]):
-        tie = rows[:, k] <= rows[:, k - 1]
-        rows[tie, k] = rows[tie, k - 1] * (1.0 + 1e-12) + 1e-12
-    return rows
+    return _sanitize_rows(np.maximum(np.asarray(rows, dtype=float), 1e-12))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +726,13 @@ def flow_start_profile(omega: BoundaryPoint, n: int) -> np.ndarray:
     close enough that the explicit Euler repulsion overshoots at dt = 1e-3;
     the quadratic shape keeps gaps safely above the overshoot threshold.
     """
+    _require_dim(n)
     k = len(omega.alphas)
     if k > n:
         raise ValueError(f"need n >= {k} slots for the masses")
     spikes = [n * n * a for a in omega.alphas]
     m = n - k
-    rem = max(n * n * gamma_bar(omega), 0.0)  # a roundoff-negative gamma_bar spreads no mass
+    rem = n * n * gamma_bar(omega)
     if m == 0:
         if rem > 1e-9 * max(1.0, omega.gamma) * n * n:
             raise ValueError("no slots left for the unassigned mass")
@@ -743,11 +740,7 @@ def flow_start_profile(omega: BoundaryPoint, n: int) -> np.ndarray:
     else:
         scale = 6.0 * rem / (m * (m + 1.0) * (2.0 * m + 1.0))
         ramp = [scale * j * j for j in range(1, m + 1)]
-    x = np.sort(np.asarray(spikes + ramp))
-    for i in range(1, n):
-        if x[i] <= x[i - 1]:
-            x[i] = x[i - 1] + 1e-9 * (1.0 + x[i - 1])
-    return x
+    return _sanitize_rows(np.array([spikes + ramp]))[0][0]
 
 
 def check_flow_convergence(alpha, n, omega_start: BoundaryPoint, t_grid, n_paths,

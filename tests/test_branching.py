@@ -336,4 +336,10 @@ def test_jacobi_params_validation():
         JacobiParams(-1.0, 0.0)
     with pytest.raises(ValueError):
         JacobiParams(0.0, -1.5)
+    # a non-finite exponent passed, and kernel_row returned NaN probabilities
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^alpha={bad} must be > -1"):
+            JacobiParams(bad, 0.0)
+        with pytest.raises(ValueError, match=f"^beta={bad} must be > -1"):
+            JacobiParams(0.0, bad)
     assert JacobiParams(1.0, 2.0).sigma == pytest.approx(2.0)

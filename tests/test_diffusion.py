@@ -52,6 +52,12 @@ def test_pickrell_params_validation():
     with pytest.raises(ValueError, match="integer >= 1"):
         PickrellParams(1.0, 0.0, 2.5)
     assert PickrellParams(1.0, 0.0, np.int64(2)).n == 2
+    # a NaN s passed and failed at the first Euler step, asking for a smaller dt
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^s={bad} must be finite"):
+            PickrellParams(bad, 0.0, 1)
+        with pytest.raises(ValueError, match=f"^alpha={bad} must be > -1"):
+            PickrellParams(1.0, bad, 1)
 
 
 @pytest.mark.parametrize("simulate", [simulate_laguerre_paths, simulate_laguerre_matrix_paths])

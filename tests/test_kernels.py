@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 from unittest import mock
 
@@ -281,6 +282,12 @@ def test_free_link_rejects_one_coordinate_source():
 def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams(-1.0, 1)
+    # a non-finite alpha passed, and an inf one made the sampler spin
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^alpha={bad} must be > -1"):
+            KernelParams(bad, 1)
+        with pytest.raises(ValueError, match=f"^alpha={bad} must be > -1"):
+            sample_lambda_eq_each(bad, np.array([[1.0, 2.0]]), generator(110))
     with pytest.raises(ValueError):
         KernelParams(0.0, 0)
     # a dimension is an integer, numpy's included; 2.5 used to pass and fail later
@@ -316,7 +323,7 @@ class _CountingRng:
 _CLOSE = np.nextafter(np.nextafter(1.3, 2.0), 2.0)
 
 
-def test_cell_rejection_refuses_a_row_no_proposal_can_pass():
+def test_cell_rejection_refuses_a_row_no_proposal_can_pass(monkeypatch):
     # lo = hi with a tie in row 2: every proposal has Vdm(y) = 0 there
     lo = np.array([[0.5, 1.0], [0.5, 1.0], [1.0, 1.0]])
     rng = _CountingRng(112)
@@ -331,6 +338,14 @@ def test_cell_rejection_refuses_a_row_no_proposal_can_pass():
     with pytest.raises(ValueError, match="row 0: coordinates 2 and 3"):
         sample_lambda_eq_each(-0.9, x, rng)
     assert rng.bit_generator.state == state
+    # hi**(alpha + 1) = inf: the first row proposed only NaN and spun to RETRY_CAP
+    # (at 3 it fails fast), the second drew [1.0, inf], outside its cell
+    monkeypatch.setattr(kernels, "RETRY_CAP", 3)
+    for alpha, row in ((200.0, (50.0, 100.0)), (1e300, (1.0, 2.0))):
+        refusal = re.escape(f"row 1 cannot be proposed at alpha={alpha!r}:")
+        with pytest.raises(ValueError, match=refusal):
+            sample_lambda_eq_each(alpha, np.array([(0.5, 1.0), row]), rng)
+        assert rng.bit_generator.state == state
 
 
 def test_cell_rejection_stops_at_retry_cap(monkeypatch):

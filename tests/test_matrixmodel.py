@@ -95,6 +95,19 @@ def test_lambda_eq_via_matrices():
     assert rep.passed, rep.to_dict()
 
 
+@pytest.mark.parametrize("bad,need", [(math.nan, "finite"), (math.inf, "finite"),
+                                      (-1.0, "non-negative")])
+def test_matrix_link_samplers_refuse_a_bad_source_before_any_draw(bad, need):
+    # a NaN source reached the SVD ("SVD did not converge"), an inf one the matmul
+    rng = generator(215)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^x must be {need}"):
+        sample_lambda_plus_via_matrices_many(1, (1.0, bad), 3, rng)
+    with pytest.raises(ValueError, match=f"^z must be {need}"):
+        sample_lambda_eq_via_matrices_many(1, (bad, 2.0), 3, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_char_F_omega_examples():
     assert char_F_omega(BoundaryPoint((), 1.0), 0.5) == pytest.approx(math.exp(-1))
     assert char_F_omega(BoundaryPoint((0.25,), 0.25), 1.0) == pytest.approx(0.5)
@@ -117,6 +130,11 @@ def test_corner_model_degenerate_omega():
     rng = generator(210)
     assert np.all(sample_P_omega_corner(BoundaryPoint((), 0.0), 3, 2, rng) == 0.0)
     assert tuple(sample_lambda_omega_many(0, 2, BoundaryPoint((), 0.0), rng, 1)[0]) == (0.0, 0.0)
+    # sum(alphas) = gamma + 1.5e-12 is roundoff that BoundaryPoint admits: no free mass
+    # to draw, as at sum(alphas) = gamma, where the corner model used to refuse it
+    roundoff, exact = BoundaryPoint((2.0,), 2.0 - 1.5e-12), BoundaryPoint((2.0,), 2.0)
+    assert np.array_equal(sample_P_omega_corner(roundoff, 2, 2, generator(216), size=3),
+                          sample_P_omega_corner(exact, 2, 2, generator(216), size=3))
     # a zero dimension gave an empty corner, a negative one numpy's error;
     # both are refused before any draw
     omega, state = BoundaryPoint((0.5,), 1.0), rng.bit_generator.state

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -15,7 +16,7 @@ from intertwine.verify import (TestReport, apply_generator_1d, check_consistency
                                check_kernel_normalization, check_vandermonde_eigen,
                                energy_perm_test, flow_start_profile,
                                generator_drift_coeffs, interiorize_rows,
-                               quad_1d, quad_cell)
+                               quad_1d, quad_cell, run_suite)
 
 from helpers import energy_draws, energy_vstat, mean_distance
 
@@ -374,13 +375,20 @@ def test_normalization_bounds_from_the_cell(kind, x, alpha):
 
 
 def test_interiorize_rows():
-    rows = np.array([[0.0, 1.0], [2.0, 2.0], [3.0, 1.0]])
-    fixed = interiorize_rows(rows)
-    assert np.all(fixed[:, 0] > 0)
-    assert np.all(np.diff(fixed, axis=1) > 0)
-    # already-interior rows pass through unchanged
-    clean = np.array([[0.5, 1.5]])
-    assert np.array_equal(interiorize_rows(clean), clean)
+    rng = generator(15)
+    for n in (2, 3, 9):  # N = 9 sorts by numpy, the others by a sorting network
+        clean = np.sort(rng.uniform(0.5, 5.0, size=(4, n)), axis=1)
+        tied = np.concatenate([np.zeros((1, n)), np.full((1, n), 2.0),
+                               np.repeat(clean[:2, :1], n, axis=1), clean[2:, ::-1]])
+        tied[-1, 0] = -1e-13  # below the floor
+        fixed = interiorize_rows(tied)
+        assert np.all(fixed[:, 0] >= 1e-12)
+        assert np.all(np.diff(fixed, axis=1) > 0)
+        assert np.array_equal(fixed[-2], clean[2])  # a reversed clean row is only sorted
+        # already-interior rows pass through unchanged, and the input is left as it was
+        copy = clean.copy()
+        assert np.array_equal(interiorize_rows(clean), copy)
+        assert np.array_equal(clean, copy)
 
 
 def test_flow_start_profile_embedding():
@@ -392,12 +400,15 @@ def test_flow_start_profile_embedding():
     assert gamma_bar(emb) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         flow_start_profile(BoundaryPoint((0.1, 0.1), 0.2), 1)
+    # n = 0 returned an empty start
+    with pytest.raises(ValueError, match="n=0 must be an integer >= 1"):
+        flow_start_profile(BoundaryPoint((), 1.0), 0)
 
 
 def test_flow_start_profile_clamps_a_roundoff_negative_free_mass():
-    # gamma_bar = -1e-13 passes BoundaryPoint's slack; the ramp spreads no mass
+    # sum(alphas) = gamma + 1e-13 passes BoundaryPoint's slack; the ramp spreads no mass
     omega = BoundaryPoint((0.7, 0.3), 1 - 1e-13)
-    assert gamma_bar(omega) < 0
+    assert gamma_bar(omega) == 0.0
     x0 = flow_start_profile(omega, 4)
     assert np.all(x0 >= 0) and np.all(np.diff(x0) > 0)
     emb = embed_boundary(x0)
@@ -423,3 +434,60 @@ def test_named_seed_stability():
     assert named_seed(0, "abc") == named_seed(0, "abc")
     assert named_seed(0, "abc") != named_seed(0, "abd")
     assert named_seed(1, "abc") != named_seed(0, "abc")
+
+
+_SUITE_SIZES = {"n_samples": 200, "n_perm": 99, "dt": 0.05, "n_paths": 4, "kappa": 20}
+_LINK_SOURCES = ("[1.0, 2.0]", "[0.5, 1.5, 3.0]")
+_ALL_SUITE_NAMES = [
+    *(f"vandermonde-eigenfunction[N={n},s={s}]" for n, s in ((2, 1.0), (3, 1.0), (3, -0.5),
+                                                             (1, 2.0))),
+    *(f"h-transform-identities[N={n},s={s},alpha={a}]"
+      for s, a, n in ((1.0, 0.5, 2), (-0.5, 1.5, 3), (2.0, 0.0, 1))),
+    "h-transform-constants", "pickrell-drift-forms",
+    *(f"normalization-{kind}[alpha={a},x={x}]" for a in (0.0, 0.5, 2.0)
+      for kind, x in (("L", _LINK_SOURCES[0]), ("L", _LINK_SOURCES[1]),
+                      ("lambda_eq", _LINK_SOURCES[0]), ("lambda_plus", _LINK_SOURCES[0]),
+                      ("lambda_plus", _LINK_SOURCES[1]))),
+    "decomposition[alpha=0.0]", "decomposition[alpha=1.0]",
+    "intertwine-laguerre[N=1,alpha=0.0,t=0.5]", "intertwine-laguerre[N=2,alpha=1.0,t=0.5]",
+    "intertwine-pickrell[N=1,s=1.0,alpha=0.0,t=0.5]",
+    "shifted-intertwine-L[N=1,s=1.0,alpha=0.0,t=0.5]",
+    "shifted-intertwine-LambdaEq[N=2,s=1.0,alpha=0.5,t=0.5]",
+    *(f"invariance-pickrell[N={n},s=1.0,alpha={a},t=0.5]" for n in (1, 2) for a in (0.0, 1.0)),
+    *(f"consistency-{which}[N=1,s=1.0,alpha={a}]"
+      for which in ("alpha-link", "free-link", "eq-link") for a in (0.0, 1.0)),
+    "boundary-flow[N=50,gamma0=3.0]", "boundary-flow[N=50,gamma0=1.0]",
+    "branching-row-sums", "branching-scaling-limit", "branching-scaling-monotone",
+]
+
+
+def _suite_json(reports):
+    return json.dumps([r.to_dict() for r in reports], sort_keys=True)
+
+
+def test_run_suite_all_at_small_sizes():
+    reports = run_suite("all", 3, **_SUITE_SIZES)
+    assert [r.name for r in reports] == _ALL_SUITE_NAMES
+    # every size reaches each check that takes it
+    two_path = reports[26:41]
+    assert all((r.meta["n_a"], r.meta["n_b"], r.meta["n_perm"]) == (200, 200, 99)
+               for r in two_path)
+    assert [r.meta.get("dt") for r in reports[26:43]] == [0.05] * 9 + [None] * 6 + [0.05] * 2
+    assert [r.meta["n_paths"] for r in reports[41:43]] == [4, 4]
+    assert reports[44].meta["kappa"] == 20 and reports[45].meta["kappa_fine"] == 20
+    assert _suite_json(run_suite("all", 3, **_SUITE_SIZES)) == _suite_json(reports)
+    # one row of each Monte Carlo suite, called directly on its stream
+    kw = {"n_samples": 200, "n_perm": 99}
+    direct = {
+        30: verify.check_shifted_intertwine("LambdaEq", 1.0, 0.5, 2, (1.0, 2.5), 0.5, dt=0.05,
+                                            seed=named_seed(named_seed(3, "intertwine"),
+                                                            "shift-eq"), **kw),
+        34: check_invariance_pickrell(1.0, 1.0, 2, 0.5, dt=0.05,
+                                      seed=named_seed(named_seed(3, "invariance"), "inv-2-1.0"),
+                                      **kw),
+        40: check_consistency("eq-link", 1.0, 1.0, 1,
+                              seed=named_seed(named_seed(3, "consistency"), "cons-eq-link-1.0"),
+                              **kw),
+    }
+    for i, rep in direct.items():
+        assert _suite_json([rep]) == _suite_json([reports[i]])
