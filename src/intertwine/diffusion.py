@@ -17,8 +17,10 @@ distance per step (see _pair_drift).  ``verify`` unties by _sanitize_rows too.
 
 Every simulator runs its paths through _run_paths, the one place where
 per-path streams, chunk sizes and threads are decided: path i draws only
-from rng.path_generator(master_seed, i), so an ensemble result is
-bit-reproducible for a fixed seed whatever the chunking and the core count.
+from its own stream, Generator(PCG64(rng.child_seed(master_seed, i))), so an
+ensemble result is bit-reproducible for a fixed seed whatever the chunking
+and the core count.  A chunk's streams come from one rng.path_streams call,
+bit for bit the streams rng.path_generator makes one path at a time.
 All noise comes from one drawer, _step_major: a chunk draws the next block
 of steps when it reaches it, at most _BLOCK_FLOAT_BUDGET floats, indexed
 (steps, paths, *noise shape) so that each step reads one contiguous block;
@@ -46,7 +48,8 @@ import numpy as np
 from .chamber import BoundaryPoint, _check_start, as_coords
 from .kernels import _require_alpha, _require_dim
 from .matrixmodel import _check_alpha_int, radial_part_many, sample_ginibre
-from .rng import path_generator
+# path_generator stays bound here for perfbench/spans.py, which wraps it by this path
+from .rng import path_generator, path_streams  # noqa: F401
 
 __all__ = [
     "Scheme",
@@ -270,8 +273,9 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
                guard_key=None, max_chunk=None):
     """Run n_paths paths in chunks; returns (terminal, snapshots, info).
 
-    Path i draws only from path_generator(master_seed, i), so the output
-    depends neither on the chunk size nor on how many chunks run at once.
+    Path i draws only from path_generator(master_seed, i)'s stream, so the
+    output depends neither on the chunk size nor on how many chunks run at
+    once; a chunk's streams are built by one path_streams call.
     A chunk is at most _CHUNK_MAX_PATHS and max_chunk paths, and one step of
     its noise, a ``noise_shape`` array per path, fits _BLOCK_FLOAT_BUDGET
     floats, as does each block of steps it draws from _step_major.  With
@@ -301,7 +305,7 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     snaps = {ts: np.empty((n_paths, n)) for ts in (snapshots_at or [])}
 
     def chunk_gens(rows):
-        return [path_generator(master_seed, i) for i in range(rows.start, rows.stop)]
+        return path_streams(master_seed, rows.start, rows.stop)
 
     def run_chunk(rows, gens):
         """Step one chunk to the horizon, drawing its noise block by block."""

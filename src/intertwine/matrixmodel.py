@@ -10,6 +10,8 @@ the closed form ``char_F_omega``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .chamber import BoundaryPoint, _check_start, as_coords, gamma_bar
@@ -78,10 +80,9 @@ def radial_part_many(x: np.ndarray) -> np.ndarray:
 
 
 def _check_alpha_int(alpha) -> int:
-    ai = int(alpha)
-    if ai != alpha or ai < 0:
+    if not 0 <= alpha < math.inf or int(alpha) != alpha:  # NaN fails the range test
         raise ValueError(f"matrix model needs integer alpha >= 0, got {alpha}")
-    return ai
+    return int(alpha)
 
 
 def sample_lambda_plus_via_matrices_many(alpha, x, n_samples: int, rng) -> np.ndarray:

@@ -251,7 +251,7 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 def _noise_threads(monkeypatch) -> set:
     """The set that the following runs add each path-noise-drawing thread to."""
     seen = set()
-    path_generator = diffusion.path_generator
+    path_streams = diffusion.path_streams
 
     class Recorded:
         def __init__(self, gen):
@@ -261,7 +261,8 @@ def _noise_threads(monkeypatch) -> set:
             seen.add(threading.get_ident())
             return self.gen.standard_normal(*args, **kwargs)
 
-    monkeypatch.setattr(diffusion, "path_generator", lambda *key: Recorded(path_generator(*key)))
+    monkeypatch.setattr(diffusion, "path_streams",
+                        lambda *key: [Recorded(gen) for gen in path_streams(*key)])
     return seen
 
 
@@ -391,8 +392,8 @@ def test_a_block_larger_than_the_fill_buffer_is_held_once():
 
 
 def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
-    calls = []
-    path_generator = diffusion.path_generator
+    calls = []  # (thread, lo, hi) of each path_streams call
+    path_streams = diffusion.path_streams
     nan_from = {}  # path index -> first step whose noise is NaN
 
     class NanNoise:
@@ -404,12 +405,18 @@ def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
             out[self.step - 1:] = np.nan
             return out
 
-    def recorded(master_seed, index):
-        calls.append((threading.get_ident(), index))
-        gen = path_generator(master_seed, index)
-        return NanNoise(gen, nan_from[index]) if index in nan_from else gen
+    def recorded(master_seed, lo, hi):
+        calls.append((threading.get_ident(), lo, hi))
+        return [NanNoise(gen, nan_from[i]) if i in nan_from else gen
+                for i, gen in zip(range(lo, hi), path_streams(master_seed, lo, hi))]
 
-    monkeypatch.setattr(diffusion, "path_generator", recorded)
+    def made_on_the_caller(last_started):
+        """Each chunk's streams, made once on the calling thread, in increasing
+        path order, up to the chunk holding path last_started."""
+        return [(threading.get_ident(), lo, min(lo + 16, 72))
+                for lo in range(0, last_started + 1, 16)]
+
+    monkeypatch.setattr(diffusion, "path_streams", recorded)
     # 16 paths a chunk at N = 8: big enough that numpy drops the interpreter lock inside
     # the pair drift, which each chunk builds in its own workspace
     monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 16 * 64)
@@ -428,8 +435,9 @@ def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
         threaded = [run(8) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
-    # five chunks, the last ragged; every stream is made on the caller, in path order
-    assert calls == [(threading.get_ident(), i) for i in range(72)]
+    # five chunks, the last ragged; every stream is made on the caller, in path order,
+    # and the chunks' ranges cover the 72 paths exactly
+    assert calls == made_on_the_caller(71)
     for term, snaps, info in threaded:
         assert _same_bytes(serial[0], term) and serial[2] == info
         assert _same_bytes(serial[1][0.1], snaps[0.1])
@@ -438,11 +446,11 @@ def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
     # first chunk's error wins, as in a serial run, and the threads are gone after it
     nan_from.update({20: 7, 40: 3})
     before = threading.active_count()
-    for cores, last_started in ((1, 31), (2, 47)):
+    for cores, last_started in ((1, 31), (2, 47), (4, 71)):
         with pytest.raises(RuntimeError, match=r"^NaN state at step 7; reduce dt$"):
             run(cores)
         # no chunk is started after the failing one, but for those already in flight
-        assert calls == [(threading.get_ident(), i) for i in range(last_started + 1)]
+        assert calls == made_on_the_caller(last_started)
         assert threading.active_count() == before
 
 

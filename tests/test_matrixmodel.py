@@ -5,6 +5,8 @@ import pytest
 from scipy import stats
 
 from intertwine.chamber import BoundaryPoint
+from intertwine.diffusion import Scheme, SdeConfig, simulate_laguerre_matrix_paths
+from intertwine.ensembles import sample_laguerre_many
 from intertwine.kernels import (KernelParams, sample_lambda_eq_many,
                                 sample_lambda_plus_many)
 from intertwine.matrixmodel import (char_F_omega, corner, radial_part_many,
@@ -105,6 +107,24 @@ def test_matrix_link_samplers_refuse_a_bad_source_before_any_draw(bad, need):
         sample_lambda_plus_via_matrices_many(1, (1.0, bad), 3, rng)
     with pytest.raises(ValueError, match=f"^z must be {need}"):
         sample_lambda_eq_via_matrices_many(1, (bad, 2.0), 3, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+@pytest.mark.parametrize("sample", [
+    lambda a, rng: sample_lambda_plus_via_matrices_many(a, (1.0, 2.0), 3, rng),
+    lambda a, rng: sample_lambda_eq_via_matrices_many(a, (1.0, 2.0), 3, rng),
+    lambda a, rng: sample_lambda_omega_many(a, 2, BoundaryPoint((1.0,), 2.0), rng, 3),
+    lambda a, rng: sample_laguerre_many(a, 2, 3, rng),
+    lambda a, rng: simulate_laguerre_matrix_paths(a, 2, (1.0, 2.0),
+                                                  SdeConfig(1e-2, 0.1, Scheme.MATRIX_LIFT), 2, 1),
+], ids=["lambda-plus", "lambda-eq", "lambda-omega", "laguerre", "laguerre-lift"])
+def test_matrix_models_refuse_a_non_finite_alpha(sample, alpha):
+    # int(alpha) ran first: inf raised OverflowError, NaN "cannot convert float NaN"
+    rng = generator(216)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^matrix model needs integer alpha >= 0, got {alpha}$"):
+        sample(alpha, rng)
     assert rng.bit_generator.state == state
 
 
