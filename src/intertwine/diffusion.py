@@ -24,7 +24,10 @@ bit for bit the streams rng.path_generator makes one path at a time.
 All noise comes from one drawer, _step_major: a chunk draws the next block
 of steps when it reaches it, at most _BLOCK_FLOAT_BUDGET floats, indexed
 (steps, paths, *noise shape) so that each step reads one contiguous block;
-the paths' draws are made into a small buffer and copied into place.
+the paths' draws are made into a small buffer and copied into place.  The
+blocks land in one buffer per chunk in flight, made once per run on the
+calling thread, so how much memory noise holds does not depend on which
+thread runs which chunk, or when.
 A chunk is at most _CHUNK_MAX_PATHS paths, and one step of its noise fits
 the block budget.  Euler chunks are further capped at _PAIR_FLOAT_BUDGET /
 N^2 paths.  Above _COLUMN_MAX_N particles the pair drift is built as (paths,
@@ -278,7 +281,8 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     once; a chunk's streams are built by one path_streams call.
     A chunk is at most _CHUNK_MAX_PATHS and max_chunk paths, and one step of
     its noise, a ``noise_shape`` array per path, fits _BLOCK_FLOAT_BUDGET
-    floats, as does each block of steps it draws from _step_major.  With
+    floats, as does each block of steps it draws from _step_major, into
+    the slot of noise buffer it holds while it runs.  With
     n > _COLUMN_MAX_N the chunks run on as many threads as the process has
     cores (_CORES); otherwise, or with one core, one after another on the
     calling thread.  The generators are made on the calling thread, in path
@@ -304,18 +308,26 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     terminal = np.empty((n_paths, n))
     snaps = {ts: np.empty((n_paths, n)) for ts in (snapshots_at or [])}
 
+    def block_steps(paths):
+        return max(1, _BLOCK_FLOAT_BUDGET // (paths * noise_floats))
+
+    # one noise buffer per chunk in flight, each holding any chunk's largest block
+    slots = np.empty((workers, noise_floats * max(
+        min(n_steps, block_steps(rows.stop - rows.start)) * (rows.stop - rows.start)
+        for rows in chunks)))
+
     def chunk_gens(rows):
         return path_streams(master_seed, rows.start, rows.stop)
 
-    def run_chunk(rows, gens):
-        """Step one chunk to the horizon, drawing its noise block by block."""
-        block = max(1, _BLOCK_FLOAT_BUDGET // (len(gens) * noise_floats))
+    def run_chunk(rows, gens, slot):
+        """Step one chunk to the horizon, drawing its noise block by block
+        into ``slot``."""
+        block = block_steps(len(gens))
         state = start(rows, gens)
         guarded = 0
         for i, h in enumerate(hs):
             if i % block == 0:
-                noise = None  # the spent block is freed before the next is drawn
-                noise = _step_major(gens, min(block, n_steps - i), noise_shape)
+                noise = _step_major(gens, min(block, n_steps - i), noise_shape, slot)
             state, events = step(state, noise[i % block], h, i)
             guarded += events
             if (i + 1) in snap_steps:
@@ -326,30 +338,32 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
         return guarded
 
     if workers == 1:
-        guarded = sum(run_chunk(rows, chunk_gens(rows)) for rows in chunks)
+        guarded = sum(run_chunk(rows, chunk_gens(rows), slots[0]) for rows in chunks)
     else:
-        guarded = _run_chunks_threaded(run_chunk, chunks, chunk_gens, workers)
+        guarded = _run_chunks_threaded(run_chunk, chunks, chunk_gens, slots)
     info = {"n_steps": n_steps, "n_paths": n_paths}
     if guard_key is not None:
         info[guard_key] = guarded / float(n_paths * n_steps) if n_steps else 0.0
     return terminal, snaps, info
 
 
-def _run_chunks_threaded(run_chunk, chunks, chunk_gens, workers: int) -> int:
-    """Sum of run_chunk(rows, generators) over the chunks, at most ``workers``
-    of them in flight.  The generators are made here, on the calling thread,
-    and the chunks are collected in order, so the first failing chunk's
-    error is raised, as a serial run raises it, and no chunk is started once
-    it is; the pool's threads are joined before this returns."""
+def _run_chunks_threaded(run_chunk, chunks, chunk_gens, slots) -> int:
+    """Sum of run_chunk(rows, generators, slot) over the chunks, at most one
+    per slot in flight: chunk k gets slots[k % len(slots)], which chunk
+    k - len(slots) has given back by then.  The generators are made here, on
+    the calling thread, and the chunks are collected in order, so the first
+    failing chunk's error is raised, as a serial run raises it, and no chunk
+    is started once it is; the pool's threads are joined before this returns."""
     from concurrent.futures import ThreadPoolExecutor
 
+    workers = len(slots)
     guarded = 0
     with ThreadPoolExecutor(workers) as pool:
         pending = []
-        for rows in chunks:
+        for k, rows in enumerate(chunks):
             if len(pending) == workers:
                 guarded += pending.pop(0).result()
-            pending.append(pool.submit(run_chunk, rows, chunk_gens(rows)))
+            pending.append(pool.submit(run_chunk, rows, chunk_gens(rows), slots[k % workers]))
         for done in pending:
             guarded += done.result()
     return guarded
@@ -370,15 +384,16 @@ def _sort_rows(x: np.ndarray) -> None:
             x[:, k] = lo
 
 
-def _step_major(gens, k: int, shape: tuple) -> np.ndarray:
+def _step_major(gens, k: int, shape: tuple, out=None) -> np.ndarray:
     """(k, len(gens), *shape) standard normals; path p's (k, *shape) draws
-    come from the p-th of ``gens``.  They are drawn into a buffer of
+    come from the p-th of ``gens``, written over the start of the flat float
+    array ``out`` when one is given.  They are drawn into a buffer of
     _FILL_FLOAT_BUDGET floats, or of one step where that is more, and each
     fill is put in place with one copy: as many whole paths as fit at a
     time, or, when one path's k steps do not, that path's steps a run at a
     time (a generator fills in two calls what it fills in one)."""
     c, f = len(gens), int(np.prod(shape))
-    noise = np.empty((k, c, f))
+    noise = np.empty((k, c, f)) if out is None else out[:k * c * f].reshape(k, c, f)
     per_fill = max(1, min(c, _FILL_FLOAT_BUDGET // (k * f)))
     steps = max(1, min(k, _FILL_FLOAT_BUDGET // f))  # k when a fill holds whole paths
     buf = np.empty((per_fill, steps, f))

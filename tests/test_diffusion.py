@@ -350,8 +350,8 @@ def test_no_chunk_holds_more_noise_than_the_block_budget(monkeypatch):
     draws = []
     step_major = diffusion._step_major
 
-    def recording(gens, k, shape):
-        noise = step_major(gens, k, shape)
+    def recording(gens, k, shape, out=None):
+        noise = step_major(gens, k, shape, out)
         c, noise_floats = len(gens), math.prod(shape)
         assert noise.shape == (k, c, *shape) and noise.size == k * c * noise_floats
         draws.append((noise_floats, c, noise.size))
