@@ -28,7 +28,7 @@ from .ensembles import sample_laguerre_many, sample_pickrell
 from .kernels import (KernelParams, sample_L_many, sample_lambda_eq_many,
                       sample_lambda_plus_many)
 from .rng import generator, named_seed
-from .verify import SUITES, run_suite
+from .verify import SIZE_KEYS, SUITES, run_suite
 
 
 def version_string() -> str:
@@ -231,11 +231,7 @@ def _cmd_branching(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sizes = {}
-    for key in ("n_samples", "n_perm", "dt", "n_paths", "kappa"):
-        val = getattr(args, key, None)
-        if val is not None:
-            sizes[key] = val
+    sizes = {key: getattr(args, key) for key in SIZE_KEYS if getattr(args, key, None) is not None}
     reports = run_suite(args.suite, args.seed, **sizes)
     payload = {
         "parameters": {"suite": args.suite, "seed": args.seed, **sizes},

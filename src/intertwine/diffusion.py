@@ -16,34 +16,30 @@ by 1e-12 (1+|x|), and per-pair repulsion kicks are clamped to half the pair
 distance per step (see _pair_drift).  ``verify`` unties by _sanitize_rows too.
 
 Every simulator runs its paths through _run_paths, the one place where
-per-path streams, chunk sizes and threads are decided: path i draws only
-from its own stream, Generator(PCG64(rng.child_seed(master_seed, i))), so an
-ensemble result is bit-reproducible for a fixed seed whatever the chunking
-and the core count.  A chunk's streams come from one rng.path_streams call,
-bit for bit the streams rng.path_generator makes one path at a time.
+per-path streams and chunk sizes are decided: path i draws only from its
+own stream, Generator(PCG64(rng.child_seed(master_seed, i))), so an
+ensemble result is bit-reproducible for a fixed seed whatever the chunking.
+A chunk's streams come from one rng.path_streams call, bit for bit the
+streams rng.path_generator makes one path at a time.  The chunks run one
+after another on the calling thread; independent checks run in parallel
+one level up, in verify.run_checks.
 All noise comes from one drawer, _step_major: a chunk draws the next block
 of steps when it reaches it, at most _BLOCK_FLOAT_BUDGET floats, indexed
 (steps, paths, *noise shape) so that each step reads one contiguous block;
 the paths' draws are made into a small buffer and copied into place.  The
-blocks land in one buffer per chunk in flight, made once per run on the
-calling thread, so how much memory noise holds does not depend on which
-thread runs which chunk, or when.
+blocks land in one buffer, made once per run and reused by every chunk.
 A chunk is at most _CHUNK_MAX_PATHS paths, and one step of its noise fits
 the block budget.  Euler chunks are further capped at _PAIR_FLOAT_BUDGET /
 N^2 paths.  Above _COLUMN_MAX_N particles the pair drift is built as (paths,
 N, N) tensors in two buffers of the chunk's own, reused by every step, which
 that cap keeps in cache; at or below it, column by column on (paths,)
 arrays, with the same operations per pair and the same sum order, so both
-routes give bit-identical drifts.  Only above _COLUMN_MAX_N do chunks run
-on threads, one per core of the process's CPU affinity: the tensor route's
-long numpy calls release the interpreter lock, the column route's many
-short ones do not.
+routes give bit-identical drifts.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +73,6 @@ _PAIR_FLOAT_BUDGET = 2**16
 _COLUMN_MAX_N = 7
 _FILL_FLOAT_BUDGET = 2**16  # the buffer that noise is drawn into before it is put in place
 _BLOCK_FLOAT_BUDGET = 2**20  # noise a chunk holds at once: steps drawn per block
-# the cores this process may run on: the most tensor-route chunks in flight
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class Scheme(enum.Enum):
@@ -274,24 +268,14 @@ def _snapshot_steps(snapshots_at, hs, dt, t) -> dict:
 def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n: int,
                noise_shape: tuple, start, step, observe, *, snapshots_at=None,
                guard_key=None, max_chunk=None):
-    """Run n_paths paths in chunks; returns (terminal, snapshots, info).
-
-    Path i draws only from path_generator(master_seed, i)'s stream, so the
-    output depends neither on the chunk size nor on how many chunks run at
-    once; a chunk's streams are built by one path_streams call.
-    A chunk is at most _CHUNK_MAX_PATHS and max_chunk paths, and one step of
-    its noise, a ``noise_shape`` array per path, fits _BLOCK_FLOAT_BUDGET
-    floats, as does each block of steps it draws from _step_major, into
-    the slot of noise buffer it holds while it runs.  With
-    n > _COLUMN_MAX_N the chunks run on as many threads as the process has
-    cores (_CORES); otherwise, or with one core, one after another on the
-    calling thread.  The generators are made on the calling thread, in path
-    order, and a chunk writes only its own rows.  ``start(rows, gens)``
-    returns the initial state of the paths in the slice ``rows``, one
-    generator per path in ``gens``; ``step(state, noise_i, h, i)`` returns
-    the next state and its count of guarded paths; ``observe(state)``
-    returns (paths, n) ascending rows.  ``info[guard_key]`` is the guarded
-    fraction of path-steps.
+    """Run n_paths paths in chunks of at most max_chunk paths, one after
+    another, as the module docstring sets out; returns (terminal, snapshots,
+    info).  A path's noise is a ``noise_shape`` array per step.
+    ``start(rows, gens)`` returns the initial state of the paths in the
+    slice ``rows``, one generator per path in ``gens``; ``step(state,
+    noise_i, h, i)`` returns the next state and its count of guarded paths;
+    ``observe(state)`` returns (paths, n) ascending rows.
+    ``info[guard_key]`` is the guarded fraction of path-steps.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths={n_paths} must be >= 1")
@@ -304,27 +288,22 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
     chunk = max(1, min(n_paths, _CHUNK_MAX_PATHS, _BLOCK_FLOAT_BUDGET // noise_floats,
                        n_paths if max_chunk is None else max_chunk))
     chunks = [slice(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    workers = min(_CORES, len(chunks)) if n > _COLUMN_MAX_N else 1
     terminal = np.empty((n_paths, n))
     snaps = {ts: np.empty((n_paths, n)) for ts in (snapshots_at or [])}
 
     def block_steps(paths):
         return max(1, _BLOCK_FLOAT_BUDGET // (paths * noise_floats))
 
-    # one noise buffer per chunk in flight, each holding any chunk's largest block
-    slots = np.empty((workers, noise_floats * max(
+    # the noise buffer, holding any chunk's largest block
+    slot = np.empty(noise_floats * max(
         min(n_steps, block_steps(rows.stop - rows.start)) * (rows.stop - rows.start)
-        for rows in chunks)))
+        for rows in chunks))
 
-    def chunk_gens(rows):
-        return path_streams(master_seed, rows.start, rows.stop)
-
-    def run_chunk(rows, gens, slot):
-        """Step one chunk to the horizon, drawing its noise block by block
-        into ``slot``."""
+    guarded = 0
+    for rows in chunks:  # each to the horizon, drawing its noise block by block into slot
+        gens = path_streams(master_seed, rows.start, rows.stop)
         block = block_steps(len(gens))
         state = start(rows, gens)
-        guarded = 0
         for i, h in enumerate(hs):
             if i % block == 0:
                 noise = _step_major(gens, min(block, n_steps - i), noise_shape, slot)
@@ -335,38 +314,10 @@ def _run_paths(scheme: Scheme, cfg: SdeConfig, n_paths: int, master_seed: int, n
                 for ts in snap_steps[i + 1]:
                     snaps[ts][rows] = rows_now
         terminal[rows] = observe(state)
-        return guarded
-
-    if workers == 1:
-        guarded = sum(run_chunk(rows, chunk_gens(rows), slots[0]) for rows in chunks)
-    else:
-        guarded = _run_chunks_threaded(run_chunk, chunks, chunk_gens, slots)
     info = {"n_steps": n_steps, "n_paths": n_paths}
     if guard_key is not None:
         info[guard_key] = guarded / float(n_paths * n_steps) if n_steps else 0.0
     return terminal, snaps, info
-
-
-def _run_chunks_threaded(run_chunk, chunks, chunk_gens, slots) -> int:
-    """Sum of run_chunk(rows, generators, slot) over the chunks, at most one
-    per slot in flight: chunk k gets slots[k % len(slots)], which chunk
-    k - len(slots) has given back by then.  The generators are made here, on
-    the calling thread, and the chunks are collected in order, so the first
-    failing chunk's error is raised, as a serial run raises it, and no chunk
-    is started once it is; the pool's threads are joined before this returns."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = len(slots)
-    guarded = 0
-    with ThreadPoolExecutor(workers) as pool:
-        pending = []
-        for k, rows in enumerate(chunks):
-            if len(pending) == workers:
-                guarded += pending.pop(0).result()
-            pending.append(pool.submit(run_chunk, rows, chunk_gens(rows), slots[k % workers]))
-        for done in pending:
-            guarded += done.result()
-    return guarded
 
 
 def _sort_rows(x: np.ndarray) -> None:

@@ -19,6 +19,7 @@ streams derived from one master seed, so reruns are bit-identical.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -61,6 +62,7 @@ __all__ = [
     "check_kernel_normalization",
     "check_decomposition",
     "flow_start_profile",
+    "run_checks",
     "run_suite",
     "SUITES",
 ]
@@ -279,7 +281,7 @@ def _require_power(n_perm: int, threshold: float) -> None:
                          f"1/(n_perm+1) exceeds the threshold {threshold}")
 
 
-# pooled-distance columns per block in d >= 2: an (n, 256) float64 block is
+# pooled-distance columns per panel in d >= 2: an (n, 256) float64 panel is
 # 8 MB at the default 2 x 2,048 pooled points
 _ENERGY_BLOCK = 256
 
@@ -300,10 +302,10 @@ def energy_perm_test(a, b, n_perm: int, rng, threshold: float = P_THRESHOLD,
     dimension the statistic is 2 * integral of (F_a - F_b)^2 (Szekely and
     Rizzo, JSPI 2013): one sort of the pooled sample, then prefix sums of
     each row's labels give its empirical CDFs on the gaps, with no distances
-    at all.  In d >= 2 the distance matrix is built ``_ENERGY_BLOCK``
-    columns at a time and multiplied by the label matrix, so memory stays
-    O(n * (n_perm + _ENERGY_BLOCK)): under 64 MB at 2 x 2,048 points and
-    n_perm = 300.
+    at all.  In d >= 2 only the distances on and above the diagonal are
+    built, with numpy, in panels of ``_ENERGY_BLOCK`` columns, each
+    multiplied by the label matrix, so memory stays O(n * (n_perm +
+    _ENERGY_BLOCK)): under 64 MB at 2 x 2,048 points and n_perm = 300.
     """
     _require_power(n_perm, threshold)
     a = _as_rows(a)
@@ -358,17 +360,28 @@ def _energy_stats(pooled, labels, na, nb) -> np.ndarray:
         diff -= np.arange(1.0, n) * na
         diff *= diff
         return 2.0 * (diff @ gaps) / (float(na) * nb) ** 2
-    from scipy.spatial.distance import cdist  # only d >= 2 needs distances
-
-    # s_aa = v.D.v and s_ab = v.(D 1) - s_aa, over column blocks of D
+    # s_aa = v.D.v and s_ab = v.(D 1) - s_aa over column panels: panel J holds
+    # the distances from points [0, hi) to block J = [lo, hi), its diagonal
+    # block halved, so D is the sum of the panels and of their transposes
     v = labels.astype(np.float64)
+    ones = np.ones(n)
     s_aa = np.zeros(v.shape[0])
-    colsum = np.empty(n)
+    colsum = np.zeros(n)
     for lo in range(0, n, _ENERGY_BLOCK):
-        cols = slice(lo, lo + _ENERGY_BLOCK)
-        dist = cdist(pooled, pooled[cols])
-        colsum[cols] = dist.sum(axis=0)
-        s_aa += np.einsum("ij,ij->i", v[:, cols], v @ dist)
+        hi = min(lo + _ENERGY_BLOCK, n)
+        panel = np.zeros((hi, hi - lo))
+        # block by block of rows, so that the squares are summed in cache
+        for r in range(0, hi, _ENERGY_BLOCK):
+            tile = panel[r:r + _ENERGY_BLOCK]
+            for x in pooled.T:
+                d = np.subtract.outer(x[r:r + len(tile)], x[lo:hi])
+                tile += np.multiply(d, d, out=d)
+            np.sqrt(tile, out=tile)
+        panel[lo:] *= 0.5
+        colsum[lo:hi] += ones[:hi] @ panel
+        colsum[:hi] += panel @ ones[:hi - lo]
+        s_aa += np.einsum("ij,ij->i", v[:, lo:hi], v[:, :hi] @ panel)
+    s_aa *= 2.0
     s_ab = v @ colsum - s_aa
     s_bb = colsum.sum() - 2.0 * s_ab - s_aa
     return 2.0 * s_ab / (na * nb) - s_aa / (na * na) - s_bb / (nb * nb)
@@ -825,19 +838,15 @@ def _suite_monte_carlo(suite, seed, sizes):
     kw = {"n_samples": sizes.get("n_samples", 4000), "n_perm": sizes.get("n_perm", 300)}
     if suite != "consistency":  # equilibrium draws only, no time steps
         kw["dt"] = sizes.get("dt", 1e-3)
-    return [globals()[check](*args, seed=named_seed(seed, tag), **kw)
-            for tag, check, args in _MONTE_CARLO[suite]]
+    return run_checks([partial(globals()[check], *args, seed=named_seed(seed, tag), **kw)
+                       for tag, check, args in _MONTE_CARLO[suite]])
 
 
 def _suite_flow(seed, sizes):
-    n_paths = sizes.get("n_paths", 300)
-    dt = sizes.get("dt", 1e-3)
-    return [
-        check_flow_convergence(0.0, 50, BoundaryPoint((), 3.0), (0.25, 0.5, 1.0),
-                               n_paths, dt, named_seed(seed, "flow-3")),
-        check_flow_convergence(0.0, 50, BoundaryPoint((), 1.0), (0.25, 0.5, 1.0),
-                               n_paths, dt, named_seed(seed, "flow-1")),
-    ]
+    return run_checks([partial(check_flow_convergence, 0.0, 50, BoundaryPoint((), gamma),
+                               (0.25, 0.5, 1.0), sizes.get("n_paths", 300), sizes.get("dt", 1e-3),
+                               named_seed(seed, f"flow-{gamma:g}"))
+                       for gamma in (3.0, 1.0)])
 
 
 def _suite_branching_limit(seed, sizes):
@@ -875,6 +884,9 @@ SUITES = {
 }
 
 
+SIZE_KEYS = ("n_samples", "n_perm", "dt", "n_paths", "kappa")
+
+
 def run_suite(suite: str, seed: int, **sizes) -> list:
     """Run one named suite (or 'all'); reports are seed-deterministic."""
     if suite == "all":
@@ -883,4 +895,40 @@ def run_suite(suite: str, seed: int, **sizes) -> list:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
+    unknown = [key for key in sizes if key not in SIZE_KEYS]
+    if unknown:
+        raise ValueError(f"unknown size keys {unknown}; choose from {list(SIZE_KEYS)}")
     return [rep for name in names for rep in SUITES[name](named_seed(seed, name), sizes)]
+
+
+_CALLS = ()  # in a run_checks worker: the calls it was forked with
+
+
+def _adopt(calls) -> None:
+    global _CALLS
+    _CALLS = calls
+
+
+def _run_call(i: int):
+    return _CALLS[i]()
+
+
+def run_checks(calls: list) -> list:
+    """The results of independent zero-argument calls, in call order, from
+    forked workers, one per core of the CPU affinity and at most one per call.
+    The calls reach a worker through the fork (a spawned one would import
+    afresh) and only indices and results cross the pipe, so closures and the
+    caller's run-time patches hold there too.  The first failing call's error
+    is raised once calls not yet started are cancelled and the workers have
+    exited.  With one worker, or without fork, the calls run here in turn."""
+    import multiprocessing
+
+    affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
+    workers = min(len(affinity(0)), len(calls))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [call() for call in calls]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(calls,)) as pool:
+        return list(pool.map(_run_call, range(len(calls))))

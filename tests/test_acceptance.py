@@ -2,10 +2,12 @@
 
 Each test prints ``ACCEPTANCE <k> [PASS|FAIL] ...`` (visible with -rA / -s)
 and asserts the criterion.  Seeds are pre-registered constants; reruns are
-bit-identical.
+bit-identical.  Criteria 5-8 run their independent checks through
+``verify.run_checks``, so their reports do not depend on the core count.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -25,7 +27,7 @@ from intertwine.verify import (check_consistency, check_decomposition,
                                check_intertwine_pickrell, check_invariance_pickrell,
                                check_kernel_normalization, check_pickrell_drift_forms,
                                check_shifted_intertwine, check_vandermonde_eigen,
-                               energy_perm_test, interiorize_rows)
+                               energy_perm_test, interiorize_rows, run_checks)
 
 SEED = 20_260_808
 
@@ -102,14 +104,12 @@ def test_criterion_04_deterministic_identities():
 
 
 def test_criterion_05_laguerre_intertwining():
-    reports = []
-    for n_dim, alpha, x in ((1, 0.0, (1.0, 2.0)), (2, 1.0, (0.5, 1.5, 3.0))):
-        reports.append(check_intertwine_laguerre(alpha, n_dim, x, 0.5, 20_000, 1e-3,
-                                                 named_seed(SEED, f"c5-{n_dim}"),
-                                                 n_perm=499))
-    control = check_intertwine_laguerre(0.0, 1, (1.0, 2.0), 0.5, 20_000, 1e-3,
-                                        named_seed(SEED, "c5-control"),
-                                        n_perm=1999, alpha_mismatch=2.0)
+    checks = [partial(check_intertwine_laguerre, alpha, n_dim, x, 0.5, 20_000, 1e-3,
+                      named_seed(SEED, f"c5-{n_dim}"), n_perm=499)
+              for n_dim, alpha, x in ((1, 0.0, (1.0, 2.0)), (2, 1.0, (0.5, 1.5, 3.0)))]
+    checks.append(partial(check_intertwine_laguerre, 0.0, 1, (1.0, 2.0), 0.5, 20_000, 1e-3,
+                          named_seed(SEED, "c5-control"), n_perm=1999, alpha_mismatch=2.0))
+    *reports, control = run_checks(checks)
     ok = all(r.passed for r in reports) and control.p_value < 0.001
     detail = "; ".join(f"p={r.p_value:.3f}" for r in reports)
     ok = report(5, ok, f"Laguerre intertwining ({detail}); "
@@ -119,23 +119,19 @@ def test_criterion_05_laguerre_intertwining():
 
 def test_criterion_06_pickrell_and_shifted_intertwinings():
     configs = [(1, 1.0, 0.0), (2, 1.0, 0.5)]
-    reports = []
+    checks = []
     for n_dim, s, alpha in configs:
         x_up = (1.0, 2.0) if n_dim == 1 else (0.5, 1.5, 3.0)
         x_eq = (2.0,) if n_dim == 1 else (1.0, 2.5)
-        reports.append(check_intertwine_pickrell(s, alpha, n_dim, x_up, 0.5, 20_000,
-                                                 1e-3, named_seed(SEED, f"c6-p-{n_dim}"),
-                                                 n_perm=499))
-        reports.append(check_shifted_intertwine("L", s, alpha, n_dim, x_up, 0.5, 20_000,
-                                                1e-3, named_seed(SEED, f"c6-L-{n_dim}"),
-                                                n_perm=499))
-        reports.append(check_shifted_intertwine("LambdaEq", s, alpha, n_dim, x_eq, 0.5,
-                                                20_000, 1e-3,
-                                                named_seed(SEED, f"c6-E-{n_dim}"),
-                                                n_perm=499))
-    control = check_intertwine_pickrell(1.0, 0.0, 1, (1.0, 2.0), 0.5, 20_000, 1e-3,
-                                        named_seed(SEED, "c6-control"),
-                                        n_perm=1999, s_mismatch=3.0)
+        checks.append(partial(check_intertwine_pickrell, s, alpha, n_dim, x_up, 0.5, 20_000,
+                              1e-3, named_seed(SEED, f"c6-p-{n_dim}"), n_perm=499))
+        checks.append(partial(check_shifted_intertwine, "L", s, alpha, n_dim, x_up, 0.5, 20_000,
+                              1e-3, named_seed(SEED, f"c6-L-{n_dim}"), n_perm=499))
+        checks.append(partial(check_shifted_intertwine, "LambdaEq", s, alpha, n_dim, x_eq, 0.5,
+                              20_000, 1e-3, named_seed(SEED, f"c6-E-{n_dim}"), n_perm=499))
+    checks.append(partial(check_intertwine_pickrell, 1.0, 0.0, 1, (1.0, 2.0), 0.5, 20_000, 1e-3,
+                          named_seed(SEED, "c6-control"), n_perm=1999, s_mismatch=3.0))
+    *reports, control = run_checks(checks)
     ok = all(r.passed for r in reports) and control.p_value < 0.001
     detail = "; ".join(f"{r.name.split('[')[0]} p={r.p_value:.3f}" for r in reports)
     ok = report(6, ok, f"Pickrell + shifted intertwinings ({detail}); "
@@ -144,17 +140,17 @@ def test_criterion_06_pickrell_and_shifted_intertwinings():
 
 
 def test_criterion_07_invariance_and_consistency():
-    reports = []
+    checks = []
     for n_dim in (1, 2):
         for alpha in (0.0, 1.0):
-            reports.append(check_invariance_pickrell(1.0, alpha, n_dim, 0.5, 10_000,
-                                                     1e-3,
-                                                     named_seed(SEED, f"c7-inv-{n_dim}-{alpha}"),
-                                                     n_perm=499))
+            checks.append(partial(check_invariance_pickrell, 1.0, alpha, n_dim, 0.5, 10_000,
+                                  1e-3, named_seed(SEED, f"c7-inv-{n_dim}-{alpha}"),
+                                  n_perm=499))
             for which in ("alpha-link", "free-link", "eq-link"):
-                reports.append(check_consistency(which, 1.0, alpha, n_dim, 10_000,
-                                                 named_seed(SEED, f"c7-{which}-{n_dim}-{alpha}"),
-                                                 n_perm=499))
+                checks.append(partial(check_consistency, which, 1.0, alpha, n_dim, 10_000,
+                                      named_seed(SEED, f"c7-{which}-{n_dim}-{alpha}"),
+                                      n_perm=499))
+    reports = run_checks(checks)
     bad = [r.to_dict() for r in reports if not r.passed]
     p_min = min(r.p_value for r in reports)
     ok = report(7, not bad,
@@ -164,15 +160,17 @@ def test_criterion_07_invariance_and_consistency():
 
 
 def test_criterion_08_boundary_flow():
-    rep3 = check_flow_convergence(0.0, 50, BoundaryPoint((), 3.0), (0.25, 0.5, 1.0),
-                                  500, 1e-3, named_seed(SEED, "c8-g3"), threshold=0.15)
-    rep1 = check_flow_convergence(0.0, 50, BoundaryPoint((), 1.0), (0.25, 0.5, 1.0),
-                                  500, 1e-3, named_seed(SEED, "c8-g1"), threshold=0.15)
-    # fluctuation variance must shrink with the 1/N noise coefficient
-    r25 = check_flow_convergence(0.0, 25, BoundaryPoint((), 3.0), (0.5,), 400, 1e-3,
-                                 named_seed(SEED, "c8-v25"))
-    r50 = check_flow_convergence(0.0, 50, BoundaryPoint((), 3.0), (0.5,), 400, 1e-3,
-                                 named_seed(SEED, "c8-v50"))
+    rep3, rep1, r25, r50 = run_checks([
+        partial(check_flow_convergence, 0.0, 50, BoundaryPoint((), 3.0), (0.25, 0.5, 1.0),
+                500, 1e-3, named_seed(SEED, "c8-g3"), threshold=0.15),
+        partial(check_flow_convergence, 0.0, 50, BoundaryPoint((), 1.0), (0.25, 0.5, 1.0),
+                500, 1e-3, named_seed(SEED, "c8-g1"), threshold=0.15),
+        # fluctuation variance must shrink with the 1/N noise coefficient
+        partial(check_flow_convergence, 0.0, 25, BoundaryPoint((), 3.0), (0.5,), 400, 1e-3,
+                named_seed(SEED, "c8-v25")),
+        partial(check_flow_convergence, 0.0, 50, BoundaryPoint((), 3.0), (0.5,), 400, 1e-3,
+                named_seed(SEED, "c8-v50")),
+    ])
     ratio = (r25.meta["track"]["t=0.5"]["gamma_var"]
              / r50.meta["track"]["t=0.5"]["gamma_var"])
     ok = rep3.passed and rep1.passed and 2.5 <= ratio <= 6.5

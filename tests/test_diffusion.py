@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import tracemalloc
 
 import hypothesis
@@ -248,24 +246,6 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _noise_threads(monkeypatch) -> set:
-    """The set that the following runs add each path-noise-drawing thread to."""
-    seen = set()
-    path_streams = diffusion.path_streams
-
-    class Recorded:
-        def __init__(self, gen):
-            self.gen = gen
-
-        def standard_normal(self, *args, **kwargs):
-            seen.add(threading.get_ident())
-            return self.gen.standard_normal(*args, **kwargs)
-
-    monkeypatch.setattr(diffusion, "path_streams",
-                        lambda *key: [Recorded(gen) for gen in path_streams(*key)])
-    return seen
-
-
 def test_paths_reproducible_and_chunk_independent(monkeypatch):
     cfg = SdeConfig(1e-3, 0.2)
     lift = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)
@@ -299,22 +279,10 @@ def test_paths_reproducible_and_chunk_independent(monkeypatch):
     monkeypatch.setattr(diffusion, "_CHUNK_MAX_PATHS", 138)
     monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 3 * 49 + 48)
     monkeypatch.setattr(diffusion, "_FILL_FLOAT_BUDGET", 1300)
-    threads = _noise_threads(monkeypatch)
-    chunked = {}
-    for cores in (1, 4):  # one chunk in flight, then up to four
-        monkeypatch.setattr(diffusion, "_CORES", cores)
-        for name, run in runs.items():
-            threads.clear()
-            chunked[name, cores] = run()
-            # the column route (N <= 7, as in every lift here) stays on the caller,
-            # the tensor route goes to worker threads
-            if cores == 1 or "N8" not in name:
-                assert threads == {threading.get_ident()}, name
-            else:
-                assert threads and threading.get_ident() not in threads, name
+    chunked = {name: run() for name, run in runs.items()}
     for name, (term, snaps, info) in ref.items():
-        # per-path streams: neither chunking nor the chunks in flight can matter
-        for other in (again[name], chunked[name, 1], chunked[name, 4]):
+        # per-path streams: the chunking cannot matter
+        for other in (again[name], chunked[name]):
             assert _same_bytes(term, other[0]) and info == other[2]
             assert snaps.keys() == other[1].keys()
             assert all(_same_bytes(snaps[ts], other[1][ts]) for ts in snaps)
@@ -392,7 +360,7 @@ def test_a_block_larger_than_the_fill_buffer_is_held_once():
 
 
 def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
-    calls = []  # (thread, lo, hi) of each path_streams call
+    calls = []  # (lo, hi) of each path_streams call
     path_streams = diffusion.path_streams
     nan_from = {}  # path index -> first step whose noise is NaN
 
@@ -406,52 +374,34 @@ def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
             return out
 
     def recorded(master_seed, lo, hi):
-        calls.append((threading.get_ident(), lo, hi))
+        calls.append((lo, hi))
         return [NanNoise(gen, nan_from[i]) if i in nan_from else gen
                 for i, gen in zip(range(lo, hi), path_streams(master_seed, lo, hi))]
 
-    def made_on_the_caller(last_started):
-        """Each chunk's streams, made once on the calling thread, in increasing
-        path order, up to the chunk holding path last_started."""
-        return [(threading.get_ident(), lo, min(lo + 16, 72))
-                for lo in range(0, last_started + 1, 16)]
+    def made_in_order(last_started):
+        """Each chunk's streams, made once, in increasing path order, up to the
+        chunk holding path last_started."""
+        return [(lo, min(lo + 16, 72)) for lo in range(0, last_started + 1, 16)]
 
     monkeypatch.setattr(diffusion, "path_streams", recorded)
-    # 16 paths a chunk at N = 8: big enough that numpy drops the interpreter lock inside
-    # the pair drift, which each chunk builds in its own workspace
+    # 16 paths a chunk at N = 8, the tensor route
     monkeypatch.setattr(diffusion, "_PAIR_FLOAT_BUDGET", 16 * 64)
 
-    def run(cores):
-        monkeypatch.setattr(diffusion, "_CORES", cores)
+    def run():
         calls.clear()
         return simulate_laguerre_paths(0.0, 8, np.arange(1.0, 9.0), SdeConfig(1e-2, 0.2), 72,
                                        340, snapshots_at=(0.1,))
 
-    serial = run(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads swap often, so a race on shared buffers would show
-    try:
-        # all five chunks in flight at once, more threads than cores
-        threaded = [run(8) for _ in range(3)]
-    finally:
-        sys.setswitchinterval(interval)
-    # five chunks, the last ragged; every stream is made on the caller, in path order,
-    # and the chunks' ranges cover the 72 paths exactly
-    assert calls == made_on_the_caller(71)
-    for term, snaps, info in threaded:
-        assert _same_bytes(serial[0], term) and serial[2] == info
-        assert _same_bytes(serial[1][0.1], snaps[0.1])
+    run()
+    # five chunks, the last ragged; the chunks' ranges cover the 72 paths exactly
+    assert calls == made_in_order(71)
 
-    # chunk 1 (paths 16-31) fails at step 7 and chunk 2 (paths 32-47) at step 3: the
-    # first chunk's error wins, as in a serial run, and the threads are gone after it
+    # chunk 1 (paths 16-31) fails at step 7 and chunk 2 (paths 32-47) at step 3:
+    # the first chunk's error is raised, and no chunk is started after it
     nan_from.update({20: 7, 40: 3})
-    before = threading.active_count()
-    for cores, last_started in ((1, 31), (2, 47), (4, 71)):
-        with pytest.raises(RuntimeError, match=r"^NaN state at step 7; reduce dt$"):
-            run(cores)
-        # no chunk is started after the failing one, but for those already in flight
-        assert calls == made_on_the_caller(last_started)
-        assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match=r"^NaN state at step 7; reduce dt$"):
+        run()
+    assert calls == made_in_order(31)
 
 
 @pytest.mark.parametrize("simulate", [
@@ -477,16 +427,11 @@ def test_pickrell_matrix_paths_chunk_independent(monkeypatch):
     cfg = SdeConfig(1e-2, 0.3, Scheme.MATRIX_LIFT)
     term, info = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
     again, info_again = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
-    # one chunk at the default cap; this one ends in a ragged chunk of 92 of the 300
-    # paths, and N = 2 keeps the chunks on the caller one at a time whatever the core count
+    # one chunk at the default cap; this one ends in a ragged chunk of 92 of the 300 paths
     monkeypatch.setattr(diffusion, "_CHUNK_MAX_PATHS", 208)
-    threads = _noise_threads(monkeypatch)
-    for cores in (1, 4):
-        monkeypatch.setattr(diffusion, "_CORES", cores)
-        term_c, info_c = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
-        assert _same_bytes(term, again) and _same_bytes(term, term_c)
-        assert info == info_again == info_c and info["clip_fraction"] > 0
-    assert threads == {threading.get_ident()}
+    term_c, info_c = simulate_pickrell_matrix_paths(p, (0.5, 1.5), cfg, 300, 320)
+    assert _same_bytes(term, again) and _same_bytes(term, term_c)
+    assert info == info_again == info_c and info["clip_fraction"] > 0
 
 
 @pytest.mark.parametrize("simulate", [

@@ -1,6 +1,11 @@
 import json
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
+from functools import partial
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -16,7 +21,7 @@ from intertwine.verify import (TestReport, apply_generator_1d, check_consistency
                                check_kernel_normalization, check_vandermonde_eigen,
                                energy_perm_test, flow_start_profile,
                                generator_drift_coeffs, interiorize_rows,
-                               quad_1d, quad_cell, run_suite)
+                               quad_1d, quad_cell, run_checks, run_suite)
 
 from helpers import energy_draws, energy_vstat, mean_distance
 
@@ -198,31 +203,34 @@ def test_energy_test_matches_brute_force_oracle(d, na, nb, max_points, grid, shi
     if grid:  # half-integer values: many repeats, and zero gaps in 1-D
         a, b = np.round(2.0 * a) / 2.0, np.round(2.0 * b) / 2.0
     n_perm = 99
-    rep = energy_perm_test(a, b, n_perm, generator(seed + 1), max_points=max_points)
     sub_a, sub_b, perms = energy_draws(na, nb, n_perm, generator(seed + 1), max_points)
     a_used = a if sub_a is None else a[sub_a]
     b_used = b if sub_b is None else b[sub_b]
-    assert (rep.meta["n_a_used"], rep.meta["n_b_used"]) == (len(a_used), len(b_used))
     pooled = np.vstack([a_used, b_used])
     # relative 1e-10, with a floor far below the float64 cancellation scale of
     # the oracle's own three means for statistics that cancel to about 0
     tol = 1e-13 * mean_distance(pooled, pooled)
     want = energy_vstat(a_used, b_used)
-    assert rep.statistic == pytest.approx(want, rel=1e-10, abs=tol)
-    if len(pooled) > 300:
-        return
     labels = np.zeros((n_perm + 1, len(pooled)), dtype=bool)
     labels[0, :len(a_used)] = True
     for row, idx in zip(labels[1:], perms):
         row[idx] = True
-    got = verify._energy_stats(pooled, labels, len(a_used), len(b_used))
-    oracle = np.array([energy_vstat(pooled[idx], np.delete(pooled, idx, axis=0))
-                       for idx in perms])
-    assert got[0] == rep.statistic
-    assert got[1:] == pytest.approx(oracle, rel=1e-10, abs=tol)
-    # the oracle's count, up to permutations that tie the observed statistic
-    count = round(rep.p_value * (n_perm + 1)) - 1
-    assert (oracle > want + tol).sum() <= count <= (oracle >= want - tol).sum()
+    oracle = None if len(pooled) > 300 else np.array(
+        [energy_vstat(pooled[idx], np.delete(pooled, idx, axis=0)) for idx in perms])
+    # in d >= 2 also with panels of 37 columns: several of them, the last one ragged
+    for block in sorted({verify._ENERGY_BLOCK, 37 if d > 1 else verify._ENERGY_BLOCK}):
+        with mock.patch.object(verify, "_ENERGY_BLOCK", block):
+            rep = energy_perm_test(a, b, n_perm, generator(seed + 1), max_points=max_points)
+            got = verify._energy_stats(pooled, labels, len(a_used), len(b_used))
+        assert (rep.meta["n_a_used"], rep.meta["n_b_used"]) == (len(a_used), len(b_used))
+        assert rep.statistic == pytest.approx(want, rel=1e-10, abs=tol)
+        assert got[0] == rep.statistic
+        if oracle is None:
+            continue
+        assert got[1:] == pytest.approx(oracle, rel=1e-10, abs=tol)
+        # the oracle's count, up to permutations that tie the observed statistic
+        count = round(rep.p_value * (n_perm + 1)) - 1
+        assert (oracle > want + tol).sum() <= count <= (oracle >= want - tol).sum()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -491,3 +499,48 @@ def test_run_suite_all_at_small_sizes():
     }
     for i, rep in direct.items():
         assert _suite_json([rep]) == _suite_json([reports[i]])
+
+
+def test_run_suite_refuses_unknown_size_keys(monkeypatch):
+    def drew(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_flow_convergence", drew)
+    with pytest.raises(ValueError, match=r"unknown size keys \['n_path'\]"):
+        run_suite("flow", 1, n_path=3)
+    with pytest.raises(ValueError, match=r"unknown size keys \['samples'\]"):
+        run_suite("all", 1, n_perm=99, samples=200)
+
+
+def _cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _consistency_checks():
+    return [partial(check_consistency, which, 1.0, 0.0, 1, 200, named_seed(5, which), n_perm=99)
+            for which in ("alpha-link", "free-link", "eq-link")]
+
+
+def test_run_checks_reports_do_not_depend_on_the_workers(monkeypatch):
+    serial = _suite_json([call() for call in _consistency_checks()])
+    for n in (1, 2):
+        _cores(monkeypatch, n)
+        assert _suite_json(run_checks(_consistency_checks())) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_run_checks_workers_see_patches_and_the_first_error_wins(monkeypatch):
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_ENERGY_BLOCK", 7)
+    parent = os.getpid()
+    got = run_checks([lambda: (os.getpid(), verify._ENERGY_BLOCK)] * 2)
+    assert [block for _, block in got] == [7, 7] and parent not in {pid for pid, _ in got}
+
+    def fail(message, wait=0.0):
+        time.sleep(wait)
+        raise ValueError(message)
+
+    # the first call in call order, not the first to fail in time
+    with pytest.raises(ValueError, match="^first$"):
+        run_checks([lambda: 1, partial(fail, "first", 0.2), partial(fail, "second")])
+    assert multiprocessing.active_children() == []
