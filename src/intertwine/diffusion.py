@@ -6,8 +6,8 @@ non-colliding squared Bessel particles) and the Pickrell system, whose
 square-root diffusion coefficient is sqrt(2x(1+x)).  Both admit matrix
 lifts whose spectra realize the same laws and are simulated as independent
 cross-checks (the Pickrell lift steps only its spectrum, a Markov chain by
-itself).  The boundary flow of scaled configurations is deterministic and
-exposed in closed form.
+itself, in closed form at N <= 2 and by eigvalsh above).  The boundary
+flow of scaled configurations is deterministic and exposed in closed form.
 
 The guards only repair discretization artifacts (the continuum dynamics
 neither collide nor leave the chamber): negative coordinates are reflected
@@ -491,17 +491,48 @@ def simulate_laguerre_matrix_paths(alpha, n, x0, cfg: SdeConfig, n_paths: int,
 
 
 def _pickrell_lift_step(s, alpha, w, noise_i, h, i) -> tuple:
-    """One step of the spectra w (paths, n) with G = noise_i: (next spectra, paths off the cone)."""
+    """One step of the spectra w (paths, n) with G = noise_i: (next spectra, paths off the cone).
+
+    Above n = 2 it builds X' and calls eigvalsh.  At n <= 2 it takes X''s
+    entries a, d (the spectrum at n = 1) and b = X'_01 from w and G by the
+    same operations; the spectrum is c -+ r, c = (a + d)/2 and
+    r = hypot((a - d)/2, |b|).  Where c > 0 the smaller one is det / (c + r),
+    free of c - r's cancellation near the cone, taken as (a/t) d - (|b|/t) |b|
+    with t = |c| + r >= |a|, |d|, |b| so that no product overflows.
+    """
     w = np.clip(w, 0.0, None)
     n = w.shape[1]
-    mterm = np.sqrt(h) * np.sqrt(w / 2.0)[:, :, None] * noise_i * np.sqrt(1.0 + w)[:, None, :]
-    x = mterm + mterm.conj().transpose(0, 2, 1)
-    diag = np.arange(n)
-    x[:, diag, diag] += w + (-s * w + (n + alpha)) * h
-    if np.isnan(x).any():
+    root_a, root_b = np.sqrt(h) * np.sqrt(w / 2.0), np.sqrt(1.0 + w)
+    shift = w + (-s * w + (n + alpha)) * h
+    if n > 2:
+        mterm = root_a[:, :, None] * noise_i * root_b[:, None, :]
+        x = mterm + mterm.conj().transpose(0, 2, 1)
+        diag = np.arange(n)
+        x[:, diag, diag] += shift
+        nan = np.isnan(x).any()
+    else:
+        x = 2.0 * (root_a * np.diagonal(noise_i.real, axis1=1, axis2=2) * root_b) + shift
+        nan = np.isnan(x).any()
+        if n == 2:
+            b = (root_a[:, 0] * noise_i[:, 0, 1] * root_b[:, 1]
+                 + (root_a[:, 1] * noise_i[:, 1, 0] * root_b[:, 0]).conj())
+            nan = nan or np.isnan(b).any()
+    if nan:
         raise RuntimeError(f"NaN state at step {i + 1}; reduce dt")
-    w = np.linalg.eigvalsh(x)
-    return w, int((w < 0).any(axis=1).sum())
+    if n > 2:
+        w = np.linalg.eigvalsh(x)
+    elif n == 2:
+        a, d, b = x[:, 0], x[:, 1], np.abs(b)
+        half = 0.5 * x  # no overflow in (a + d)/2
+        c, r = half[:, 0] + half[:, 1], np.hypot(half[:, 0] - half[:, 1], b)
+        t = np.abs(c) + r
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0: a zero matrix, c - r
+            lo = np.where(c > 0, (a / t) * d - (b / t) * b, c - r)
+        hi = c + r
+        w = np.stack((np.minimum(lo, hi), hi), axis=1)
+    else:
+        w = x
+    return w, int(_any_per_row(w < 0).sum())
 
 
 def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
@@ -521,7 +552,7 @@ def simulate_pickrell_matrix_paths(params: PickrellParams, x0, cfg: SdeConfig,
     x0a = as_coords(x0, expected_dim=n)
     _check_start(x0a, "x0")
 
-    # eigvalsh sorts after every step; the sort orders a t = 0 start
+    # every step returns ascending spectra; the sort orders a t = 0 start
     terminal, _, info = _run_paths(
         Scheme.MATRIX_LIFT, cfg, n_paths, master_seed, n, (2, n, n),
         lambda rows, gens: np.tile(x0a, (rows.stop - rows.start, 1)),

@@ -246,6 +246,29 @@ def ref_pickrell_matrix_step(s, alpha, w, vecs, dw, h):
     return w, int((w < 0).any(axis=1).sum())
 
 
+def ref_pickrell_lift_matrix(s, alpha, w, g, h):
+    """The Pickrell lift's spectral-step matrix as the step built it at every
+    n before its closed form at n <= 2: X' = diag(w + h(-s w + n + alpha))
+    + M + M*, M = sqrt(h) sqrt(w/2) G sqrt(1 + w), from the clipped spectra w
+    and G = ``g``, with the same operations in the same order."""
+    w = np.clip(w, 0.0, None)
+    n = w.shape[1]
+    mterm = np.sqrt(h) * np.sqrt(w / 2.0)[:, :, None] * g * np.sqrt(1.0 + w)[:, None, :]
+    x = mterm + mterm.conj().transpose(0, 2, 1)
+    diag = np.arange(n)
+    x[:, diag, diag] += w + (-s * w + (n + alpha)) * h
+    return x
+
+
+def ref_pickrell_lift_step(s, alpha, w, g, h, i):
+    """The Pickrell lift's spectral step with one eigvalsh per matrix at every n."""
+    x = ref_pickrell_lift_matrix(s, alpha, w, g, h)
+    if np.isnan(x).any():
+        raise RuntimeError(f"NaN state at step {i + 1}; reduce dt")
+    w = np.linalg.eigvalsh(x)
+    return w, int((w < 0).any(axis=1).sum())
+
+
 def ref_lift_chunk(gens, n_steps, m, n, ginibre=False):
     """A matrix lift's chunk start as drawn before the draws went straight
     into the chunk array: per path, an optional Ginibre start first, then one

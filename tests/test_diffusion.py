@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -18,8 +19,9 @@ from intertwine.ensembles import sample_laguerre_many
 from intertwine.matrixmodel import sample_haar
 from intertwine.rng import generator
 
-from helpers import (ref_lift_chunk, ref_pairwise_sum, ref_pickrell_matrix_step,
-                     ref_sanitize_rows, same_bits)
+from helpers import (ref_lift_chunk, ref_pairwise_sum, ref_pickrell_lift_matrix,
+                     ref_pickrell_lift_step, ref_pickrell_matrix_step, ref_sanitize_rows,
+                     same_bits)
 
 
 def test_sde_config_validation():
@@ -359,19 +361,23 @@ def test_a_block_larger_than_the_fill_buffer_is_held_once():
     assert same_bits(noise[:, 0], np.random.default_rng(9).standard_normal((k, 256)))
 
 
+class NanNoise:
+    """A path's stream whose normals are NaN from step ``step`` on; its draws
+    come one path at a time, (steps, *noise shape), as _step_major makes them."""
+
+    def __init__(self, gen, step):
+        self.gen, self.step = gen, step
+
+    def standard_normal(self, out):
+        self.gen.standard_normal(out=out)
+        out[self.step - 1:] = np.nan
+        return out
+
+
 def test_streams_and_failures_stay_on_the_calling_thread(monkeypatch):
     calls = []  # (lo, hi) of each path_streams call
     path_streams = diffusion.path_streams
     nan_from = {}  # path index -> first step whose noise is NaN
-
-    class NanNoise:
-        def __init__(self, gen, step):
-            self.gen, self.step = gen, step
-
-        def standard_normal(self, out):
-            self.gen.standard_normal(out=out)
-            out[self.step - 1:] = np.nan
-            return out
 
     def recorded(master_seed, lo, hi):
         calls.append((lo, hi))
@@ -548,6 +554,102 @@ def test_pickrell_spectral_step_couples_to_the_matrix_step(n):
         clipped_in += int((w < 0).any(axis=1).sum())
         clipped_out += got_clipped
     assert clipped_in > 0 and clipped_out > 0
+
+
+def _lift_step_rows(rng, m, scale):
+    """(w, G, h) for m spectral steps at n = 2 whose X' entries are of the
+    order ``scale``, in five equal groups: random rows, exactly diagonal rows
+    (G_01 = G_10 = 0), rows with a = d (equal w and G_00 = G_11),
+    near-degenerate rows (w_1 = w_0 (1 + 1e-9), small G) and diagonal rows
+    whose a and d lie a few ulps apart."""
+    w = np.sort(rng.exponential(1.0, (m, 2)), axis=1) * scale
+    g = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+    diagonal, equal, near, ulps = (slice(k * m // 5, (k + 1) * m // 5) for k in range(1, 5))
+    for rows in (diagonal, ulps):
+        g[rows, 0, 1] = g[rows, 1, 0] = 0.0
+    for rows in (equal, ulps):
+        g[rows, 1, 1] = g[rows, 0, 0]
+    w[equal, 1] = w[equal, 0]
+    w[near, 1] = w[near, 0] * (1.0 + 1e-9)
+    g[near] *= 1e-6
+    w[ulps, 1] = w[ulps, 0] * (1.0 + rng.integers(1, 9, m // 5) * 2.0**-52)
+    # below 1 the noise term sqrt(h w) and the drift (N + alpha) h stay of the order w
+    return w, g, min(0.1, scale)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-20, 1e-3, 1.0, 1e3, 1e20, 1e100, 1e300])
+def test_pickrell_lift_step_closed_form_matches_eigvalsh_at_n2(scale):
+    """At n = 2 the spectra come in closed form from X''s entries: ascending,
+    finite wherever eigvalsh is, and within 1e-13 of the row's largest
+    |eigenvalue| of eigvalsh on the matrix that the n > 2 route builds."""
+    rng = generator(370)
+    w, g, h = _lift_step_rows(rng, 500, scale)
+    want, _ = ref_pickrell_lift_step(1.0, 0.5, w, g, h, 0)
+    got, clipped = diffusion._pickrell_lift_step(1.0, 0.5, w, g, h, 0)
+    assert np.all(np.isfinite(want)) and np.all(np.isfinite(got))
+    assert np.all(got[:, 0] <= got[:, 1])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=1, keepdims=True))
+    assert clipped == int((got[:, 0] < 0).sum())
+
+
+@pytest.mark.parametrize("w0", [1e-12, 1e-8, 1e-4])
+def test_pickrell_lift_step_keeps_the_small_eigenvalue_near_the_cone(w0):
+    """From w = (w0, 1) with h = 1e-3 w0 the smaller eigenvalue stays of the
+    order w0, far below the larger one: it is within 1e-13 relative of the
+    exact eigenvalue of X''s entries, worked out to 60 digits, where c - r
+    loses about eps / w0."""
+    rng = generator(371)
+    m = 50
+    w = np.tile([w0, 1.0], (m, 1))
+    g = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+    h = 1e-3 * w0
+    got, _ = diffusion._pickrell_lift_step(1.0, 0.5, w, g, h, 0)
+    x = ref_pickrell_lift_matrix(1.0, 0.5, w, g, h)
+    with decimal.localcontext(prec=60):
+        for row, lo in zip(x, got[:, 0]):
+            a, d = decimal.Decimal(row[0, 0].real), decimal.Decimal(row[1, 1].real)
+            b2 = decimal.Decimal(row[0, 1].real) ** 2 + decimal.Decimal(row[0, 1].imag) ** 2
+            want = (a + d) / 2 - (((a - d) / 2) ** 2 + b2).sqrt()
+            assert 0 < want < decimal.Decimal(2 * w0)
+            assert abs(decimal.Decimal(lo) - want) <= decimal.Decimal(1e-13) * want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pickrell_lift_runs_as_with_one_eigvalsh_per_matrix(monkeypatch, n):
+    """A lift run is bit for bit the run with the eigvalsh step at n = 1 and
+    n = 3, the clip fraction included; at n = 2 the spectra move only at
+    rounding level."""
+    p = PickrellParams(1.0, -0.8, n)
+    x0 = np.linspace(0.02, 1.0, n)
+    cfg = SdeConfig(1e-2, 0.5, Scheme.MATRIX_LIFT)
+    term, info = simulate_pickrell_matrix_paths(p, x0, cfg, 300, 372)
+    monkeypatch.setattr(diffusion, "_pickrell_lift_step", ref_pickrell_lift_step)
+    want, want_info = simulate_pickrell_matrix_paths(p, x0, cfg, 300, 372)
+    assert want_info["clip_fraction"] > 0
+    if n == 2:
+        assert np.allclose(term, want, rtol=1e-10, atol=1e-12)
+    else:
+        assert same_bits(term, want) and info == want_info
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pickrell_lift_refuses_a_nan_state(monkeypatch, n):
+    """NaN noise from step 4 of one path makes a NaN entry of X' there, at
+    n = 1 as at n = 2, and the run stops at that step; at n = 2 a NaN in the
+    off-diagonal entry alone stops a step too."""
+    path_streams = diffusion.path_streams
+    monkeypatch.setattr(diffusion, "path_streams", lambda seed, lo, hi: [
+        NanNoise(gen, 4) if i == 5 else gen for i, gen in zip(range(lo, hi),
+                                                                path_streams(seed, lo, hi))])
+    cfg = SdeConfig(1e-2, 0.1, Scheme.MATRIX_LIFT)
+    with pytest.raises(RuntimeError, match=r"^NaN state at step 4; reduce dt$"):
+        simulate_pickrell_matrix_paths(PickrellParams(1.0, 0.5, n), np.arange(1.0, n + 1.0),
+                                       cfg, 10, 373)
+    if n == 2:
+        g = np.ones((3, 2, 2), dtype=complex)
+        g[1, 1, 0] = complex(0.0, np.nan)
+        with pytest.raises(RuntimeError, match=r"^NaN state at step 9; reduce dt$"):
+            diffusion._pickrell_lift_step(1.0, 0.5, np.ones((3, 2)), g, 1e-2, 8)
 
 
 @pytest.mark.parametrize("lift, m, n", [("laguerre-diag", 3, 2), ("laguerre-ginibre", 3, 2),
